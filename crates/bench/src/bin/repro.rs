@@ -57,7 +57,7 @@ use conduit_bench::throughput::{
     baseline_instructions_per_sec, baseline_ops_per_instruction, baseline_scale, ThroughputReport,
 };
 use conduit_bench::warm::warm_pool_report;
-use conduit_bench::Harness;
+use conduit_bench::{section, Harness};
 
 /// Every target the binary accepts, with a one-line description. The
 /// usage line and the unknown-target listing are both generated from this
@@ -236,29 +236,16 @@ fn main() {
         perf_gate(&args, quick);
     }
 
-    if target == "warm-pool" {
-        println!("==================== warm-pool ====================");
-        print!("{}", warm_pool_report(quick));
-        return;
-    }
-    if target == "arrival-sweep" {
-        println!("==================== arrival-sweep ====================");
-        print!("{}", arrival_sweep_report(quick));
-        return;
-    }
-    if target == "fault-sweep" {
-        println!("==================== fault-sweep ====================");
-        print!("{}", fault_sweep_report(quick));
-        return;
-    }
-    if target == "interference" {
-        println!("==================== interference ====================");
-        print!("{}", interference_report(quick));
-        return;
-    }
-    if target == "fleet-sweep" {
-        println!("==================== fleet-sweep ====================");
-        print!("{}", fleet_sweep_report(quick));
+    let report: Option<fn(bool) -> String> = match target.as_str() {
+        "warm-pool" => Some(warm_pool_report),
+        "arrival-sweep" => Some(arrival_sweep_report),
+        "fault-sweep" => Some(fault_sweep_report),
+        "interference" => Some(interference_report),
+        "fleet-sweep" => Some(fleet_sweep_report),
+        _ => None,
+    };
+    if let Some(report) = report {
+        print!("{}", section(&target, &report(quick)));
         return;
     }
 
@@ -268,12 +255,11 @@ fn main() {
         Harness::paper()
     };
     harness = harness.with_parallel(!serial);
-    if target == "all" {
-        // One parallel sweep fills the cache for every figure below.
-        harness.prefetch_all();
-    }
-
     let outputs: Vec<(&str, String)> = match target.as_str() {
+        "all" => {
+            print!("{}", harness.all());
+            return;
+        }
         "fig4" => vec![("fig4", harness.fig4())],
         "fig5" => vec![("fig5", harness.fig5())],
         "fig7" => vec![("fig7a", harness.fig7a()), ("fig7b", harness.fig7b())],
@@ -285,18 +271,6 @@ fn main() {
         "table3" => vec![("table3", harness.table3())],
         "overheads" => vec![("overheads", harness.overheads())],
         "headline" => vec![("headline", harness.headline())],
-        "all" => vec![
-            ("table3", harness.table3()),
-            ("fig4", harness.fig4()),
-            ("fig5", harness.fig5()),
-            ("fig7a", harness.fig7a()),
-            ("fig7b", harness.fig7b()),
-            ("fig8", harness.fig8()),
-            ("fig9", harness.fig9()),
-            ("fig10", harness.fig10()),
-            ("overheads", harness.overheads()),
-            ("headline", harness.headline()),
-        ],
         unknown => {
             eprintln!("repro: unknown target `{unknown}`");
             print_targets();
@@ -305,7 +279,6 @@ fn main() {
     };
 
     for (name, text) in outputs {
-        println!("==================== {name} ====================");
-        println!("{text}");
+        print!("{}", section(name, &format!("{text}\n")));
     }
 }

@@ -41,6 +41,12 @@ use conduit::{gmean, Policy, ProgramId, RunOutcome, RunRequest, Session};
 use conduit_types::{ExecutionSite, Resource, SsdConfig};
 use conduit_workloads::{characterize, Scale, Workload};
 
+/// Frames one section of `repro` output: the banner line naming the
+/// target, then its text.
+pub fn section(name: &str, text: &str) -> String {
+    format!("==================== {name} ====================\n{text}")
+}
+
 /// Runs workload × policy combinations and formats the paper's figures.
 #[derive(Debug)]
 pub struct Harness {
@@ -230,6 +236,28 @@ impl Harness {
     // ------------------------------------------------------------------
     // Figures and tables
     // ------------------------------------------------------------------
+
+    /// Every figure and table, exactly as `repro all` prints them: one
+    /// parallel sweep fills the cache, then each output is framed by
+    /// [`section`] and followed by a blank line.
+    pub fn all(&mut self) -> String {
+        self.prefetch_all();
+        [
+            ("table3", self.table3()),
+            ("fig4", self.fig4()),
+            ("fig5", self.fig5()),
+            ("fig7a", self.fig7a()),
+            ("fig7b", self.fig7b()),
+            ("fig8", self.fig8()),
+            ("fig9", self.fig9()),
+            ("fig10", self.fig10()),
+            ("overheads", self.overheads()),
+            ("headline", self.headline()),
+        ]
+        .iter()
+        .map(|(name, text)| section(name, &format!("{text}\n")))
+        .collect()
+    }
 
     /// Figure 4: execution-time breakdown of OSP, ISP, IFP, and IFP+ISP on
     /// the three workload classes, normalized to OSP.

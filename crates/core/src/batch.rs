@@ -10,13 +10,12 @@
 //!
 //! For policies whose placement is a pure function of the operation
 //! (host-side policies and the single-resource NDP baselines), the planner
-//! also resolves the [`ExecutionSite`] statically, so the run loop skips
-//! site selection entirely. Policies that consult runtime state — operand
-//! residency, queueing delays, utilization — keep `site: None` and place
-//! each instruction inside the strip exactly as the scalar path would
-//! (which is also how a warm device's coherence state can flip placements
-//! mid-strip without invalidating the plan: the plan never pins a dynamic
-//! decision).
+//! also resolves the [`ExecutionSite`] statically ([`Policy::static_site`]),
+//! so the run loop skips site selection entirely. Policies that consult
+//! runtime state — operand residency, queueing delays, utilization — keep
+//! `site: None` and place each instruction inside the strip (which is also
+//! how a warm device's coherence state can flip placements mid-strip
+//! without invalidating the plan: the plan never pins a dynamic decision).
 //!
 //! Planning is O(n) and allocation-light, so inline programs can plan on
 //! the fly; registered programs cache their plan per (program, policy,
@@ -24,7 +23,7 @@
 //! content-addressed registry id — the registry is append-only, so cached
 //! plans never need invalidation.
 
-use conduit_types::{ExecutionSite, Resource, VectorProgram};
+use conduit_types::{ExecutionSite, VectorProgram};
 
 use crate::cost::CostFunction;
 use crate::engine::RunOptions;
@@ -42,38 +41,15 @@ pub struct Strip {
     /// depends only on the operation. `None` = the policy decides per
     /// instruction at run time.
     pub site: Option<ExecutionSite>,
-    /// Start of this strip's dataflow-dependence edge range in
-    /// [`StripPlan::dep_edges`] (see [`StripPlan::deps_of`]).
-    pub deps_start: u32,
-    /// Number of dependence edges (earlier strips this strip consumes
-    /// [`conduit_types::Operand::Result`] values from).
-    pub deps_len: u32,
-    /// Conservative bit: some instruction in this strip mutates warm device
-    /// state visible to later placement decisions (today: it commits a
-    /// result page, which moves FTL mappings and the coherence directory).
-    pub touches_warm_state: bool,
-    /// Whether a worker thread may *speculate* this strip's dynamic
-    /// placement ahead of commit: the strip consumes no earlier strip's
-    /// results and no earlier strip touches warm device state, so on a
-    /// fresh device its placement inputs are exactly the pure plan-time
-    /// context. Commit always recomputes the real choice — this bit only
-    /// gates whether speculation is attempted (and counted).
-    pub speculative: bool,
 }
 
 /// The strip decomposition of one program under one (policy, cost-function)
-/// pair, annotated with the strip-level **dataflow DAG**: which earlier
-/// strips each strip consumes `Operand::Result` values from, plus the
-/// conservative warm-state bits that decide speculation eligibility.
+/// pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StripPlan {
     policy: Policy,
     cost_function: CostFunction,
     strips: Vec<Strip>,
-    /// Flattened per-strip dependence edges: strip `s` depends on the
-    /// earlier strips `dep_edges[s.deps_start .. s.deps_start + s.deps_len]`
-    /// (sorted, deduplicated strip indices).
-    dep_edges: Vec<u32>,
 }
 
 impl StripPlan {
@@ -82,40 +58,20 @@ impl StripPlan {
     /// options; ablation switches do not change the strip boundaries.
     pub fn plan(program: &VectorProgram, policy: Policy, cost_function: CostFunction) -> Self {
         let mut strips = Vec::new();
-        let mut dep_edges = Vec::new();
-        Self::plan_into(program, policy, &mut strips, &mut dep_edges);
+        Self::plan_into(program, policy, &mut strips);
         StripPlan {
             policy,
             cost_function,
             strips,
-            dep_edges,
         }
     }
 
-    /// The planner core: strip-mines `program` into `strips` and its
-    /// dataflow edges into `dep_edges` (both cleared first). Used directly
-    /// by the engine to plan inline programs into its reusable scratch
-    /// without allocating a [`StripPlan`].
-    ///
-    /// Dependence edges are derived in one forward pass: a `Result(id)`
-    /// operand whose producer index falls before the strip's own range adds
-    /// an edge to the producer's strip (found by binary search over the
-    /// already-emitted strip starts — producers always precede consumers,
-    /// [`VectorProgram::validate`] forbids forward references). Intra-strip
-    /// result references are *not* edges: the engine already chains them
-    /// through the per-instruction ready times inside a strip.
-    pub(crate) fn plan_into(
-        program: &VectorProgram,
-        policy: Policy,
-        strips: &mut Vec<Strip>,
-        dep_edges: &mut Vec<u32>,
-    ) {
+    /// The planner core: strip-mines `program` into `strips` (cleared
+    /// first). Used directly by the engine to plan inline programs into its
+    /// reusable scratch without allocating a [`StripPlan`].
+    pub(crate) fn plan_into(program: &VectorProgram, policy: Policy, strips: &mut Vec<Strip>) {
         strips.clear();
-        dep_edges.clear();
         let insts = program.insts();
-        // Prefix property for speculation: true while no strip emitted so
-        // far mutates warm device state.
-        let mut warm_clean = true;
         let mut i = 0;
         while i < insts.len() {
             let key = (insts[i].op, insts[i].elem_bits, insts[i].lanes);
@@ -125,29 +81,11 @@ impl StripPlan {
             {
                 end += 1;
             }
-            let deps_start = dep_edges.len();
-            let mut touches_warm_state = false;
-            for inst in &insts[i..end] {
-                touches_warm_state |= inst.dst_page.is_some();
-                for dep in inst.src_results() {
-                    let producer = dep.index();
-                    if producer < i {
-                        dep_edges.push(owning_strip(strips, producer));
-                    }
-                }
-            }
-            dedup_suffix(dep_edges, deps_start);
-            let deps_len = (dep_edges.len() - deps_start) as u32;
             strips.push(Strip {
                 start: i,
                 len: end - i,
-                site: static_site(policy, key.0),
-                deps_start: deps_start as u32,
-                deps_len,
-                touches_warm_state,
-                speculative: warm_clean && deps_len == 0,
+                site: policy.static_site(key.0),
             });
-            warm_clean &= !touches_warm_state;
             i = end;
         }
     }
@@ -166,87 +104,12 @@ impl StripPlan {
     pub fn strips(&self) -> &[Strip] {
         &self.strips
     }
-
-    /// The flattened dependence-edge store (for scratch-planned strips the
-    /// engine borrows the edges alongside the strip vector).
-    pub fn dep_edges(&self) -> &[u32] {
-        &self.dep_edges
-    }
-
-    /// The earlier strips `strip` consumes results from: sorted,
-    /// deduplicated indices into [`StripPlan::strips`].
-    pub fn deps_of(&self, strip: &Strip) -> &[u32] {
-        strip.deps(&self.dep_edges)
-    }
-}
-
-impl Strip {
-    /// This strip's dependence edges inside a flattened edge store (the
-    /// plan's own, or the engine scratch's for inline programs).
-    pub fn deps<'a>(&self, dep_edges: &'a [u32]) -> &'a [u32] {
-        let start = self.deps_start as usize;
-        &dep_edges[start..start + self.deps_len as usize]
-    }
-}
-
-/// Index of the already-emitted strip containing instruction `index`
-/// (binary search over the sorted strip starts).
-fn owning_strip(strips: &[Strip], index: usize) -> u32 {
-    debug_assert!(!strips.is_empty(), "producer precedes the current strip");
-    let k = strips.partition_point(|s| s.start <= index) - 1;
-    debug_assert!(index < strips[k].start + strips[k].len);
-    k as u32
-}
-
-/// Sorts and deduplicates `v[start..]` in place (the just-pushed edge set
-/// of one strip).
-fn dedup_suffix(v: &mut Vec<u32>, start: usize) {
-    v[start..].sort_unstable();
-    let mut w = start;
-    for r in start..v.len() {
-        if w == start || v[w - 1] != v[r] {
-            v[w] = v[r];
-            w += 1;
-        }
-    }
-    v.truncate(w);
-}
-
-/// The statically resolvable arms of [`Policy::choose_site`]: placements
-/// that are a pure function of the operation. Must mirror `choose_site`
-/// exactly — the differential tests in `tests/integration_batched.rs` hold
-/// the two together.
-fn static_site(policy: Policy, op: conduit_types::OpType) -> Option<ExecutionSite> {
-    match policy {
-        Policy::HostCpu => Some(ExecutionSite::HostCpu),
-        Policy::HostGpu => Some(ExecutionSite::HostGpu),
-        Policy::IspOnly => Some(ExecutionSite::Ssd(Resource::Isp)),
-        Policy::PudSsd => Some(ExecutionSite::Ssd(if Resource::PudSsd.supports(op) {
-            Resource::PudSsd
-        } else {
-            Resource::Isp
-        })),
-        Policy::FlashCosmos | Policy::IfpIsp => Some(ExecutionSite::Ssd(if op.is_bitwise() {
-            Resource::Ifp
-        } else {
-            Resource::Isp
-        })),
-        Policy::AresFlash => Some(ExecutionSite::Ssd(if Resource::Ifp.supports(op) {
-            Resource::Ifp
-        } else {
-            Resource::Isp
-        })),
-        // Runtime-state-dependent placement (utilization, operand residency,
-        // queueing) — and Ideal, whose choice is resolved per strip from the
-        // hoisted compute estimates in the engine.
-        Policy::BwOffloading | Policy::DmOffloading | Policy::Conduit | Policy::Ideal => None,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conduit_types::{OpType, Operand, SimTime, VectorInst};
+    use conduit_types::{OpType, Operand, VectorInst};
 
     fn program() -> VectorProgram {
         let mut prog = VectorProgram::new("strips");
@@ -309,92 +172,33 @@ mod tests {
     fn static_sites_mirror_choose_site() {
         use crate::policy::PolicyContext;
         use conduit_sim::SsdDevice;
-        use conduit_types::{DataLocation, Duration, SsdConfig};
+        use conduit_types::{DataLocation, Duration, SimTime, SsdConfig};
 
         let dev = SsdDevice::new(&SsdConfig::small_for_tests()).unwrap();
         let locs = [DataLocation::Flash, DataLocation::Flash];
-        let ctx = PolicyContext {
-            device: &dev,
-            now: SimTime::ZERO,
-            operand_locations: &locs,
-            dependence_delay: Duration::ZERO,
-        };
-        for policy in Policy::ALL {
-            for op in OpType::ALL {
-                let inst = VectorInst::with_srcs(
-                    0,
-                    op,
-                    (0..op.arity())
-                        .map(|k| Operand::page(k as u64 * 4))
-                        .collect(),
-                );
-                if let Some(site) = static_site(policy, op) {
+        for op in OpType::ALL {
+            let inst = VectorInst::with_srcs(0, op, Vec::new());
+            let estimates = dev.estimate_strip(op, inst.elem_bits, inst.lanes, inst.vector_bytes());
+            let ctx = PolicyContext {
+                device: &dev,
+                estimates: &estimates,
+                now: SimTime::ZERO,
+                operand_locations: &locs,
+                dependence_delay: Duration::ZERO,
+            };
+            let mut prog = VectorProgram::new("one");
+            prog.push(inst);
+            for policy in Policy::ALL {
+                let planned = StripPlan::plan(&prog, policy, CostFunction::conduit());
+                if let Some(site) = planned.strips()[0].site {
                     assert_eq!(
                         site,
-                        policy.choose_site(&inst, &ctx),
-                        "{policy}/{op} static site diverged from choose_site"
+                        policy.choose_site(&CostFunction::conduit(), op, &ctx),
+                        "{policy}/{op} planned site diverged from choose_site"
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn dag_edges_point_at_producing_strips() {
-        let mut prog = VectorProgram::new("dag");
-        // Strip 0: two XORs (no deps). Strip 1: one Add consuming strip 0's
-        // second result twice (edges dedup). Strip 2: XORs consuming strip
-        // 1's result and strip 0's first — two edges, sorted.
-        let a = prog.push_binary(OpType::Xor, Operand::page(0), Operand::page(4));
-        let b = prog.push_binary(OpType::Xor, Operand::page(8), Operand::page(12));
-        let c = prog.push_binary(OpType::Add, Operand::result(b), Operand::result(b));
-        prog.push_binary(OpType::Xor, Operand::result(c), Operand::result(a));
-        prog.push_binary(OpType::Xor, Operand::page(16), Operand::page(20));
-        let plan = StripPlan::plan(&prog, Policy::Conduit, CostFunction::conduit());
-        let strips = plan.strips();
-        assert_eq!(strips.len(), 3);
-        assert_eq!(plan.deps_of(&strips[0]), &[] as &[u32]);
-        assert_eq!(plan.deps_of(&strips[1]), &[0]);
-        assert_eq!(plan.deps_of(&strips[2]), &[0, 1]);
-        // Intra-strip result references are not cross-strip edges.
-        let mut chained = VectorProgram::new("chain");
-        let x = chained.push_binary(OpType::Xor, Operand::page(0), Operand::page(4));
-        chained.push_binary(OpType::Xor, Operand::result(x), Operand::page(8));
-        let plan = StripPlan::plan(&chained, Policy::Conduit, CostFunction::conduit());
-        assert_eq!(plan.strips().len(), 1);
-        assert!(plan.dep_edges().is_empty());
-    }
-
-    #[test]
-    fn speculation_eligibility_is_a_warm_clean_prefix() {
-        let mut prog = VectorProgram::new("spec");
-        let a = prog.push_binary(OpType::Xor, Operand::page(0), Operand::page(4));
-        // Strip 1: different shape, no deps — still speculative (strip 0
-        // does not commit a result page).
-        prog.push_binary(OpType::Add, Operand::page(8), Operand::page(12));
-        // Strip 2: depends on strip 0 — not speculative.
-        prog.push_binary(OpType::Mul, Operand::result(a), Operand::page(16));
-        let plan = StripPlan::plan(&prog, Policy::Conduit, CostFunction::conduit());
-        let strips = plan.strips();
-        assert!(strips[0].speculative && strips[1].speculative);
-        assert!(!strips[2].speculative);
-        assert!(strips.iter().all(|s| !s.touches_warm_state));
-
-        // A dst_page commit poisons every later strip's eligibility.
-        let mut warm = VectorProgram::new("warm");
-        let mut inst = VectorInst::binary(0, OpType::Xor, Operand::page(0), Operand::page(4));
-        inst.dst_page = Some(conduit_types::LogicalPageId::new(64));
-        warm.push(inst);
-        warm.push(VectorInst::binary(
-            1,
-            OpType::Add,
-            Operand::page(8),
-            Operand::page(12),
-        ));
-        let plan = StripPlan::plan(&warm, Policy::Conduit, CostFunction::conduit());
-        let strips = plan.strips();
-        assert!(strips[0].touches_warm_state && strips[0].speculative);
-        assert!(!strips[1].speculative);
     }
 
     #[test]

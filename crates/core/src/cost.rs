@@ -12,12 +12,19 @@
 //! location, data-dependence delay, resource queueing delay, (statically
 //! estimated) data-movement latency, and expected computation latency.
 //!
+//! Every chooser reads its per-resource estimates from the
+//! [`StripEstimates`] in the [`PolicyContext`] — the compute and static
+//! data-movement latencies at the instruction's vector shape, which the run
+//! loop looks up once per strip of same-shaped instructions — and its
+//! runtime features (operand locations, dependence and queueing delays) from
+//! the rest of the context.
+//!
 //! The struct exposes ablation switches so the benchmark harness can measure
 //! how much each term contributes (DESIGN.md lists these as ablation
 //! candidates).
 
 use conduit_sim::StripEstimates;
-use conduit_types::{DataLocation, Duration, OpType, Resource, VectorInst};
+use conduit_types::{Duration, OpType, Resource};
 
 use crate::policy::PolicyContext;
 
@@ -74,31 +81,24 @@ impl CostFunction {
         CostFunction::default()
     }
 
-    /// Computes the feature vector for executing `inst` on `resource`, or
-    /// `None` if the resource does not support the operation.
+    /// Computes the feature vector for executing an `op` instruction on
+    /// `resource`, or `None` if the resource does not support the operation.
     pub fn features_for(
         &self,
         resource: Resource,
-        inst: &VectorInst,
+        op: OpType,
         ctx: &PolicyContext<'_>,
     ) -> Option<CostFeatures> {
-        if !resource.supports(inst.op) {
-            return None;
-        }
-        let comp_latency =
-            ctx.device
-                .estimate_compute(resource, inst.op, inst.elem_bits, inst.lanes)?;
-        let home = resource.home_location();
-        let per_operand = inst.vector_bytes();
+        let comp = ctx.estimates.compute_for(resource)?;
         let dm_latency: Duration = ctx
             .operand_locations
             .iter()
-            .map(|&loc| ctx.device.estimate_move(loc, home, per_operand))
+            .map(|&loc| ctx.estimates.move_from(resource, loc))
             .sum();
         Some(CostFeatures {
             resource,
-            op: inst.op,
-            comp_latency,
+            op,
+            comp_latency: comp.latency,
             dm_latency,
             dependence_delay: ctx.dependence_delay,
             queue_delay: ctx.device.queue_delay(resource, ctx.now),
@@ -135,173 +135,39 @@ impl CostFunction {
     /// the lowest total latency (with its latency), or `None` if no resource
     /// supports the operation (which cannot happen because ISP supports
     /// everything, but the type signature stays honest).
-    pub fn choose(
-        &self,
-        inst: &VectorInst,
-        ctx: &PolicyContext<'_>,
-    ) -> Option<(Resource, Duration)> {
+    pub fn choose(&self, op: OpType, ctx: &PolicyContext<'_>) -> Option<(Resource, Duration)> {
         Resource::ALL
             .iter()
             .filter_map(|&r| {
-                self.features_for(r, inst, ctx)
+                self.features_for(r, op, ctx)
                     .map(|f| (r, self.total_latency(&f)))
             })
             .min_by_key(|(_, lat)| *lat)
     }
 
-    /// Like [`CostFunction::choose`] but ignores everything except the
-    /// expected computation latency — the selection rule of the Ideal policy
-    /// (no contention, free data movement).
-    pub fn choose_ideal(
-        &self,
-        inst: &VectorInst,
-        ctx: &PolicyContext<'_>,
-    ) -> Option<(Resource, Duration)> {
+    /// The selection rule of the Ideal policy (no contention, free data
+    /// movement): the resource with the lowest expected computation latency.
+    pub fn choose_ideal(&self, estimates: &StripEstimates) -> Option<(Resource, Duration)> {
         Resource::ALL
             .iter()
-            .filter_map(|&r| {
-                if !r.supports(inst.op) {
-                    return None;
-                }
-                ctx.device
-                    .estimate_compute(r, inst.op, inst.elem_bits, inst.lanes)
-                    .map(|lat| (r, lat))
-            })
+            .filter_map(|&r| estimates.compute_for(r).map(|e| (r, e.latency)))
             .min_by_key(|(_, lat)| *lat)
     }
 
     /// The data-movement-minimizing selection rule of DM-Offloading.
     pub fn choose_min_data_movement(
         &self,
-        inst: &VectorInst,
+        op: OpType,
         ctx: &PolicyContext<'_>,
     ) -> Option<(Resource, Duration)> {
         Resource::ALL
             .iter()
             .filter_map(|&r| {
-                self.features_for(r, inst, ctx)
+                self.features_for(r, op, ctx)
                     .map(|f| (r, f.dm_latency, f.comp_latency))
             })
             // Ties on data movement (e.g. everything already resident in
             // DRAM) are broken by the faster compute latency.
-            .min_by_key(|(_, dm, comp)| (*dm, *comp))
-            .map(|(r, dm, _)| (r, dm))
-    }
-
-    /// [`CostFunction::features_for`] with the per-strip hoisted estimates
-    /// substituted for the device's per-instruction estimate queries. The
-    /// hoisted table answers are bit-identical to the scalar queries (see
-    /// [`StripEstimates`]), so this computes the exact same feature vector.
-    pub fn features_from_strip(
-        &self,
-        resource: Resource,
-        op: OpType,
-        strip: &StripEstimates,
-        ctx: &PolicyContext<'_>,
-    ) -> Option<CostFeatures> {
-        let est = strip.compute_for(resource)?;
-        let dm_latency: Duration = ctx
-            .operand_locations
-            .iter()
-            .map(|&loc| strip.move_from(resource, loc))
-            .sum();
-        Some(CostFeatures {
-            resource,
-            op,
-            comp_latency: est.latency,
-            dm_latency,
-            dependence_delay: ctx.dependence_delay,
-            queue_delay: ctx.device.queue_delay(resource, ctx.now),
-        })
-    }
-
-    /// [`CostFunction::choose`] evaluated from per-strip hoisted estimates —
-    /// the same candidate set, totals, iteration order, and tie-breaking.
-    pub fn choose_from_strip(
-        &self,
-        op: OpType,
-        strip: &StripEstimates,
-        ctx: &PolicyContext<'_>,
-    ) -> Option<(Resource, Duration)> {
-        Resource::ALL
-            .iter()
-            .filter_map(|&r| {
-                self.features_from_strip(r, op, strip, ctx)
-                    .map(|f| (r, self.total_latency(&f)))
-            })
-            .min_by_key(|(_, lat)| *lat)
-    }
-
-    /// [`CostFunction::choose_ideal`] from per-strip hoisted estimates.
-    pub fn choose_ideal_from_strip(&self, strip: &StripEstimates) -> Option<(Resource, Duration)> {
-        Resource::ALL
-            .iter()
-            .filter_map(|&r| strip.compute_for(r).map(|e| (r, e.latency)))
-            .min_by_key(|(_, lat)| *lat)
-    }
-
-    /// The worker-thread **speculation** rule of the parallel strip
-    /// evaluator: the choice [`CostFunction::choose_from_strip`] would make
-    /// in the pure plan-time context — every data operand flash-resident,
-    /// zero dependence delay, zero queue delay. Entirely device-free, so a
-    /// pool worker can run it from the hoisted estimates alone; the commit
-    /// phase always recomputes the real choice against live device state,
-    /// and a divergence is counted as a speculation miss, never a wrong
-    /// result.
-    pub fn speculate_from_strip(
-        &self,
-        strip: &StripEstimates,
-        data_operands: u64,
-    ) -> Option<(Resource, Duration)> {
-        Resource::ALL
-            .iter()
-            .filter_map(|&r| {
-                let est = strip.compute_for(r)?;
-                let dm = if self.include_data_movement {
-                    strip.move_from(r, DataLocation::Flash) * data_operands
-                } else {
-                    Duration::ZERO
-                };
-                Some((r, est.latency + dm))
-            })
-            .min_by_key(|(_, lat)| *lat)
-    }
-
-    /// The DM-Offloading speculation rule: same pure plan-time context as
-    /// [`CostFunction::speculate_from_strip`], with
-    /// [`CostFunction::choose_min_data_movement_from_strip`]'s selection
-    /// (data movement first, compute latency as the tie-break; the
-    /// data-movement term is never ablated here, matching the real rule).
-    pub fn speculate_min_data_movement_from_strip(
-        &self,
-        strip: &StripEstimates,
-        data_operands: u64,
-    ) -> Option<(Resource, Duration)> {
-        Resource::ALL
-            .iter()
-            .filter_map(|&r| {
-                let est = strip.compute_for(r)?;
-                let dm = strip.move_from(r, DataLocation::Flash) * data_operands;
-                Some((r, dm, est.latency))
-            })
-            .min_by_key(|(_, dm, comp)| (*dm, *comp))
-            .map(|(r, dm, _)| (r, dm))
-    }
-
-    /// [`CostFunction::choose_min_data_movement`] from per-strip hoisted
-    /// estimates.
-    pub fn choose_min_data_movement_from_strip(
-        &self,
-        op: OpType,
-        strip: &StripEstimates,
-        ctx: &PolicyContext<'_>,
-    ) -> Option<(Resource, Duration)> {
-        Resource::ALL
-            .iter()
-            .filter_map(|&r| {
-                self.features_from_strip(r, op, strip, ctx)
-                    .map(|f| (r, f.dm_latency, f.comp_latency))
-            })
             .min_by_key(|(_, dm, comp)| (*dm, *comp))
             .map(|(r, dm, _)| (r, dm))
     }
@@ -311,58 +177,64 @@ impl CostFunction {
 mod tests {
     use super::*;
     use conduit_sim::SsdDevice;
-    use conduit_types::{DataLocation, Operand, SimTime, SsdConfig};
+    use conduit_types::{DataLocation, SimTime, SsdConfig, VectorInst};
 
     fn device() -> SsdDevice {
         SsdDevice::new(&SsdConfig::small_for_tests()).unwrap()
     }
 
-    fn ctx<'a>(device: &'a SsdDevice, locs: &'a [DataLocation]) -> PolicyContext<'a> {
+    /// The estimates the run loop would look up for a canonical `op`
+    /// instruction.
+    fn estimates(device: &SsdDevice, op: OpType) -> StripEstimates {
+        let inst = VectorInst::with_srcs(0, op, Vec::new());
+        device.estimate_strip(op, inst.elem_bits, inst.lanes, inst.vector_bytes())
+    }
+
+    fn ctx<'a>(
+        device: &'a SsdDevice,
+        estimates: &'a StripEstimates,
+        locs: &'a [DataLocation],
+    ) -> PolicyContext<'a> {
         PolicyContext {
             device,
+            estimates,
             now: SimTime::ZERO,
             operand_locations: locs,
             dependence_delay: Duration::ZERO,
         }
     }
 
-    fn xor_inst() -> VectorInst {
-        VectorInst::binary(0, OpType::Xor, Operand::page(0), Operand::page(4))
-    }
-
-    fn mul_inst() -> VectorInst {
-        VectorInst::binary(0, OpType::Mul, Operand::page(0), Operand::page(4))
-    }
-
     #[test]
     fn unsupported_resources_are_skipped() {
         let dev = device();
+        let est = estimates(&dev, OpType::Div);
         let locs = [DataLocation::Flash, DataLocation::Flash];
-        let c = ctx(&dev, &locs);
-        let inst = VectorInst::binary(0, OpType::Div, Operand::page(0), Operand::page(4));
+        let c = ctx(&dev, &est, &locs);
         let cf = CostFunction::conduit();
-        assert!(cf.features_for(Resource::Ifp, &inst, &c).is_none());
-        assert!(cf.features_for(Resource::PudSsd, &inst, &c).is_none());
+        assert!(cf.features_for(Resource::Ifp, OpType::Div, &c).is_none());
+        assert!(cf.features_for(Resource::PudSsd, OpType::Div, &c).is_none());
         // Division can only go to the controller cores.
-        let (r, _) = cf.choose(&inst, &c).unwrap();
+        let (r, _) = cf.choose(OpType::Div, &c).unwrap();
         assert_eq!(r, Resource::Isp);
     }
 
     #[test]
     fn flash_resident_bitwise_prefers_ifp() {
         let dev = device();
+        let est = estimates(&dev, OpType::Xor);
         let locs = [DataLocation::Flash, DataLocation::Flash];
-        let c = ctx(&dev, &locs);
-        let (r, _) = CostFunction::conduit().choose(&xor_inst(), &c).unwrap();
+        let c = ctx(&dev, &est, &locs);
+        let (r, _) = CostFunction::conduit().choose(OpType::Xor, &c).unwrap();
         assert_eq!(r, Resource::Ifp);
     }
 
     #[test]
     fn dram_resident_multiplication_avoids_ifp() {
         let dev = device();
+        let est = estimates(&dev, OpType::Mul);
         let locs = [DataLocation::Dram, DataLocation::Dram];
-        let c = ctx(&dev, &locs);
-        let (r, _) = CostFunction::conduit().choose(&mul_inst(), &c).unwrap();
+        let c = ctx(&dev, &est, &locs);
+        let (r, _) = CostFunction::conduit().choose(OpType::Mul, &c).unwrap();
         assert_ne!(r, Resource::Ifp);
     }
 
@@ -374,9 +246,10 @@ mod tests {
             dev.execute_ifp(OpType::Mul, 32, 4096, &[], SimTime::ZERO)
                 .unwrap();
         }
+        let est = estimates(&dev, OpType::Xor);
         let locs = [DataLocation::Flash, DataLocation::Flash];
-        let c = ctx(&dev, &locs);
-        let (r, _) = CostFunction::conduit().choose(&xor_inst(), &c).unwrap();
+        let c = ctx(&dev, &est, &locs);
+        let (r, _) = CostFunction::conduit().choose(OpType::Xor, &c).unwrap();
         assert_ne!(
             r,
             Resource::Ifp,
@@ -387,11 +260,12 @@ mod tests {
     #[test]
     fn ablation_switches_change_the_total() {
         let dev = device();
+        let est = estimates(&dev, OpType::Xor);
         let locs = [DataLocation::Flash, DataLocation::Flash];
-        let c = ctx(&dev, &locs);
+        let c = ctx(&dev, &est, &locs);
         let full = CostFunction::conduit();
         let f = full
-            .features_for(Resource::PudSsd, &xor_inst(), &c)
+            .features_for(Resource::PudSsd, OpType::Xor, &c)
             .unwrap();
         let without_dm = CostFunction {
             include_data_movement: false,
@@ -415,15 +289,16 @@ mod tests {
     #[test]
     fn ideal_choice_ignores_data_location() {
         let dev = device();
+        let est = estimates(&dev, OpType::Xor);
         let locs = [DataLocation::Flash, DataLocation::Flash];
-        let c = ctx(&dev, &locs);
+        let c = ctx(&dev, &est, &locs);
         let cf = CostFunction::conduit();
         // For a bitwise op the fastest raw compute is DRAM (no sensing), so
         // Ideal picks PuD even though the data is in flash.
-        let (ideal, _) = cf.choose_ideal(&xor_inst(), &c).unwrap();
+        let (ideal, _) = cf.choose_ideal(&est).unwrap();
         assert_eq!(ideal, Resource::PudSsd);
         // DM-offloading picks flash because the operands already live there.
-        let (dm, _) = cf.choose_min_data_movement(&xor_inst(), &c).unwrap();
+        let (dm, _) = cf.choose_min_data_movement(OpType::Xor, &c).unwrap();
         assert_eq!(dm, Resource::Ifp);
     }
 }

@@ -16,13 +16,9 @@
 //! while threading one device (its [`conduit_sim::DeviceState`]) through a
 //! stream of runs models a warm, aging SSD.
 
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
-use conduit_sim::{
-    CostBreakdown, DeviceModels, HostCpuModel, HostGpuModel, OpCompletion, SsdDevice,
-    StripEstimates,
-};
+use conduit_sim::{CostBreakdown, HostCpuModel, HostGpuModel, OpCompletion, SsdDevice};
 use conduit_types::{
     ConduitError, DataLocation, Duration, Energy, ExecutionSite, HostConfig, LogicalPageId,
     Operand, Resource, Result, SimTime, SsdConfig, VectorInst, VectorProgram, PAGE_BYTES,
@@ -32,37 +28,8 @@ use crate::batch::{Strip, StripPlan};
 use crate::cost::CostFunction;
 use crate::overhead::OverheadModel;
 use crate::policy::{Policy, PolicyContext};
-use crate::pool::ThreadPool;
-use crate::report::{
-    EnergySummary, OffloadMix, OverheadReport, ParallelismStats, RunReport, TimelineEntry,
-};
+use crate::report::{EnergySummary, OffloadMix, OverheadReport, RunReport, TimelineEntry};
 use crate::transform::InstructionTransformer;
-
-/// Whether the `CONDUIT_SCALAR` environment variable forces the scalar
-/// (pre-batching) run loop. Read once per process: set it to a non-empty
-/// value other than `0` before the first run.
-fn env_forces_scalar() -> bool {
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE.get_or_init(|| {
-        std::env::var("CONDUIT_SCALAR")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
-
-/// Whether the `CONDUIT_SEQ_STRIPS` environment variable forces strips to
-/// evaluate sequentially on the committing thread (the PR-8 batched path),
-/// disabling worker-thread strip evaluation. The escape hatch mirroring
-/// `CONDUIT_SCALAR`, one level up: results are bit-identical either way.
-/// Read once per process.
-fn env_forces_seq_strips() -> bool {
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE.get_or_init(|| {
-        std::env::var("CONDUIT_SEQ_STRIPS")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
 
 /// Options controlling one run of the engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,18 +52,6 @@ pub struct RunOptions {
     /// a die — shows up as queueing on the resource timelines, not as a
     /// flat offset).
     pub start: SimTime,
-    /// Forces the pre-batching scalar run loop (the reference
-    /// implementation the batched path is asserted bit-identical against).
-    /// Also switchable process-wide via the `CONDUIT_SCALAR` environment
-    /// variable.
-    pub force_scalar: bool,
-    /// Forces strips to evaluate sequentially on the committing thread even
-    /// when a thread pool is available ([`RuntimeEngine::run_pooled`]) —
-    /// the PR-8 batched path. Also switchable process-wide via the
-    /// `CONDUIT_SEQ_STRIPS` environment variable. Results are bit-identical
-    /// either way; the knob exists for verification, debugging, and
-    /// apples-to-apples perf comparison.
-    pub sequential_strips: bool,
 }
 
 impl RunOptions {
@@ -108,8 +63,6 @@ impl RunOptions {
             charge_overheads: true,
             record_timeline: true,
             start: SimTime::ZERO,
-            force_scalar: false,
-            sequential_strips: false,
         }
     }
 
@@ -138,24 +91,11 @@ impl RunOptions {
         self.record_timeline = false;
         self
     }
-
-    /// Builder-style: forces the scalar run loop for this run.
-    pub fn scalar(mut self) -> Self {
-        self.force_scalar = true;
-        self
-    }
-
-    /// Builder-style: forces sequential strip evaluation for this run (see
-    /// [`RunOptions::sequential_strips`]).
-    pub fn with_sequential_strips(mut self) -> Self {
-        self.sequential_strips = true;
-        self
-    }
 }
 
 /// Struct-of-arrays per-run bookkeeping, owned by the engine and reused
-/// across runs and repeats so the batched hot path performs no heap
-/// allocation. Columns are keyed by instruction index; the timeline
+/// across runs and repeats so the run loop performs no heap allocation.
+/// Columns are keyed by instruction index; the timeline
 /// `Vec<TimelineEntry>` is materialized from the columns only when
 /// [`RunOptions::record_timeline`] is set.
 #[derive(Debug, Default)]
@@ -175,9 +115,6 @@ struct RunScratch {
     operand_first_pages: Vec<LogicalPageId>,
     /// Inline strip-plan buffer (used when no cached plan applies).
     strips: Vec<Strip>,
-    /// Flattened dependence edges of the inline strip plan (the
-    /// [`StripPlan::plan_into`] companion buffer).
-    dep_edges: Vec<u32>,
 }
 
 impl RunScratch {
@@ -197,223 +134,6 @@ impl RunScratch {
     }
 }
 
-/// One strip's precomputed expensive work, produced by a pool worker (or
-/// inline by the committer) in the **evaluate** phase of the two-phase
-/// run loop. Everything here is a pure function of the program, the plan,
-/// and the immutable device models — never of live device state — so
-/// evaluation order cannot affect results.
-struct StripEval {
-    /// The strip's hoisted per-resource estimates (identical to what
-    /// [`SsdDevice::estimate_strip`] returns: both call the same pure
-    /// [`DeviceModels`] table).
-    se: StripEstimates,
-    /// Per-instruction offloader overhead latencies, indexed by position in
-    /// the strip. Empty when the run does not charge overheads (the L2P
-    /// miss cadence is a pure function of the global instruction index —
-    /// see [`EvalContext::eval`]).
-    overheads: Vec<Duration>,
-    /// The speculated dynamic placement for DAG-eligible strips
-    /// ([`Strip::speculative`]), from the pure plan-time context. The
-    /// commit phase always recomputes the real choice; this only feeds the
-    /// speculation hit/miss counters.
-    speculated: Option<ExecutionSite>,
-}
-
-/// Everything a worker needs to evaluate any strip of a run without
-/// touching the device: shared immutable models and the run's fixed
-/// parameters. Held inside [`EvalShared`] so workers and the committer use
-/// the exact same evaluation code path.
-struct EvalContext {
-    models: Arc<DeviceModels>,
-    overhead: OverheadModel,
-    program: Arc<VectorProgram>,
-    plan: Arc<StripPlan>,
-    /// `options.charge_overheads && policy.pays_offloader_overhead()` —
-    /// fixed for the whole run, which is what makes the per-instruction
-    /// L2P miss flags precomputable: in a charging run *every* instruction
-    /// bumps the lookup counter exactly once, so the counter at global
-    /// instruction index `g` is always `g + 1`.
-    pays_overheads: bool,
-    l2p_miss_period: u64,
-    policy: Policy,
-    cost_function: CostFunction,
-}
-
-impl EvalContext {
-    /// Evaluates strip `strip_idx`: hoists the estimate table row, derives
-    /// the per-instruction overheads from the global instruction indices,
-    /// and (for DAG-eligible dynamic strips) speculates the placement.
-    fn eval(&self, strip_idx: usize) -> StripEval {
-        let strip = &self.plan.strips()[strip_idx];
-        let insts = self.program.insts();
-        let first = &insts[strip.start];
-        let se = self.models.estimate_strip(
-            first.op,
-            first.elem_bits,
-            first.lanes,
-            first.vector_bytes(),
-        );
-        let mut overheads = Vec::new();
-        if self.pays_overheads {
-            overheads.reserve(strip.len);
-            for i in 0..strip.len {
-                let lookups = (strip.start + i) as u64 + 1;
-                let miss = self.l2p_miss_period > 0 && lookups.is_multiple_of(self.l2p_miss_period);
-                let inst = &insts[strip.start + i];
-                let operands = inst.srcs.iter().filter(|s| s.needs_data()).count();
-                overheads.push(self.overhead.per_instruction(operands, miss));
-            }
-        }
-        // Speculate only strips the DAG proved independent of earlier
-        // results and earlier warm-state mutations, and only for policies
-        // whose dynamic choice the pure context can actually approximate
-        // (BW-Offloading reads live utilization — never speculated).
-        let speculated = if strip.speculative && strip.site.is_none() {
-            // The first instruction of a DAG-independent strip carries no
-            // `Result` operands (one would be a cross-strip edge), so its
-            // data operands are exactly its page operands.
-            let data_operands = first.srcs.iter().filter(|s| s.needs_data()).count() as u64;
-            match self.policy {
-                Policy::Conduit => self
-                    .cost_function
-                    .speculate_from_strip(&se, data_operands)
-                    .map(|(r, _)| ExecutionSite::Ssd(r)),
-                Policy::DmOffloading => CostFunction::conduit()
-                    .speculate_min_data_movement_from_strip(&se, data_operands)
-                    .map(|(r, _)| ExecutionSite::Ssd(r)),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        StripEval {
-            se,
-            overheads,
-            speculated,
-        }
-    }
-}
-
-/// Slot claim states of the evaluate phase.
-const EVAL_UNCLAIMED: u8 = 0;
-const EVAL_IN_FLIGHT: u8 = 1;
-const EVAL_DONE: u8 = 2;
-
-/// One strip's claim word and result box.
-struct EvalSlot {
-    state: AtomicU8,
-    value: Mutex<Option<StripEval>>,
-}
-
-/// Marks a slot done on drop, so a panicking worker can never wedge the
-/// committer: the slot finishes with `value = None` and the committer
-/// recomputes inline.
-struct DoneGuard<'a>(&'a AtomicU8);
-
-impl Drop for DoneGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(EVAL_DONE, Ordering::Release);
-    }
-}
-
-/// The shared state of one run's parallel evaluate phase: per-strip claim
-/// slots, a work-stealing cursor for the scanning workers, and the cancel
-/// flag the committer raises once the run is over.
-///
-/// The protocol is deadlock-free by construction: the committer never
-/// waits on an *unclaimed* slot — it claims and computes inline — so the
-/// only wait is on a slot a worker is actively computing, which always
-/// terminates (the worker's [`DoneGuard`] marks the slot done even on
-/// panic). Workers, conversely, never wait on anything.
-struct EvalShared {
-    ctx: EvalContext,
-    slots: Vec<EvalSlot>,
-    cursor: AtomicUsize,
-    cancel: AtomicBool,
-}
-
-impl EvalShared {
-    fn new(ctx: EvalContext) -> Self {
-        let slots = (0..ctx.plan.strips().len())
-            .map(|_| EvalSlot {
-                state: AtomicU8::new(EVAL_UNCLAIMED),
-                value: Mutex::new(None),
-            })
-            .collect();
-        EvalShared {
-            ctx,
-            slots,
-            cursor: AtomicUsize::new(0),
-            cancel: AtomicBool::new(false),
-        }
-    }
-
-    /// Worker loop: claim unevaluated strips (front to back — the order
-    /// the committer will need them) and fill their slots until the strips
-    /// run out or the committer cancels.
-    fn scan(&self) {
-        loop {
-            if self.cancel.load(Ordering::Relaxed) {
-                return;
-            }
-            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= self.slots.len() {
-                return;
-            }
-            let slot = &self.slots[i];
-            if slot
-                .state
-                .compare_exchange(
-                    EVAL_UNCLAIMED,
-                    EVAL_IN_FLIGHT,
-                    Ordering::Acquire,
-                    Ordering::Relaxed,
-                )
-                .is_err()
-            {
-                // The committer got here first and is computing it inline.
-                continue;
-            }
-            let done = DoneGuard(&slot.state);
-            let eval = self.ctx.eval(i);
-            *slot.value.lock().unwrap_or_else(|e| e.into_inner()) = Some(eval);
-            drop(done);
-        }
-    }
-
-    /// Committer side: obtain strip `i`'s evaluation, computing it inline
-    /// if no worker has claimed it. Returns the eval plus whether it came
-    /// from a worker and whether the committer had to stall for it.
-    fn take(&self, i: usize) -> (StripEval, bool, bool) {
-        let slot = &self.slots[i];
-        if slot
-            .state
-            .compare_exchange(
-                EVAL_UNCLAIMED,
-                EVAL_IN_FLIGHT,
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            )
-            .is_ok()
-        {
-            // Claimed by us; no worker will touch it (and none can be
-            // waiting on it), so there is no need to publish the value.
-            return (self.ctx.eval(i), false, false);
-        }
-        let mut stalled = false;
-        while slot.state.load(Ordering::Acquire) != EVAL_DONE {
-            stalled = true;
-            std::thread::yield_now();
-        }
-        match slot.value.lock().unwrap_or_else(|e| e.into_inner()).take() {
-            Some(eval) => (eval, true, stalled),
-            // The worker panicked mid-eval (DoneGuard finished the slot
-            // without a value): recompute inline.
-            None => (self.ctx.eval(i), false, stalled),
-        }
-    }
-}
-
 /// The runtime offloading engine: the host models and the offloader's own
 /// bookkeeping. Stateless across runs — the device is borrowed per call
 /// ([`RuntimeEngine::prepare`], [`RuntimeEngine::run`]); the only mutable
@@ -427,8 +147,8 @@ pub struct RuntimeEngine {
     host_gpu: HostGpuModel,
     l2p_miss_period: u64,
     /// Reusable run arenas: popped at run start, pushed back at run end.
-    /// A pool (not a single slot) because parallel lanes share one cloned
-    /// engine per batch task and must not serialize on the scratch.
+    /// A pool (not a single slot) so concurrent runs on one engine never
+    /// serialize on the scratch.
     scratch: Mutex<Vec<RunScratch>>,
 }
 
@@ -497,7 +217,7 @@ impl RuntimeEngine {
         for inst in program.iter() {
             let span = Self::pages_per_vector(inst);
             let page_srcs: Vec<LogicalPageId> = inst.src_pages().collect();
-            if conduit_types::Resource::Ifp.supports(inst.op) && page_srcs.len() >= 2 {
+            if Resource::Ifp.supports(inst.op) && page_srcs.len() >= 2 {
                 // Co-locate slice k of every operand in one block; spread the
                 // slices across planes for multi-plane parallelism.
                 for k in 0..span {
@@ -519,12 +239,7 @@ impl RuntimeEngine {
     }
 
     /// Executes `program` under `options` on the borrowed `device` and
-    /// returns the run report.
-    ///
-    /// Dispatches to the batched strip-mined loop (planning the program
-    /// inline) unless [`RunOptions::force_scalar`] or the `CONDUIT_SCALAR`
-    /// environment variable forces the scalar reference loop. Both paths
-    /// produce bit-identical reports.
+    /// returns the run report, strip-mining the program inline.
     ///
     /// # Errors
     ///
@@ -555,102 +270,17 @@ impl RuntimeEngine {
         options: &RunOptions,
         plan: Option<&StripPlan>,
     ) -> Result<RunReport> {
-        self.run_dispatch(device, program, options, plan, None)
-    }
-
-    /// [`RuntimeEngine::run_with_plan`] with an optional [`ThreadPool`] for
-    /// **parallel strip evaluation** — the two-phase run loop. When a pool
-    /// (≥ 2 workers) and a matching cached plan are available, workers scan
-    /// the plan's strips front to back and precompute each strip's pure
-    /// expensive work (estimate-table hoisting, per-instruction overhead
-    /// accounting, speculative placement of DAG-independent strips) while
-    /// this thread **commits** strips strictly in program order: timeline
-    /// reservations, clock advances, and every device mutation happen
-    /// exactly as in the sequential batched loop, so results are
-    /// bit-identical to it and to the scalar reference. A strip the workers
-    /// have not reached yet is simply evaluated inline by the committer —
-    /// the pool can never slow a run down, only overlap its pure work.
-    ///
-    /// Falls back to the sequential batched path when no pool or cached
-    /// plan is given, when the program has fewer than two strips, or when
-    /// [`RunOptions::sequential_strips`] / `CONDUIT_SEQ_STRIPS=1` /
-    /// the scalar escape hatches are in force.
-    ///
-    /// # Errors
-    ///
-    /// Returns validation errors for malformed programs and simulation errors
-    /// for device-level failures.
-    pub fn run_pooled(
-        &self,
-        device: &mut SsdDevice,
-        program: &Arc<VectorProgram>,
-        options: &RunOptions,
-        plan: Option<&Arc<StripPlan>>,
-        pool: Option<&ThreadPool>,
-    ) -> Result<RunReport> {
-        let matching = plan.filter(|p| p.matches(options));
-        let parallel = !options.sequential_strips
-            && !env_forces_seq_strips()
-            && !options.force_scalar
-            && !env_forces_scalar()
-            && pool.is_some_and(|p| p.size() >= 2)
-            && matching.is_some_and(|p| p.strips().len() >= 2);
-        if !parallel {
-            return self.run_dispatch(device, program, options, plan.map(Arc::as_ref), None);
-        }
-        let pool = pool.expect("parallel implies a pool");
-        let plan = matching.expect("parallel implies a matching plan");
-        let shared = Arc::new(EvalShared::new(EvalContext {
-            models: device.models(),
-            overhead: self.overhead.clone(),
-            program: Arc::clone(program),
-            plan: Arc::clone(plan),
-            pays_overheads: options.charge_overheads && options.policy.pays_offloader_overhead(),
-            l2p_miss_period: self.l2p_miss_period,
-            policy: options.policy,
-            cost_function: options.cost_function,
-        }));
-        // Bulk-class scan jobs: strip evaluation must never preempt the
-        // pool's reserved lane slots (warm-device lanes stay responsive).
-        // Workers that are busy simply never pick these up, and the
-        // committer computes inline — graceful degradation, no deadlock.
-        let scanners = pool.size().min(plan.strips().len());
-        for _ in 0..scanners {
-            let shared = Arc::clone(&shared);
-            pool.execute(move || shared.scan());
-        }
-        let result =
-            self.run_dispatch(device, program, options, Some(plan.as_ref()), Some(&shared));
-        // Stop any scanner that has not started (or is mid-scan); stragglers
-        // only touch their own Arc'd slots, never the returned report.
-        shared.cancel.store(true, Ordering::Relaxed);
-        result
-    }
-
-    /// Common dispatch: scalar escape hatches, scratch-arena pooling, and
-    /// the batched loop (with or without a parallel evaluate phase).
-    fn run_dispatch(
-        &self,
-        device: &mut SsdDevice,
-        program: &VectorProgram,
-        options: &RunOptions,
-        plan: Option<&StripPlan>,
-        evals: Option<&EvalShared>,
-    ) -> Result<RunReport> {
         if program.is_empty() {
             return Err(ConduitError::invalid_program("program has no instructions"));
         }
         program.validate().map_err(ConduitError::invalid_program)?;
-        if options.force_scalar || env_forces_scalar() {
-            return self.run_scalar(device, program, options);
-        }
         let mut scratch = self
             .scratch
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .pop()
             .unwrap_or_default();
-        let result = self.run_batched(device, program, options, plan, evals, &mut scratch);
+        let result = self.execute(device, program, options, plan, &mut scratch);
         self.scratch
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -658,288 +288,19 @@ impl RuntimeEngine {
         result
     }
 
-    /// The pre-batching per-instruction loop, kept verbatim as the reference
-    /// implementation the batched path is differentially tested against
-    /// (`CONDUIT_SCALAR=1`, [`RunOptions::scalar`]).
-    fn run_scalar(
-        &self,
-        device: &mut SsdDevice,
-        program: &VectorProgram,
-        options: &RunOptions,
-    ) -> Result<RunReport> {
-        let policy = options.policy;
-        let n = program.len();
-        let mut result_site: Vec<DataLocation> = vec![DataLocation::Flash; n];
-        let mut result_ready: Vec<SimTime> = vec![options.start; n];
-        let mut offload_clock = options.start;
-        let mut host_clock = options.start;
-        let mut finish = options.start;
-
-        let mut energy = EnergySummary::default();
-        let mut breakdown = CostBreakdown::zero();
-        let mut mix = OffloadMix::default();
-        let mut latency = conduit_sim::LatencyStats::new();
-        let mut timeline = Vec::with_capacity(if options.record_timeline { n } else { 0 });
-        let mut overhead_report = OverheadReport::default();
-        let mut lookups: u64 = 0;
-        // Scratch buffers reused across instructions so the per-instruction
-        // loop performs no heap allocation.
-        let mut operand_locations: Vec<DataLocation> = Vec::with_capacity(4);
-        let mut operand_first_pages: Vec<LogicalPageId> = Vec::with_capacity(4);
-
-        for inst in program.iter() {
-            let issue = if policy.is_host() {
-                host_clock
-            } else {
-                offload_clock
-            };
-
-            // Gather operand locations and the data-dependence delay.
-            operand_locations.clear();
-            let mut dep_ready = issue;
-            for src in &inst.srcs {
-                match src {
-                    Operand::Page(p) => operand_locations.push(device.locate(*p)),
-                    Operand::Result(id) => {
-                        operand_locations.push(result_site[id.index()]);
-                        dep_ready = dep_ready.max(result_ready[id.index()]);
-                    }
-                    Operand::Immediate(_) => {}
-                }
-            }
-            let dependence_delay = dep_ready.saturating_since(issue);
-
-            let site = {
-                let ctx = PolicyContext {
-                    device: &*device,
-                    now: issue,
-                    operand_locations: &operand_locations,
-                    dependence_delay,
-                };
-                if policy == Policy::Conduit {
-                    // Honour the (possibly ablated) cost function from the
-                    // options rather than the default one.
-                    options
-                        .cost_function
-                        .choose(inst, &ctx)
-                        .map(|(r, _)| ExecutionSite::Ssd(r))
-                        .unwrap_or(ExecutionSite::Ssd(conduit_types::Resource::Isp))
-                } else {
-                    policy.choose_site(inst, &ctx)
-                }
-            };
-            mix.record(site);
-
-            // The unrealizable Ideal policy: no overhead, no data movement,
-            // no contention — just the fastest compute latency.
-            if policy.is_contention_free() {
-                let resource = site.resource().expect("ideal stays inside the SSD");
-                let comp_latency = device
-                    .estimate_compute(resource, inst.op, inst.elem_bits, inst.lanes)
-                    .unwrap_or(Duration::ZERO);
-                let comp_energy = device
-                    .estimate_compute_energy(resource, inst.op, inst.elem_bits, inst.lanes)
-                    .unwrap_or(Energy::ZERO);
-                let start = issue.max(dep_ready);
-                let end = start + comp_latency;
-                energy.compute += comp_energy;
-                breakdown.compute += comp_latency;
-                result_site[inst.id.index()] = resource.home_location();
-                result_ready[inst.id.index()] = end;
-                finish = finish.max(end);
-                latency.record(end.saturating_since(issue));
-                if options.record_timeline {
-                    timeline.push(TimelineEntry {
-                        inst: inst.id,
-                        op: inst.op,
-                        site,
-                        dispatched: issue,
-                        completed: end,
-                    });
-                }
-                continue;
-            }
-
-            // Offloader overhead (feature collection + transformation). The
-            // offloader core pipelines feature collection for the next
-            // instruction with the table lookups of the current one, so only
-            // the translation-table lookup occupies the core exclusively;
-            // the full overhead is still added to the instruction's dispatch
-            // latency (§4.5).
-            let mut dispatched = issue;
-            if options.charge_overheads && policy.pays_offloader_overhead() {
-                lookups += 1;
-                let miss = self.l2p_miss_period > 0 && lookups.is_multiple_of(self.l2p_miss_period);
-                let operands = inst.srcs.iter().filter(|s| s.needs_data()).count();
-                let ov = self.overhead.per_instruction(operands, miss);
-                overhead_report.record(ov);
-                let exclusive = self.overhead.transformation();
-                let oc = device.offloader_busy(exclusive, issue);
-                energy.compute += oc.energy;
-                breakdown.accumulate(oc.breakdown);
-                offload_clock = oc.ready;
-                dispatched = oc.ready + ov.saturating_sub(exclusive);
-            }
-
-            let dest = match site {
-                ExecutionSite::HostCpu | ExecutionSite::HostGpu => DataLocation::Host,
-                ExecutionSite::Ssd(r) => r.home_location(),
-            };
-
-            // Stage the operands at the execution site.
-            let span = Self::pages_per_vector(inst);
-            let mut data_ready = dispatched.max(dep_ready);
-            let movement_earliest = data_ready;
-            operand_first_pages.clear();
-            for src in &inst.srcs {
-                match src {
-                    Operand::Page(p) => {
-                        operand_first_pages.push(*p);
-                        for k in 0..span {
-                            let c = device.ensure_at(p.offset(k), dest, movement_earliest)?;
-                            data_ready = data_ready.max(c.ready);
-                            energy.data_movement += c.energy;
-                            breakdown.accumulate(c.breakdown);
-                        }
-                    }
-                    Operand::Result(id) => {
-                        let from = result_site[id.index()];
-                        if from != dest {
-                            let c = device.transfer_value(
-                                from,
-                                dest,
-                                inst.vector_bytes(),
-                                movement_earliest,
-                            );
-                            data_ready = data_ready.max(c.ready);
-                            energy.data_movement += c.energy;
-                            breakdown.accumulate(c.breakdown);
-                            result_site[id.index()] = dest;
-                        }
-                    }
-                    Operand::Immediate(_) => {}
-                }
-            }
-
-            // Execute.
-            let comp = match site {
-                ExecutionSite::Ssd(resource) => device.execute(
-                    resource,
-                    inst.op,
-                    inst.elem_bits,
-                    inst.lanes,
-                    &operand_first_pages,
-                    data_ready,
-                )?,
-                ExecutionSite::HostCpu => {
-                    let t = self
-                        .host_cpu
-                        .compute_time(inst.op, inst.elem_bits, inst.lanes);
-                    let start = data_ready.max(host_clock);
-                    let end = start + t;
-                    host_clock = end;
-                    OpCompletion {
-                        ready: end,
-                        breakdown: CostBreakdown {
-                            compute: t,
-                            ..CostBreakdown::zero()
-                        },
-                        energy: self.host_cpu.energy(t),
-                    }
-                }
-                ExecutionSite::HostGpu => {
-                    let t = self
-                        .host_gpu
-                        .compute_time(inst.op, inst.elem_bits, inst.lanes);
-                    let start = data_ready.max(host_clock);
-                    let end = start + t;
-                    host_clock = end;
-                    OpCompletion {
-                        ready: end,
-                        breakdown: CostBreakdown {
-                            compute: t,
-                            ..CostBreakdown::zero()
-                        },
-                        energy: self.host_gpu.energy(t),
-                    }
-                }
-            };
-            energy.compute += comp.energy;
-            breakdown.accumulate(comp.breakdown);
-
-            result_site[inst.id.index()] = dest;
-            result_ready[inst.id.index()] = comp.ready;
-            let mut done = comp.ready;
-
-            // Commit stored results (lazily, via the coherence directory).
-            if let Some(dst) = inst.dst_page {
-                for k in 0..span {
-                    let page = dst.offset(k);
-                    if dest == DataLocation::Host {
-                        // OSP results return over the host link into the
-                        // SSD's write cache; the host keeps its own copy, so
-                        // later host-side reads of this page stay local.
-                        let link = device.host_transfer(PAGE_BYTES, false, comp.ready);
-                        energy.data_movement += link.energy;
-                        breakdown.accumulate(link.breakdown);
-                        let wb =
-                            device.record_result_write(page, DataLocation::Host, link.ready)?;
-                        done = done.max(wb.ready);
-                        energy.data_movement += wb.energy;
-                        breakdown.accumulate(wb.breakdown);
-                    } else {
-                        let wb = device.record_result_write(page, dest, comp.ready)?;
-                        done = done.max(wb.ready);
-                        energy.data_movement += wb.energy;
-                        breakdown.accumulate(wb.breakdown);
-                    }
-                }
-            }
-
-            finish = finish.max(done);
-            latency.record(done.saturating_since(issue));
-            if options.record_timeline {
-                timeline.push(TimelineEntry {
-                    inst: inst.id,
-                    op: inst.op,
-                    site,
-                    dispatched: issue,
-                    completed: done,
-                });
-            }
-        }
-
-        Ok(RunReport {
-            workload: program.name().to_string(),
-            policy,
-            instructions: n,
-            total_time: finish.saturating_since(options.start),
-            energy,
-            breakdown,
-            offload_mix: mix,
-            latency,
-            timeline,
-            overhead: overhead_report,
-            parallelism: ParallelismStats::default(),
-        })
-    }
-
-    /// The batched strip-mined run loop. Per strip of homogeneous
-    /// instructions it hoists the per-resource estimate lookups into one
-    /// [`conduit_sim::StripEstimates`] and the offloader-core occupancy into
-    /// one reservation window; per instruction it performs exactly the same
-    /// device operations (staging, execution, commit) in exactly the same
-    /// order as [`RuntimeEngine::run_scalar`], so reports, timelines and
-    /// end-of-run device state are bit-identical. Bookkeeping lives in the
-    /// reusable struct-of-arrays `scratch`, and the timeline is materialized
-    /// from the columns only when requested.
-    fn run_batched(
+    /// The strip-mined run loop. Per strip of homogeneous instructions it
+    /// looks up the per-resource estimates once ([`SsdDevice::estimate_strip`])
+    /// and reserves the offloader core for the whole strip in one window;
+    /// per instruction it places, stages, executes and commits in program
+    /// order. Bookkeeping lives in the reusable struct-of-arrays `scratch`,
+    /// and the timeline is materialized from the columns only when
+    /// requested.
+    fn execute(
         &self,
         device: &mut SsdDevice,
         program: &VectorProgram,
         options: &RunOptions,
         plan: Option<&StripPlan>,
-        evals: Option<&EvalShared>,
         scratch: &mut RunScratch,
     ) -> Result<RunReport> {
         let policy = options.policy;
@@ -954,12 +315,11 @@ impl RuntimeEngine {
             operand_locations,
             operand_first_pages,
             strips: strip_buf,
-            dep_edges: dep_buf,
         } = scratch;
         let strips: &[Strip] = match plan {
             Some(p) if p.matches(options) => p.strips(),
             _ => {
-                StripPlan::plan_into(program, policy, strip_buf, dep_buf);
+                StripPlan::plan_into(program, policy, strip_buf);
                 strip_buf
             }
         };
@@ -973,84 +333,46 @@ impl RuntimeEngine {
         let mut mix = OffloadMix::default();
         let mut latency = conduit_sim::LatencyStats::new();
         let mut overhead_report = OverheadReport::default();
-        let mut par_stats = ParallelismStats::default();
         let mut lookups: u64 = 0;
         let exclusive = self.overhead.transformation();
         let insts = program.insts();
 
-        for (s_idx, strip) in strips.iter().enumerate() {
+        for strip in strips {
             let first = &insts[strip.start];
-            // Two-phase mode: collect this strip's pure evaluation — from a
-            // worker if one got here first, inline otherwise. The counters
-            // are diagnostics only; the values are bit-identical either way
-            // (and the debug asserts below hold the two together).
-            let eval = evals.map(|shared| {
-                let (eval, from_worker, stalled) = shared.take(s_idx);
-                if from_worker {
-                    par_stats.parallel_evals += 1;
-                } else {
-                    par_stats.inline_evals += 1;
-                }
-                if stalled {
-                    par_stats.commit_stalls += 1;
-                }
-                eval
-            });
             // One table walk per strip: per-resource compute estimates and
             // per-location static-move latencies at the strip's shape.
-            let se = match &eval {
-                Some(ev) => {
-                    debug_assert_eq!(
-                        ev.se,
-                        device.estimate_strip(
-                            first.op,
-                            first.elem_bits,
-                            first.lanes,
-                            first.vector_bytes()
-                        ),
-                        "a precomputed strip estimate must equal the inline lookup"
-                    );
-                    ev.se
-                }
-                None => device.estimate_strip(
-                    first.op,
-                    first.elem_bits,
-                    first.lanes,
-                    first.vector_bytes(),
-                ),
-            };
+            let se =
+                device.estimate_strip(first.op, first.elem_bits, first.lanes, first.vector_bytes());
 
-            // The unrealizable Ideal policy: its placement depends only on
-            // the hoisted compute estimates, so the whole strip resolves to
-            // one resource up front.
+            // The unrealizable Ideal policy: no overhead, no data movement,
+            // no contention — just the fastest compute latency. Its
+            // placement depends only on the estimates, so the whole strip
+            // resolves to one resource up front.
             if policy.is_contention_free() {
-                let resource = CostFunction::conduit()
-                    .choose_ideal_from_strip(&se)
+                let resource = options
+                    .cost_function
+                    .choose_ideal(&se)
                     .map(|(r, _)| r)
                     .unwrap_or(Resource::Isp);
                 let site = ExecutionSite::Ssd(resource);
                 let est = se.compute_for(resource);
                 let comp_latency = est.map(|e| e.latency).unwrap_or(Duration::ZERO);
                 let comp_energy = est.map(|e| e.energy).unwrap_or(Energy::ZERO);
-                for i in 0..strip.len {
-                    let inst = &insts[strip.start + i];
+                for idx in strip.start..strip.start + strip.len {
+                    let inst = &insts[idx];
                     let issue = offload_clock;
-                    let mut dep_ready = issue;
-                    for src in &inst.srcs {
-                        if let Operand::Result(id) = src {
-                            dep_ready = dep_ready.max(result_ready[id.index()]);
-                        }
-                    }
+                    let dep_ready = inst
+                        .src_results()
+                        .map(|id| result_ready[id.index()])
+                        .fold(issue, SimTime::max);
                     mix.record(site);
-                    let start = issue.max(dep_ready);
-                    let end = start + comp_latency;
+                    let end = issue.max(dep_ready) + comp_latency;
                     energy.compute += comp_energy;
                     breakdown.compute += comp_latency;
-                    result_site[inst.id.index()] = resource.home_location();
-                    result_ready[inst.id.index()] = end;
+                    result_site[idx] = resource.home_location();
+                    result_ready[idx] = end;
                     finish = finish.max(end);
                     latency.record(end.saturating_since(issue));
-                    let idx = strip.start + i;
                     placed[idx] = site;
                     issued[idx] = issue;
                     finished[idx] = end;
@@ -1058,10 +380,9 @@ impl RuntimeEngine {
                 continue;
             }
 
-            // One offloader-core reservation for the whole strip (exact:
-            // each instruction's exclusive window starts where the previous
-            // one ended, which is precisely how the scalar loop chains its
-            // offload clock through `offloader_busy`).
+            // One offloader-core reservation for the whole strip: each
+            // instruction's exclusive window starts where the previous one
+            // ended, chaining the offload clock through the strip.
             let window = if options.charge_overheads && policy.pays_offloader_overhead() {
                 Some(device.offloader_busy_strip(exclusive, offload_clock, strip.len as u64))
             } else {
@@ -1069,7 +390,8 @@ impl RuntimeEngine {
             };
 
             for i in 0..strip.len {
-                let inst = &insts[strip.start + i];
+                let idx = strip.start + i;
+                let inst = &insts[idx];
                 let issue = if policy.is_host() {
                     host_clock
                 } else {
@@ -1089,88 +411,40 @@ impl RuntimeEngine {
                         Operand::Immediate(_) => {}
                     }
                 }
-                let dependence_delay = dep_ready.saturating_since(issue);
 
                 let site = match strip.site {
                     // Statically planned placement (pure function of the op).
                     Some(site) => site,
                     // Runtime-state-dependent placement, evaluated per
-                    // instruction from the hoisted strip estimates.
-                    None => {
-                        let ctx = PolicyContext {
+                    // instruction from the strip's estimates.
+                    None => policy.choose_site(
+                        &options.cost_function,
+                        inst.op,
+                        &PolicyContext {
                             device: &*device,
+                            estimates: &se,
                             now: issue,
                             operand_locations,
-                            dependence_delay,
-                        };
-                        match policy {
-                            Policy::Conduit => options
-                                .cost_function
-                                .choose_from_strip(inst.op, &se, &ctx)
-                                .map(|(r, _)| ExecutionSite::Ssd(r))
-                                .unwrap_or(ExecutionSite::Ssd(Resource::Isp)),
-                            Policy::DmOffloading => CostFunction::conduit()
-                                .choose_min_data_movement_from_strip(inst.op, &se, &ctx)
-                                .map(|(r, _)| ExecutionSite::Ssd(r))
-                                .unwrap_or(ExecutionSite::Ssd(Resource::Isp)),
-                            // BW-Offloading reads per-instruction
-                            // utilization; no estimate to hoist.
-                            _ => policy.choose_site(inst, &ctx),
-                        }
-                    }
+                            dependence_delay: dep_ready.saturating_since(issue),
+                        },
+                    ),
                 };
                 mix.record(site);
 
-                // Score the worker's speculated placement against the
-                // committed choice for the strip's lead instruction. The
-                // commit decision above is authoritative either way —
-                // speculation can only be right or counted wrong, never
-                // believed.
-                if i == 0 {
-                    if let Some(spec) = eval.as_ref().and_then(|ev| ev.speculated) {
-                        if spec == site {
-                            par_stats.speculation_hits += 1;
-                        } else {
-                            par_stats.speculation_misses += 1;
-                        }
-                    }
-                }
-
-                // Offloader overhead: the strip's reservation already put
-                // this instruction's exclusive window on the core; charge
-                // the per-instruction accounting in scalar order.
+                // Offloader overhead (feature collection + transformation).
+                // The offloader core pipelines feature collection for the
+                // next instruction with the table lookups of the current
+                // one, so only the translation-table lookup occupies the
+                // core exclusively (the strip's window above); the full
+                // overhead is still added to the instruction's dispatch
+                // latency (§4.5).
                 let mut dispatched = issue;
                 if let Some(w) = &window {
                     lookups += 1;
-                    let ov = match &eval {
-                        // Precomputed on a worker from the global
-                        // instruction index (every charged instruction
-                        // bumps `lookups` exactly once, so the cadence is
-                        // index-determined); the debug assert pins it to
-                        // the inline recomputation under `cargo test`.
-                        Some(ev) if !ev.overheads.is_empty() => {
-                            let ov = ev.overheads[i];
-                            #[cfg(debug_assertions)]
-                            {
-                                let miss = self.l2p_miss_period > 0
-                                    && lookups.is_multiple_of(self.l2p_miss_period);
-                                let operands = inst.srcs.iter().filter(|s| s.needs_data()).count();
-                                debug_assert_eq!(
-                                    ov,
-                                    self.overhead.per_instruction(operands, miss),
-                                    "a precomputed overhead must match the inline \
-                                     recomputation at the same lookup count"
-                                );
-                            }
-                            ov
-                        }
-                        _ => {
-                            let miss = self.l2p_miss_period > 0
-                                && lookups.is_multiple_of(self.l2p_miss_period);
-                            let operands = inst.srcs.iter().filter(|s| s.needs_data()).count();
-                            self.overhead.per_instruction(operands, miss)
-                        }
-                    };
+                    let miss =
+                        self.l2p_miss_period > 0 && lookups.is_multiple_of(self.l2p_miss_period);
+                    let operands = inst.srcs.iter().filter(|s| s.needs_data()).count();
+                    let ov = self.overhead.per_instruction(operands, miss);
                     overhead_report.record(ov);
                     energy.compute += w.energy_each;
                     breakdown.compute += w.step;
@@ -1229,72 +503,60 @@ impl RuntimeEngine {
                         operand_first_pages,
                         data_ready,
                     )?,
-                    ExecutionSite::HostCpu => {
-                        let t = self
-                            .host_cpu
-                            .compute_time(inst.op, inst.elem_bits, inst.lanes);
-                        let start = data_ready.max(host_clock);
-                        let end = start + t;
-                        host_clock = end;
+                    ExecutionSite::HostCpu | ExecutionSite::HostGpu => {
+                        let (t, e) = if site == ExecutionSite::HostCpu {
+                            let t = self
+                                .host_cpu
+                                .compute_time(inst.op, inst.elem_bits, inst.lanes);
+                            (t, self.host_cpu.energy(t))
+                        } else {
+                            let t = self
+                                .host_gpu
+                                .compute_time(inst.op, inst.elem_bits, inst.lanes);
+                            (t, self.host_gpu.energy(t))
+                        };
+                        host_clock = data_ready.max(host_clock) + t;
                         OpCompletion {
-                            ready: end,
+                            ready: host_clock,
                             breakdown: CostBreakdown {
                                 compute: t,
                                 ..CostBreakdown::zero()
                             },
-                            energy: self.host_cpu.energy(t),
-                        }
-                    }
-                    ExecutionSite::HostGpu => {
-                        let t = self
-                            .host_gpu
-                            .compute_time(inst.op, inst.elem_bits, inst.lanes);
-                        let start = data_ready.max(host_clock);
-                        let end = start + t;
-                        host_clock = end;
-                        OpCompletion {
-                            ready: end,
-                            breakdown: CostBreakdown {
-                                compute: t,
-                                ..CostBreakdown::zero()
-                            },
-                            energy: self.host_gpu.energy(t),
+                            energy: e,
                         }
                     }
                 };
                 energy.compute += comp.energy;
                 breakdown.accumulate(comp.breakdown);
 
-                result_site[inst.id.index()] = dest;
-                result_ready[inst.id.index()] = comp.ready;
+                result_site[idx] = dest;
+                result_ready[idx] = comp.ready;
                 let mut done = comp.ready;
 
                 // Commit stored results (lazily, via the coherence
                 // directory).
                 if let Some(dst) = inst.dst_page {
                     for k in 0..span {
-                        let page = dst.offset(k);
+                        let mut written = comp.ready;
                         if dest == DataLocation::Host {
+                            // OSP results return over the host link into the
+                            // SSD's write cache; the host keeps its own copy,
+                            // so later host-side reads of this page stay
+                            // local.
                             let link = device.host_transfer(PAGE_BYTES, false, comp.ready);
                             energy.data_movement += link.energy;
                             breakdown.accumulate(link.breakdown);
-                            let wb =
-                                device.record_result_write(page, DataLocation::Host, link.ready)?;
-                            done = done.max(wb.ready);
-                            energy.data_movement += wb.energy;
-                            breakdown.accumulate(wb.breakdown);
-                        } else {
-                            let wb = device.record_result_write(page, dest, comp.ready)?;
-                            done = done.max(wb.ready);
-                            energy.data_movement += wb.energy;
-                            breakdown.accumulate(wb.breakdown);
+                            written = link.ready;
                         }
+                        let wb = device.record_result_write(dst.offset(k), dest, written)?;
+                        done = done.max(wb.ready);
+                        energy.data_movement += wb.energy;
+                        breakdown.accumulate(wb.breakdown);
                     }
                 }
 
                 finish = finish.max(done);
                 latency.record(done.saturating_since(issue));
-                let idx = strip.start + i;
                 placed[idx] = site;
                 issued[idx] = issue;
                 finished[idx] = done;
@@ -1329,7 +591,6 @@ impl RuntimeEngine {
             latency,
             timeline,
             overhead: overhead_report,
-            parallelism: par_stats,
         })
     }
 

@@ -78,9 +78,7 @@ pub use engine::{RunOptions, RuntimeEngine};
 pub use overhead::{OverheadModel, StorageOverhead};
 pub use policy::{Policy, PolicyContext};
 pub use pool::{JobClass, ThreadPool};
-pub use report::{
-    gmean, EnergySummary, OffloadMix, OverheadReport, ParallelismStats, RunReport, TimelineEntry,
-};
+pub use report::{gmean, EnergySummary, OffloadMix, OverheadReport, RunReport, TimelineEntry};
 pub use session::{
     DeviceHandle, PlanCacheStats, ProgramId, ProgramRegistry, RunArtifacts, RunOutcome, RunRequest,
     RunSummary, Session, SessionBuilder, DEFAULT_DRR_QUANTUM, DEFAULT_PERCENTILES,

@@ -1,16 +1,18 @@
 //! Offloading policies: Conduit and every baseline the paper evaluates.
 
-use conduit_sim::SsdDevice;
-use conduit_types::{DataLocation, Duration, ExecutionSite, Resource, SimTime, VectorInst};
+use conduit_sim::{SsdDevice, StripEstimates};
+use conduit_types::{DataLocation, Duration, ExecutionSite, OpType, Resource, SimTime};
 
 use crate::cost::CostFunction;
 
 /// Runtime information available to a policy when it places one instruction.
 #[derive(Debug, Clone, Copy)]
 pub struct PolicyContext<'a> {
-    /// The simulated device (read-only: estimates, queue delays,
-    /// utilizations).
+    /// The simulated device (read-only: queue delays, utilizations).
     pub device: &'a SsdDevice,
+    /// Per-resource compute and static data-movement estimates at the
+    /// instruction's vector shape ([`SsdDevice::estimate_strip`]).
+    pub estimates: &'a StripEstimates,
     /// Current dispatch time.
     pub now: SimTime,
     /// Where each source operand currently lives.
@@ -125,69 +127,56 @@ impl Policy {
         self == Policy::Ideal
     }
 
-    /// Chooses the execution site for one instruction.
-    pub fn choose_site(self, inst: &VectorInst, ctx: &PolicyContext<'_>) -> ExecutionSite {
-        let cost = CostFunction::conduit();
-        match self {
-            Policy::HostCpu => ExecutionSite::HostCpu,
-            Policy::HostGpu => ExecutionSite::HostGpu,
-            Policy::IspOnly => ExecutionSite::Ssd(Resource::Isp),
-            Policy::PudSsd => {
-                if Resource::PudSsd.supports(inst.op) {
-                    ExecutionSite::Ssd(Resource::PudSsd)
-                } else {
-                    ExecutionSite::Ssd(Resource::Isp)
-                }
+    /// The execution site of policies whose placement is a pure function of
+    /// the operation (host-side policies and the single-resource NDP
+    /// baselines); `None` for the policies that consult runtime state. The
+    /// batch planner resolves these once per strip.
+    pub fn static_site(self, op: OpType) -> Option<ExecutionSite> {
+        let resource = match self {
+            Policy::HostCpu => return Some(ExecutionSite::HostCpu),
+            Policy::HostGpu => return Some(ExecutionSite::HostGpu),
+            Policy::IspOnly => Resource::Isp,
+            Policy::PudSsd if Resource::PudSsd.supports(op) => Resource::PudSsd,
+            Policy::FlashCosmos | Policy::IfpIsp if op.is_bitwise() => Resource::Ifp,
+            Policy::AresFlash if Resource::Ifp.supports(op) => Resource::Ifp,
+            Policy::PudSsd | Policy::FlashCosmos | Policy::IfpIsp | Policy::AresFlash => {
+                Resource::Isp
             }
-            Policy::FlashCosmos | Policy::IfpIsp => {
-                if inst.op.is_bitwise() {
-                    ExecutionSite::Ssd(Resource::Ifp)
-                } else {
-                    ExecutionSite::Ssd(Resource::Isp)
-                }
+            Policy::BwOffloading | Policy::DmOffloading | Policy::Conduit | Policy::Ideal => {
+                return None
             }
-            Policy::AresFlash => {
-                if Resource::Ifp.supports(inst.op) {
-                    ExecutionSite::Ssd(Resource::Ifp)
-                } else {
-                    ExecutionSite::Ssd(Resource::Isp)
-                }
-            }
-            Policy::BwOffloading => {
-                let site = Resource::ALL
-                    .iter()
-                    .filter(|r| r.supports(inst.op))
-                    .min_by(|a, b| {
-                        let ua = ctx.device.utilization(**a, ctx.now);
-                        let ub = ctx.device.utilization(**b, ctx.now);
-                        ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .copied()
-                    .unwrap_or(Resource::Isp);
-                ExecutionSite::Ssd(site)
-            }
-            Policy::DmOffloading => {
-                let choice = cost
-                    .choose_min_data_movement(inst, ctx)
-                    .map(|(r, _)| r)
-                    .unwrap_or(Resource::Isp);
-                ExecutionSite::Ssd(choice)
-            }
-            Policy::Conduit => {
-                let choice = cost
-                    .choose(inst, ctx)
-                    .map(|(r, _)| r)
-                    .unwrap_or(Resource::Isp);
-                ExecutionSite::Ssd(choice)
-            }
-            Policy::Ideal => {
-                let choice = cost
-                    .choose_ideal(inst, ctx)
-                    .map(|(r, _)| r)
-                    .unwrap_or(Resource::Isp);
-                ExecutionSite::Ssd(choice)
-            }
+        };
+        Some(ExecutionSite::Ssd(resource))
+    }
+
+    /// Chooses the execution site for one `op` instruction. `cost` is the
+    /// cost function Conduit places with (the other rules ignore its
+    /// ablation switches).
+    pub fn choose_site(
+        self,
+        cost: &CostFunction,
+        op: OpType,
+        ctx: &PolicyContext<'_>,
+    ) -> ExecutionSite {
+        if let Some(site) = self.static_site(op) {
+            return site;
         }
+        let choice = match self {
+            Policy::BwOffloading => Resource::ALL
+                .iter()
+                .filter(|r| r.supports(op))
+                .min_by(|a, b| {
+                    let ua = ctx.device.utilization(**a, ctx.now);
+                    let ub = ctx.device.utilization(**b, ctx.now);
+                    ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
+                })
+                .copied(),
+            Policy::DmOffloading => cost.choose_min_data_movement(op, ctx).map(|(r, _)| r),
+            Policy::Ideal => cost.choose_ideal(ctx.estimates).map(|(r, _)| r),
+            // Conduit; every static policy returned above.
+            _ => cost.choose(op, ctx).map(|(r, _)| r),
+        };
+        ExecutionSite::Ssd(choice.unwrap_or(Resource::Isp))
     }
 }
 
@@ -200,36 +189,38 @@ impl std::fmt::Display for Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conduit_types::{OpType, Operand, SsdConfig};
+    use conduit_types::{SsdConfig, VectorInst};
 
     fn device() -> SsdDevice {
         SsdDevice::new(&SsdConfig::small_for_tests()).unwrap()
     }
 
-    fn ctx<'a>(device: &'a SsdDevice, locs: &'a [DataLocation]) -> PolicyContext<'a> {
-        PolicyContext {
-            device,
+    /// Places a canonical-shape `op` instruction whose operands live at
+    /// `locs`.
+    fn choose(policy: Policy, op: OpType, dev: &SsdDevice, locs: &[DataLocation]) -> ExecutionSite {
+        let inst = VectorInst::with_srcs(0, op, Vec::new());
+        let estimates = dev.estimate_strip(op, inst.elem_bits, inst.lanes, inst.vector_bytes());
+        let ctx = PolicyContext {
+            device: dev,
+            estimates: &estimates,
             now: SimTime::ZERO,
             operand_locations: locs,
             dependence_delay: Duration::ZERO,
-        }
+        };
+        policy.choose_site(&CostFunction::conduit(), op, &ctx)
     }
 
-    fn inst(op: OpType) -> VectorInst {
-        VectorInst::binary(0, op, Operand::page(0), Operand::page(4))
-    }
+    const IN_FLASH: [DataLocation; 2] = [DataLocation::Flash, DataLocation::Flash];
 
     #[test]
     fn host_policies_always_stay_on_the_host() {
         let dev = device();
-        let locs = [DataLocation::Flash, DataLocation::Flash];
-        let c = ctx(&dev, &locs);
         assert_eq!(
-            Policy::HostCpu.choose_site(&inst(OpType::Add), &c),
+            choose(Policy::HostCpu, OpType::Add, &dev, &IN_FLASH),
             ExecutionSite::HostCpu
         );
         assert_eq!(
-            Policy::HostGpu.choose_site(&inst(OpType::Mul), &c),
+            choose(Policy::HostGpu, OpType::Mul, &dev, &IN_FLASH),
             ExecutionSite::HostGpu
         );
     }
@@ -237,27 +228,25 @@ mod tests {
     #[test]
     fn single_resource_policies_fall_back_to_isp() {
         let dev = device();
-        let locs = [DataLocation::Flash, DataLocation::Flash];
-        let c = ctx(&dev, &locs);
         // Division is unsupported everywhere except the controller cores.
         for p in [Policy::PudSsd, Policy::FlashCosmos, Policy::AresFlash] {
             assert_eq!(
-                p.choose_site(&inst(OpType::Div), &c),
+                choose(p, OpType::Div, &dev, &IN_FLASH),
                 ExecutionSite::Ssd(Resource::Isp),
                 "{p} must fall back to ISP"
             );
         }
         assert_eq!(
-            Policy::FlashCosmos.choose_site(&inst(OpType::And), &c),
+            choose(Policy::FlashCosmos, OpType::And, &dev, &IN_FLASH),
             ExecutionSite::Ssd(Resource::Ifp)
         );
         // Flash-Cosmos cannot run arithmetic in flash, Ares-Flash can.
         assert_eq!(
-            Policy::FlashCosmos.choose_site(&inst(OpType::Add), &c),
+            choose(Policy::FlashCosmos, OpType::Add, &dev, &IN_FLASH),
             ExecutionSite::Ssd(Resource::Isp)
         );
         assert_eq!(
-            Policy::AresFlash.choose_site(&inst(OpType::Add), &c),
+            choose(Policy::AresFlash, OpType::Add, &dev, &IN_FLASH),
             ExecutionSite::Ssd(Resource::Ifp)
         );
     }
@@ -265,14 +254,13 @@ mod tests {
     #[test]
     fn dm_offloading_prefers_where_data_lives() {
         let dev = device();
-        let in_flash = [DataLocation::Flash, DataLocation::Flash];
         let in_dram = [DataLocation::Dram, DataLocation::Dram];
         assert_eq!(
-            Policy::DmOffloading.choose_site(&inst(OpType::And), &ctx(&dev, &in_flash)),
+            choose(Policy::DmOffloading, OpType::And, &dev, &IN_FLASH),
             ExecutionSite::Ssd(Resource::Ifp)
         );
         assert_eq!(
-            Policy::DmOffloading.choose_site(&inst(OpType::And), &ctx(&dev, &in_dram)),
+            choose(Policy::DmOffloading, OpType::And, &dev, &in_dram),
             ExecutionSite::Ssd(Resource::PudSsd)
         );
     }
@@ -285,26 +273,16 @@ mod tests {
             dev.execute_ifp(OpType::Mul, 32, 4096, &[], SimTime::ZERO)
                 .unwrap();
         }
-        let locs = [DataLocation::Flash, DataLocation::Flash];
-        let site = Policy::BwOffloading.choose_site(&inst(OpType::And), &ctx(&dev, &locs));
+        let site = choose(Policy::BwOffloading, OpType::And, &dev, &IN_FLASH);
         assert_ne!(site, ExecutionSite::Ssd(Resource::Ifp));
     }
 
     #[test]
     fn conduit_and_ideal_pick_supported_resources() {
         let dev = device();
-        let locs = [DataLocation::Flash, DataLocation::Flash];
-        let c = ctx(&dev, &locs);
         for op in OpType::ALL {
-            let i = VectorInst::with_srcs(
-                0,
-                op,
-                (0..op.arity())
-                    .map(|k| Operand::page(k as u64 * 4))
-                    .collect(),
-            );
             for p in [Policy::Conduit, Policy::Ideal] {
-                let site = p.choose_site(&i, &c);
+                let site = choose(p, op, &dev, &vec![DataLocation::Flash; op.arity()]);
                 if let ExecutionSite::Ssd(r) = site {
                     assert!(r.supports(op), "{p} chose {r} for unsupported {op}");
                 } else {

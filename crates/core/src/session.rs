@@ -95,13 +95,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use conduit_sim::{
-    CostBreakdown, DeviceDelta, DeviceSnapshot, DeviceState, LatencyStats, SsdDevice,
-};
-use conduit_types::bytes::{put_u16, put_u32, put_u64, Reader};
+use conduit_sim::{DeviceSnapshot, SsdDevice};
 use conduit_types::{
-    ConduitError, Duration, Energy, FaultConfig, HostConfig, Result, SimTime, SsdConfig,
-    VectorProgram,
+    ConduitError, Duration, FaultConfig, HostConfig, Result, SimTime, SsdConfig, VectorProgram,
 };
 
 use crate::batch::StripPlan;
@@ -109,243 +105,24 @@ use crate::cost::CostFunction;
 use crate::engine::{RunOptions, RuntimeEngine};
 use crate::policy::Policy;
 use crate::pool::ThreadPool;
-use crate::report::{
-    EnergySummary, OffloadMix, OverheadReport, ParallelismStats, RunReport, TimelineEntry,
+
+mod checkpoint;
+mod lanes;
+mod registry;
+mod summary;
+
+pub use checkpoint::{
+    DEVICE_CHECKPOINT_FORMAT_VERSION, DEVICE_CHECKPOINT_FORMAT_VERSION_V1,
+    DEVICE_CHECKPOINT_FORMAT_VERSION_V2, DEVICE_CHECKPOINT_MAGIC,
 };
+pub use lanes::{DeviceHandle, DEFAULT_DRR_QUANTUM};
+pub use registry::{ProgramId, ProgramRegistry, REGISTRY_FORMAT_VERSION, REGISTRY_MAGIC};
+pub use summary::{RunArtifacts, RunOutcome, RunSummary};
 
-/// Magic bytes identifying a serialized [`ProgramRegistry`].
-pub const REGISTRY_MAGIC: [u8; 4] = *b"CPR1";
-
-/// Current registry serialization format version.
-pub const REGISTRY_FORMAT_VERSION: u16 = 1;
-
-/// Magic bytes identifying a device checkpoint exported by
-/// [`Session::export_device`] (configuration fingerprint + stream clock +
-/// embedded [`conduit_sim::DeviceState`] image).
-pub const DEVICE_CHECKPOINT_MAGIC: [u8; 4] = *b"CDK1";
-
-/// Current device-checkpoint format version. Version 3 wraps the version-3
-/// [`conduit_sim::DeviceState`] image (sparse resource timelines, the
-/// fault-injection plan cursor, retired-block accounting and device health),
-/// so a degraded device survives export/import bit-identically. Like
-/// version 2 it embeds the exporting session's combined configuration
-/// fingerprint ([`SsdConfig::fingerprint`] +
-/// [`conduit_types::HostConfig::fingerprint`] — host rooflines shape a warm
-/// stream's clocks too), so importing a checkpoint into a session with
-/// *any* configuration difference — even one with the same geometry, where
-/// the shape checks cannot tell — is a hard
-/// [`ConduitError::CorruptCheckpoint`] instead of a silent timing mismatch.
-pub const DEVICE_CHECKPOINT_FORMAT_VERSION: u16 = 3;
-
-/// Format version of legacy fingerprinted checkpoints wrapping a version-2
-/// device-state image (no fault state, dense resource timelines). Still
-/// importable; no longer written.
-pub const DEVICE_CHECKPOINT_FORMAT_VERSION_V2: u16 = 2;
-
-/// Format version of legacy checkpoints without a configuration
-/// fingerprint. Still importable ([`Session::import_device`] falls back to
-/// the structural shape check); no longer written.
-pub const DEVICE_CHECKPOINT_FORMAT_VERSION_V1: u16 = 1;
+use lanes::{execute_fresh, execute_on_lane, run_lane, BatchState, DeviceSlot, PlanMode, RunPlan};
 
 /// The percentile set collected when a request does not override it.
 pub const DEFAULT_PERCENTILES: [f64; 3] = [0.50, 0.99, 0.9999];
-
-/// Handle to a program registered in a [`Session`]'s [`ProgramRegistry`].
-///
-/// Ids are dense indices in registration order, so they stay valid across
-/// [`Session::export_registry`] / [`Session::import_registry`] round trips
-/// into a fresh session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ProgramId(u32);
-
-impl ProgramId {
-    /// The dense registration-order index.
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl std::fmt::Display for ProgramId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "p{}", self.0)
-    }
-}
-
-/// Handle to a named warm device in a [`Session`]'s device pool.
-///
-/// Minted by [`Session::create_device`] / [`Session::import_device`].
-/// Handles are dense indices in creation order and are only meaningful
-/// within the session that minted them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct DeviceHandle(u32);
-
-impl DeviceHandle {
-    /// The dense creation-order index.
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl std::fmt::Display for DeviceHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "d{}", self.0)
-    }
-}
-
-/// An ordered, **content-addressed** collection of validated, reusable
-/// [`VectorProgram`]s.
-///
-/// Programs are stored behind [`Arc`] so batch fan-out shares them across
-/// worker threads without copying instruction streams. Registration dedupes
-/// by content: registering (or importing) a program whose serialized bytes
-/// match an already-registered one returns the existing [`ProgramId`]
-/// instead of storing a second copy, so a fleet of sessions importing the
-/// same program store converges on one entry per distinct program.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ProgramRegistry {
-    programs: Vec<Arc<VectorProgram>>,
-    /// Content hash (FNV-1a over [`VectorProgram::to_bytes`]) → ids with
-    /// that hash. Collisions are resolved by comparing the programs.
-    by_hash: HashMap<u64, Vec<ProgramId>>,
-}
-
-/// FNV-1a over a program's compact serialization: the content address used
-/// by [`ProgramRegistry`] deduplication (the shared workspace hash, also
-/// behind [`SsdConfig::fingerprint`]).
-fn content_hash(bytes: &[u8]) -> u64 {
-    conduit_types::bytes::fnv1a(bytes)
-}
-
-impl ProgramRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        ProgramRegistry::default()
-    }
-
-    /// Validates and registers a program, returning its handle. If an
-    /// identical program (same serialized content) is already registered,
-    /// its existing handle is returned and nothing is stored.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConduitError::InvalidProgram`] if the program fails
-    /// [`VectorProgram::validate`].
-    pub fn register(&mut self, program: VectorProgram) -> Result<ProgramId> {
-        program.validate().map_err(ConduitError::invalid_program)?;
-        Ok(self.insert_deduped(Arc::new(program)))
-    }
-
-    /// Stores `program` unless an identical one already exists; returns the
-    /// canonical id either way.
-    fn insert_deduped(&mut self, program: Arc<VectorProgram>) -> ProgramId {
-        let hash = content_hash(&program.to_bytes());
-        if let Some(candidates) = self.by_hash.get(&hash) {
-            for &id in candidates {
-                if *self.programs[id.index()] == *program {
-                    return id;
-                }
-            }
-        }
-        let id = ProgramId(self.programs.len() as u32);
-        self.programs.push(program);
-        self.by_hash.entry(hash).or_default().push(id);
-        id
-    }
-
-    /// Stores `program` unconditionally at the next id. Used when decoding
-    /// a serialized registry: version-1 byte streams written before content
-    /// addressing may legally contain duplicates, and callers that
-    /// persisted [`ProgramId`]s alongside the bytes rely on ids staying
-    /// positional — deduplication happens at the [`Session`] boundary
-    /// ([`Session::import_registry`]), which returns the id mapping.
-    fn insert_positional(&mut self, program: Arc<VectorProgram>) {
-        let hash = content_hash(&program.to_bytes());
-        let id = ProgramId(self.programs.len() as u32);
-        self.programs.push(program);
-        self.by_hash.entry(hash).or_default().push(id);
-    }
-
-    /// The program behind a handle, if registered.
-    pub fn get(&self, id: ProgramId) -> Option<&Arc<VectorProgram>> {
-        self.programs.get(id.index())
-    }
-
-    /// Number of registered programs.
-    pub fn len(&self) -> usize {
-        self.programs.len()
-    }
-
-    /// Whether no programs are registered.
-    pub fn is_empty(&self) -> bool {
-        self.programs.is_empty()
-    }
-
-    /// Iterator over `(id, program)` pairs in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (ProgramId, &VectorProgram)> {
-        self.programs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (ProgramId(i as u32), p.as_ref()))
-    }
-
-    /// Serializes every registered program into one compact byte stream
-    /// (magic + version + count, then each program via
-    /// [`VectorProgram::to_bytes`] behind a `u32` length).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&REGISTRY_MAGIC);
-        put_u16(&mut out, REGISTRY_FORMAT_VERSION);
-        put_u32(&mut out, self.programs.len() as u32);
-        for program in &self.programs {
-            let bytes = program.to_bytes();
-            put_u32(&mut out, bytes.len() as u32);
-            out.extend_from_slice(&bytes);
-        }
-        out
-    }
-
-    /// Decodes a registry serialized by [`ProgramRegistry::to_bytes`].
-    /// Programs keep their serialized positions (ids are stable even for
-    /// pre-content-addressing streams that contain duplicates); merging
-    /// with deduplication is [`Session::import_registry`]'s job.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConduitError::InvalidProgram`] for a bad magic/version,
-    /// truncation, trailing bytes, or any embedded program that fails to
-    /// decode.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ProgramRegistry> {
-        let corrupt =
-            |reason: &str| ConduitError::invalid_program(format!("serialized registry: {reason}"));
-        if bytes.len() < 4 || bytes[..4] != REGISTRY_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        // The shared Reader reports truncation as CorruptCheckpoint; this
-        // decoder's contract is InvalidProgram for any malformed input.
-        let mut r = Reader::new(&bytes[4..]);
-        let mut decode = || -> Result<ProgramRegistry> {
-            let version = r.u16()?;
-            if version != REGISTRY_FORMAT_VERSION {
-                return Err(corrupt("unsupported format version"));
-            }
-            let count = r.u32()? as usize;
-            let mut registry = ProgramRegistry::new();
-            for _ in 0..count {
-                let len = r.u32()? as usize;
-                let program = VectorProgram::from_bytes(r.take(len)?)?;
-                registry.insert_positional(Arc::new(program));
-            }
-            if !r.finished() {
-                return Err(corrupt("trailing bytes"));
-            }
-            Ok(registry)
-        };
-        decode().map_err(|e| match e {
-            ConduitError::CorruptCheckpoint { .. } => corrupt("truncated"),
-            other => other,
-        })
-    }
-}
 
 /// Where a [`RunRequest`]'s program comes from.
 #[derive(Debug, Clone, PartialEq)]
@@ -411,11 +188,6 @@ pub struct RunRequest {
     /// weight serve in plain arrival/request-order FIFO; mixed weights turn
     /// the lane into a deficit-round-robin scheduler.
     weight: u32,
-    /// Forces the engine's scalar (pre-batching) run loop.
-    force_scalar: bool,
-    /// Forces sequential strip evaluation (disables the parallel two-phase
-    /// run loop).
-    sequential_strips: bool,
 }
 
 impl RunRequest {
@@ -449,30 +221,7 @@ impl RunRequest {
             arrival: SimTime::ZERO,
             flow: 0,
             weight: 1,
-            force_scalar: false,
-            sequential_strips: false,
         }
-    }
-
-    /// Builder-style: forces the engine's scalar (pre-batching) run loop —
-    /// the reference implementation the batched path is differentially
-    /// tested against. Results are bit-identical either way; the knob
-    /// exists for verification and debugging (`CONDUIT_SCALAR=1` is the
-    /// process-wide equivalent).
-    pub fn scalar(mut self) -> Self {
-        self.force_scalar = true;
-        self
-    }
-
-    /// Builder-style: forces sequential strip evaluation — the batched run
-    /// loop without the parallel DAG evaluator, i.e. every strip's
-    /// estimates, overheads and placement are computed inline on the
-    /// committing thread. Results are bit-identical either way; the knob
-    /// exists for verification and performance comparison
-    /// (`CONDUIT_SEQ_STRIPS=1` is the process-wide equivalent).
-    pub fn sequential_strips(mut self) -> Self {
-        self.sequential_strips = true;
-        self
     }
 
     /// Builder-style: replaces the cost function (for ablations).
@@ -628,539 +377,9 @@ impl RunRequest {
         if !self.collect_timeline {
             options = options.without_timeline();
         }
-        if self.force_scalar {
-            options = options.scalar();
-        }
-        if self.sequential_strips {
-            options = options.with_sequential_strips();
-        }
         options
     }
 }
-
-/// The always-collected, constant-memory result of a run: everything the
-/// figure pipeline and a serving stack's metrics need, and nothing that
-/// grows with program length.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunSummary {
-    /// Workload (vector program) name.
-    pub workload: String,
-    /// The policy that was used.
-    pub policy: Policy,
-    /// Number of vector instructions executed per repeat.
-    pub instructions: usize,
-    /// How many times the program was simulated (see [`RunRequest::repeat`]).
-    pub repeats: u32,
-    /// End-to-end time of the run as the submitter saw it:
-    /// [`RunSummary::queueing_time`] + [`RunSummary::service_time`].
-    pub total_time: Duration,
-    /// Time the request spent waiting in its device's FIFO lane between its
-    /// **arrival** ([`RunRequest::arriving_at`]; by default the instant the
-    /// batch was submitted) and the issue of its first instruction, measured
-    /// on the device's stream clock. Always zero for fresh-device runs and
-    /// for warm requests that arrived after their lane drained.
-    pub queueing_time: Duration,
-    /// The run's own execution time: from the instant its first instruction
-    /// issued (the device's stream clock) to its last completion.
-    pub service_time: Duration,
-    /// Total energy of one run.
-    pub total_energy: Energy,
-    /// Energy split into data movement and computation, when collected.
-    pub energy_split: Option<EnergySummary>,
-    /// Where the execution time went.
-    pub breakdown: CostBreakdown,
-    /// Instruction placement counts.
-    pub offload_mix: OffloadMix,
-    /// Histogram of per-instruction end-to-end latencies (constant memory;
-    /// query any quantile via [`LatencyStats::percentile`]).
-    pub latency: LatencyStats,
-    /// The percentiles requested by the run's [`RunRequest::percentiles`]
-    /// set, materialized as `(p, latency)` pairs in request order.
-    pub percentiles: Vec<(f64, Duration)>,
-    /// Offloader overhead statistics.
-    pub overhead: OverheadReport,
-    /// Parallel strip-evaluator diagnostics, accumulated across repeats
-    /// (all-zero for scalar and sequential runs; excluded from equality —
-    /// see [`ParallelismStats`]).
-    pub parallelism: ParallelismStats,
-    /// The device-side work this run performed (GC invocations, pages
-    /// migrated, coherence syncs, wear spread, …): on a fresh device the
-    /// run's absolute footprint, on a warm device the *additional* aging it
-    /// caused on top of what earlier requests left behind. Repeats
-    /// accumulate (see [`conduit_sim::DeviceDelta::accumulate`]).
-    pub device_delta: DeviceDelta,
-}
-
-impl RunSummary {
-    /// Speedup of this run relative to `baseline` (>1 means this run is
-    /// faster).
-    pub fn speedup_over(&self, baseline: &RunSummary) -> f64 {
-        let own = self.total_time.as_ns();
-        if own == 0.0 {
-            return f64::INFINITY;
-        }
-        baseline.total_time.as_ns() / own
-    }
-
-    /// This run's energy as a fraction of `baseline`'s (<1 means this run
-    /// uses less energy).
-    pub fn energy_vs(&self, baseline: &RunSummary) -> f64 {
-        let base = baseline.total_energy.as_nj();
-        if base == 0.0 {
-            return 0.0;
-        }
-        self.total_energy.as_nj() / base
-    }
-
-    /// The `p`-quantile per-instruction latency from the histogram (any
-    /// quantile, not just the requested set).
-    pub fn percentile(&self, p: f64) -> Duration {
-        self.latency.percentile(p)
-    }
-}
-
-/// Opt-in bulky outputs of a run — everything that grows with program
-/// length. Requested via [`RunRequest::with_timeline`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunArtifacts {
-    /// The full per-instruction trace: instruction → execution site with
-    /// dispatch/completion times (Figure 10).
-    pub timeline: Vec<TimelineEntry>,
-}
-
-/// A run's summary plus its optional artifacts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunOutcome {
-    /// The cheap, always-present summary.
-    pub summary: RunSummary,
-    /// Bulky opt-in outputs; `None` unless the request asked for them.
-    pub artifacts: Option<RunArtifacts>,
-}
-
-impl RunOutcome {
-    /// Converts into the engine-level [`RunReport`] shape (for code
-    /// migrating incrementally onto the session API). The timeline is empty
-    /// unless the run collected artifacts; the device delta is dropped, as
-    /// the engine-level report predates warm devices.
-    pub fn into_run_report(self) -> RunReport {
-        let energy = self.summary.energy_split.unwrap_or(EnergySummary {
-            data_movement: Energy::ZERO,
-            compute: self.summary.total_energy,
-        });
-        RunReport {
-            workload: self.summary.workload,
-            policy: self.summary.policy,
-            instructions: self.summary.instructions,
-            total_time: self.summary.total_time,
-            energy,
-            breakdown: self.summary.breakdown,
-            offload_mix: self.summary.offload_mix,
-            latency: self.summary.latency,
-            timeline: self.artifacts.map(|a| a.timeline).unwrap_or_default(),
-            overhead: self.summary.overhead,
-            parallelism: self.summary.parallelism,
-        }
-    }
-}
-
-/// How a planned run executes: on a pristine device, or on one of the
-/// session's pooled warm devices (by slot index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PlanMode {
-    Fresh,
-    Device(usize),
-}
-
-/// Everything needed to execute one request with no reference back to the
-/// session — the unit shipped to pool workers.
-struct RunPlan {
-    program: Arc<VectorProgram>,
-    options: RunOptions,
-    repeats: u32,
-    collect_energy_split: bool,
-    percentiles: Vec<f64>,
-    mode: PlanMode,
-    /// Arrival offset on the batch timeline ([`RunRequest::arriving_at`]).
-    arrival: Duration,
-    /// Weighted-fair flow and weight ([`RunRequest::weighted`]).
-    flow: u32,
-    weight: u32,
-    /// The cached strip decomposition for registered programs (see
-    /// [`StripPlan`]); inline programs plan on the fly in the engine.
-    strip_plan: Option<Arc<StripPlan>>,
-}
-
-/// Shared state of one in-flight batch, shipped to pool workers.
-struct BatchState {
-    ssd: SsdConfig,
-    host: HostConfig,
-    faults: FaultConfig,
-    plans: Vec<RunPlan>,
-}
-
-/// One named warm device of the pool: its lazily-built simulated device and
-/// the explicit stream clock of its request lane.
-#[derive(Debug)]
-struct DeviceSlot {
-    name: String,
-    /// The fault-injection plan the device is built with on first use
-    /// (imported devices carry their own plan inside the checkpoint).
-    faults: FaultConfig,
-    lane: Mutex<DeviceLane>,
-}
-
-impl DeviceSlot {
-    fn new(name: impl Into<String>, faults: FaultConfig) -> Self {
-        DeviceSlot {
-            name: name.into(),
-            faults,
-            lane: Mutex::new(DeviceLane {
-                device: None,
-                clock: SimTime::ZERO,
-            }),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct DeviceLane {
-    /// The warm device (immutable models + persistent state), created
-    /// lazily on the first run so unused pool members cost nothing.
-    device: Option<SsdDevice>,
-    /// The stream clock: the finish time of the last request on this
-    /// device. The next request issues here.
-    clock: SimTime,
-}
-
-/// Assembles the outcome from the final run report plus the device work the
-/// request performed and the lane wait it observed.
-fn build_outcome(
-    report: RunReport,
-    plan: &RunPlan,
-    device_delta: DeviceDelta,
-    queueing_time: Duration,
-) -> RunOutcome {
-    let percentiles = plan
-        .percentiles
-        .iter()
-        .map(|&p| (p, report.latency.percentile(p)))
-        .collect();
-    let service_time = report.total_time;
-    let summary = RunSummary {
-        workload: report.workload,
-        policy: report.policy,
-        instructions: report.instructions,
-        repeats: plan.repeats,
-        total_time: queueing_time + service_time,
-        queueing_time,
-        service_time,
-        total_energy: report.energy.total(),
-        energy_split: plan.collect_energy_split.then_some(report.energy),
-        breakdown: report.breakdown,
-        offload_mix: report.offload_mix,
-        latency: report.latency,
-        percentiles,
-        overhead: report.overhead,
-        parallelism: report.parallelism,
-        device_delta,
-    };
-    let artifacts = plan.options.record_timeline.then_some(RunArtifacts {
-        timeline: report.timeline,
-    });
-    RunOutcome { summary, artifacts }
-}
-
-/// Executes a fresh-mode plan: every repeat on its own pristine device, so
-/// runs are independent and parallel batches stay bit-identical to serial
-/// submission.
-fn execute_fresh(
-    ssd: &SsdConfig,
-    host: &HostConfig,
-    faults: FaultConfig,
-    plan: &RunPlan,
-    pool: Option<&ThreadPool>,
-) -> Result<RunOutcome> {
-    let engine = RuntimeEngine::with_host(ssd, host);
-    let pristine = DeviceSnapshot::default();
-    // An open-loop arrival translates the fresh run's timeline (timestamps
-    // shift, service time and energy do not); there is no lane to queue in.
-    let options = plan.options.starting_at(SimTime::ZERO + plan.arrival);
-    let mut report: Option<RunReport> = None;
-    let mut delta = DeviceDelta::default();
-    let mut parallelism = ParallelismStats::default();
-    for _ in 0..plan.repeats {
-        // A fresh device per repeat keeps every run independent and the
-        // whole batch bit-identical to serial execution. Each repeat's
-        // device restarts the session's fault plan from its seed.
-        let mut device = SsdDevice::with_faults(ssd, faults)?;
-        engine.prepare(&mut device, &plan.program)?;
-        let run = engine.run_pooled(
-            &mut device,
-            &plan.program,
-            &options,
-            plan.strip_plan.as_ref(),
-            pool,
-        )?;
-        delta.accumulate(device.snapshot().delta_since(&pristine));
-        parallelism.accumulate(&run.parallelism);
-        report = Some(run);
-    }
-    let mut report = report.expect("repeats is clamped to at least one");
-    report.parallelism = parallelism;
-    Ok(build_outcome(report, plan, delta, Duration::ZERO))
-}
-
-/// Executes a warm plan on one device lane. The request **arrives** at the
-/// batch base (the lane's stream clock when the batch was submitted; the
-/// current clock for a lone submit) plus its open-loop arrival offset, and
-/// issues at `max(previous finish, arrival)`: the stream clock advances
-/// through any idle gap, the arrival-relative wait becomes the outcome's
-/// queueing time, and each repeat then issues at its predecessor's finish.
-///
-/// The lane mutex is what serializes a device's requests: within a device
-/// runs execute strictly in the order they take the lock (request order, in
-/// both [`Session::submit_batch`] paths), which keeps every per-device
-/// stream deterministic and replayable while distinct devices proceed in
-/// parallel.
-fn execute_on_lane(
-    engine: &RuntimeEngine,
-    ssd: &SsdConfig,
-    slot: &DeviceSlot,
-    plan: &RunPlan,
-    batch_base: Option<SimTime>,
-    pool: Option<&ThreadPool>,
-) -> Result<RunOutcome> {
-    let mut lane = slot.lane.lock().expect("device-lane mutex poisoned");
-    let lane = &mut *lane;
-    if lane.device.is_none() {
-        lane.device = Some(SsdDevice::with_faults(ssd, slot.faults)?);
-    }
-    let device = lane.device.as_mut().expect("device was just installed");
-    // SimTime + Duration saturates, so a pathological arrival offset clamps
-    // at the end of representable time instead of wrapping the clock.
-    let arrival = batch_base.unwrap_or(lane.clock) + plan.arrival;
-    let before = device.snapshot();
-    // Queueing ends when the request's *first* repeat issues; later repeats
-    // are part of its own service, not lane wait. An arrival past the
-    // previous finish instead leaves the device idle for the gap.
-    let queueing_time = lane.clock.saturating_since(arrival);
-    let idle_gap = arrival.saturating_since(lane.clock);
-    lane.clock = lane.clock.max(arrival);
-    let issue = lane.clock;
-    let mut report: Result<Option<RunReport>> = Ok(None);
-    let mut parallelism = ParallelismStats::default();
-    for _ in 0..plan.repeats {
-        let start = lane.clock;
-        let options = plan.options.starting_at(start);
-        // Re-preparing is idempotent for pages the warm device already
-        // mapped; only genuinely new pages get placed.
-        report = engine
-            .prepare(device, &plan.program)
-            .and_then(|()| {
-                engine.run_pooled(
-                    device,
-                    &plan.program,
-                    &options,
-                    plan.strip_plan.as_ref(),
-                    pool,
-                )
-            })
-            .map(Some);
-        match &report {
-            Ok(Some(run)) => {
-                lane.clock = start + run.total_time;
-                parallelism.accumulate(&run.parallelism);
-            }
-            // The (possibly partially advanced) device stays with the
-            // session so the stream can continue or be inspected.
-            _ => break,
-        }
-    }
-    // Lane accounting happens even on a failed request: the device may have
-    // partially advanced, and the idle gap was real either way.
-    device.record_lane_request(idle_gap, queueing_time, lane.clock.saturating_since(issue));
-    let delta = device.snapshot().delta_since(&before);
-    let mut report = report?.expect("repeats is clamped to at least one");
-    report.parallelism = parallelism;
-    Ok(build_outcome(report, plan, delta, queueing_time))
-}
-
-/// One flow's FIFO sub-queue inside a mixed-weight lane: the request
-/// indices in request order, a cursor, and the flow's deficit credit in
-/// picoseconds (negative = the flow overdrew its share and sits out rounds
-/// until the per-round top-ups pay the debt back).
-struct LaneFlow {
-    queue: Vec<usize>,
-    head: usize,
-    credit: i128,
-}
-
-impl LaneFlow {
-    fn head_index(&self) -> Option<usize> {
-        self.queue.get(self.head).copied()
-    }
-}
-
-/// Serves one device lane's share of a batch, delivering each outcome to
-/// `deliver(request index, outcome)`; `deliver` returns `false` to stop
-/// early (the batch collector went away).
-///
-/// While every request on the lane carries the same weight — the default —
-/// the lane is the plain FIFO it has always been: requests execute in
-/// request order, bit for bit identical to pre-weight scheduling. Mixed
-/// weights switch the lane to **deficit round robin** over per-flow FIFO
-/// sub-queues ([`RunRequest::weighted`]):
-///
-/// * each round visits the flows in first-appearance order; a flow whose
-///   head has *arrived* (on the lane's simulated stream clock) earns
-///   `quantum × weight` of credit and serves requests while its credit
-///   stays positive, with each request's **actual simulated service time**
-///   charged against the credit afterwards (so no a-priori cost model is
-///   needed — an expensive request just drives the flow's credit negative
-///   and it sits out following rounds);
-/// * a flow that drains its queue forfeits leftover credit (standard DRR:
-///   credit never accumulates across backlog periods);
-/// * when no flow has an arrived head, the lane has gone idle: credits
-///   reset (a new busy period starts) and the earliest-arriving head is
-///   served, advancing the stream clock through the idle gap — the lane
-///   stays work-conserving.
-///
-/// Everything the scheduler consults — arrivals, the stream clock, service
-/// times — is simulated time, so the dispatch order is deterministic and
-/// identical across pool sizes and across the serial and parallel batch
-/// paths. Over a saturated stretch each flow's lane busy-time share
-/// converges to `weight / Σ weights`.
-#[allow(clippy::too_many_arguments)]
-fn run_lane(
-    engine: &RuntimeEngine,
-    ssd: &SsdConfig,
-    slot: &DeviceSlot,
-    plans: &[RunPlan],
-    indices: &[usize],
-    base: SimTime,
-    quantum: Duration,
-    pool: Option<&ThreadPool>,
-    mut deliver: impl FnMut(usize, Result<RunOutcome>) -> bool,
-) {
-    let uniform = indices
-        .windows(2)
-        .all(|w| plans[w[0]].weight == plans[w[1]].weight);
-    if uniform {
-        for &i in indices {
-            let outcome = execute_on_lane(engine, ssd, slot, &plans[i], Some(base), pool);
-            if !deliver(i, outcome) {
-                return;
-            }
-        }
-        return;
-    }
-
-    // Per-flow sub-queues in order of first appearance (deterministic in
-    // request order).
-    let mut flows: Vec<(u32, LaneFlow)> = Vec::new();
-    for &i in indices {
-        let key = plans[i].flow;
-        match flows.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, flow)) => flow.queue.push(i),
-            None => flows.push((
-                key,
-                LaneFlow {
-                    queue: vec![i],
-                    head: 0,
-                    credit: 0,
-                },
-            )),
-        }
-    }
-    let quantum_ps = quantum.as_ps().max(1) as i128;
-    let arrival = |i: usize| base + plans[i].arrival;
-    let clock = || slot.lane.lock().expect("device-lane mutex poisoned").clock;
-    let mut serve = |flows: &mut Vec<(u32, LaneFlow)>, fi: usize| -> Option<bool> {
-        let i = flows[fi].1.head_index()?;
-        let outcome = execute_on_lane(engine, ssd, slot, &plans[i], Some(base), pool);
-        let service = outcome
-            .as_ref()
-            .map(|o| o.summary.service_time)
-            .unwrap_or(Duration::ZERO);
-        let flow = &mut flows[fi].1;
-        flow.head += 1;
-        flow.credit -= service.as_ps() as i128;
-        Some(deliver(i, outcome))
-    };
-
-    let mut remaining = indices.len();
-    while remaining > 0 {
-        let mut served_this_round = false;
-        for fi in 0..flows.len() {
-            let Some(head) = flows[fi].1.head_index() else {
-                continue;
-            };
-            if arrival(head) > clock() {
-                // Not backlogged right now: no top-up, no service. The flow
-                // keeps any leftover credit for when its stream resumes.
-                continue;
-            }
-            let weight = plans[head].weight.max(1) as i128;
-            flows[fi].1.credit += quantum_ps * weight;
-            while flows[fi].1.credit > 0 {
-                let Some(i) = flows[fi].1.head_index() else {
-                    break;
-                };
-                if arrival(i) > clock() {
-                    break;
-                }
-                match serve(&mut flows, fi) {
-                    Some(true) => {
-                        remaining -= 1;
-                        served_this_round = true;
-                    }
-                    _ => return,
-                }
-            }
-            if flows[fi].1.head_index().is_none() {
-                // A drained flow forfeits leftover credit.
-                flows[fi].1.credit = 0;
-            }
-        }
-        if served_this_round || remaining == 0 {
-            continue;
-        }
-        let now = clock();
-        let any_eligible = flows
-            .iter()
-            .any(|(_, f)| f.head_index().is_some_and(|i| arrival(i) <= now));
-        if any_eligible {
-            // Backlogged flows exist but are all in credit debt: rounds cost
-            // no simulated time, so just keep topping up until one goes
-            // positive.
-            continue;
-        }
-        // The lane went idle: every remaining head arrives in the future.
-        // The busy period is over — credits reset — and the next one opens
-        // with the earliest-arriving head (ties break by flow position).
-        for (_, flow) in &mut flows {
-            flow.credit = 0;
-        }
-        let next = flows
-            .iter()
-            .enumerate()
-            .filter_map(|(fi, (_, f))| f.head_index().map(|i| (arrival(i), fi)))
-            .min()
-            .map(|(_, fi)| fi)
-            .expect("remaining > 0 implies a nonempty flow");
-        match serve(&mut flows, next) {
-            Some(true) => remaining -= 1,
-            _ => return,
-        }
-    }
-}
-
-/// Default deficit-round-robin quantum for weighted device lanes: the
-/// per-round credit a weight-1 flow earns (see [`RunRequest::weighted`]).
-/// Small relative to typical service times, so shares track weights
-/// smoothly; the exact value only shapes interleaving granularity, not the
-/// long-run weight shares.
-pub const DEFAULT_DRR_QUANTUM: Duration = Duration::from_ps(10_000_000); // 10 µs
 
 /// Configures and builds a [`Session`].
 #[derive(Debug, Clone)]
@@ -1532,122 +751,6 @@ impl Session {
         snapshot
     }
 
-    /// Serializes a pooled device — its stream clock plus the complete
-    /// [`conduit_sim::DeviceState`] (FTL image, contention timelines,
-    /// residency, energy) — into a compact versioned byte stream. Another
-    /// session (or process) can [`Session::import_device`] it and continue
-    /// the stream with bit-identical results, like a device-aging
-    /// checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device-construction errors for a never-used device (whose
-    /// pristine state is built on demand so the checkpoint is well-formed).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a handle minted by a different session.
-    pub fn export_device(&self, device: DeviceHandle) -> Result<Vec<u8>> {
-        let mut lane = self
-            .slot(device)
-            .lane
-            .lock()
-            .expect("device-lane mutex poisoned");
-        if lane.device.is_none() {
-            lane.device = Some(SsdDevice::with_faults(&self.ssd, self.slot(device).faults)?);
-        }
-        let state = lane.device.as_ref().expect("device was just installed");
-        let mut out = Vec::new();
-        out.extend_from_slice(&DEVICE_CHECKPOINT_MAGIC);
-        put_u16(&mut out, DEVICE_CHECKPOINT_FORMAT_VERSION);
-        // The configuration fingerprint pins the exact timings/energies the
-        // stream was simulated under, not just the shape the state decoder
-        // can check structurally.
-        put_u64(&mut out, self.config_fingerprint());
-        put_u64(&mut out, lane.clock.as_ps());
-        out.extend_from_slice(&state.state().to_bytes());
-        Ok(out)
-    }
-
-    /// The combined fingerprint device checkpoints embed: FNV-1a over the
-    /// SSD and host configuration fingerprints. Both sides matter — warm
-    /// stream clocks depend on host rooflines (host-policy service times)
-    /// as much as on the device's own timings.
-    fn config_fingerprint(&self) -> u64 {
-        let mut canonical = Vec::with_capacity(16);
-        put_u64(&mut canonical, self.ssd.fingerprint());
-        put_u64(&mut canonical, self.host.fingerprint());
-        conduit_types::bytes::fnv1a(&canonical)
-    }
-
-    /// Revives a device checkpoint produced by [`Session::export_device`]
-    /// under `name`, returning its handle. If the name already exists in
-    /// the pool, the imported checkpoint **replaces** that device's state
-    /// (restoring a tenant in place); otherwise a new device is created.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConduitError::CorruptCheckpoint`] for a bad magic/version,
-    /// truncation, or a checkpoint that does not match this session's SSD
-    /// configuration. Version-2 checkpoints embed the exporting session's
-    /// combined SSD + host configuration fingerprint
-    /// ([`SsdConfig::fingerprint`],
-    /// [`conduit_types::HostConfig::fingerprint`]), so **any**
-    /// configuration difference — including same-shape timing or energy
-    /// changes the structural checks cannot see — is a hard error; legacy
-    /// version-1 checkpoints fall back to the structural shape check. On
-    /// error the pool is left unchanged.
-    pub fn import_device(&mut self, name: &str, bytes: &[u8]) -> Result<DeviceHandle> {
-        if bytes.len() < 6 || bytes[..4] != DEVICE_CHECKPOINT_MAGIC {
-            return Err(ConduitError::corrupt_checkpoint(
-                "bad device-checkpoint magic",
-            ));
-        }
-        let tail = &bytes[4..];
-        let mut r = Reader::new(tail);
-        let version = r.u16()?;
-        match version {
-            DEVICE_CHECKPOINT_FORMAT_VERSION | DEVICE_CHECKPOINT_FORMAT_VERSION_V2 => {
-                let fingerprint = r.u64()?;
-                let expected = self.config_fingerprint();
-                if fingerprint != expected {
-                    return Err(ConduitError::corrupt_checkpoint(format!(
-                        "device checkpoint was exported under a different \
-                         SSD/host configuration (fingerprint \
-                         {fingerprint:#018x}, this session's is \
-                         {expected:#018x}); replaying it here would silently \
-                         change the stream's timings"
-                    )));
-                }
-            }
-            // Legacy checkpoints predate the fingerprint; the structural
-            // shape check in DeviceState::from_bytes still applies.
-            DEVICE_CHECKPOINT_FORMAT_VERSION_V1 => {}
-            _ => {
-                return Err(ConduitError::corrupt_checkpoint(format!(
-                    "unsupported device-checkpoint format version {version} \
-                     (expected {DEVICE_CHECKPOINT_FORMAT_VERSION}, \
-                     {DEVICE_CHECKPOINT_FORMAT_VERSION_V2} or \
-                     {DEVICE_CHECKPOINT_FORMAT_VERSION_V1})"
-                )));
-            }
-        }
-        let clock = SimTime::from_ps(r.counter()?);
-        let consumed = tail.len() - r.remaining();
-        let state = DeviceState::from_bytes(&self.ssd, &tail[consumed..])?;
-        let device = SsdDevice::with_state(&self.ssd, state)?;
-        let handle = self.create_device(name);
-        let mut lane = self
-            .slot(handle)
-            .lane
-            .lock()
-            .expect("device-lane mutex poisoned");
-        lane.device = Some(device);
-        lane.clock = clock;
-        drop(lane);
-        Ok(handle)
-    }
-
     // ------------------------------------------------------------------
     // Execution
     // ------------------------------------------------------------------
@@ -1732,16 +835,6 @@ impl Session {
         }
     }
 
-    /// The thread pool used for intra-run parallel strip evaluation on
-    /// calling-thread executions; `None` for serial sessions. Batch fan-out
-    /// closures deliberately run without it: the fan-out itself already
-    /// saturates the pool, so nested scan jobs would only queue behind the
-    /// very work that is waiting for them (the engine's committer evaluates
-    /// inline in that case anyway, with identical results).
-    fn eval_pool(&self) -> Option<&ThreadPool> {
-        (self.workers > 1).then(|| self.pool.get_or_init(|| ThreadPool::new(self.workers)))
-    }
-
     /// Executes one request on the calling thread (fresh runs on a pristine
     /// device; warm runs continue on their pooled device's persistent
     /// state).
@@ -1753,21 +846,12 @@ impl Session {
     pub fn submit(&self, request: &RunRequest) -> Result<RunOutcome> {
         let plan = self.plan(request)?;
         match plan.mode {
-            PlanMode::Fresh => {
-                execute_fresh(&self.ssd, &self.host, self.faults, &plan, self.eval_pool())
-            }
+            PlanMode::Fresh => execute_fresh(&self.ssd, &self.host, self.faults, &plan),
             PlanMode::Device(slot) => {
                 // A lone submit is a batch of one: the lane window covers
                 // exactly this request.
                 self.reset_lane_window_of(slot);
-                execute_on_lane(
-                    self.engine(),
-                    &self.ssd,
-                    &self.devices[slot],
-                    &plan,
-                    None,
-                    self.eval_pool(),
-                )
+                execute_on_lane(self.engine(), &self.ssd, &self.devices[slot], &plan, None)
             }
         }
     }
@@ -1867,13 +951,7 @@ impl Session {
             let mut slots: Vec<Option<Result<RunOutcome>>> =
                 (0..plans.len()).map(|_| None).collect();
             for &i in &fresh {
-                slots[i] = Some(execute_fresh(
-                    &self.ssd,
-                    &self.host,
-                    self.faults,
-                    &plans[i],
-                    self.eval_pool(),
-                ));
+                slots[i] = Some(execute_fresh(&self.ssd, &self.host, self.faults, &plans[i]));
             }
             for (slot, indices) in &lanes {
                 run_lane(
@@ -1884,7 +962,6 @@ impl Session {
                     indices,
                     arrival_of(*slot),
                     self.drr_quantum,
-                    self.eval_pool(),
                     |i, outcome| {
                         slots[i] = Some(outcome);
                         true
@@ -1922,8 +999,6 @@ impl Session {
             let engine = self.engine().clone();
             let base = arrivals[lane_pos];
             pool.execute_lane(move || {
-                // No eval pool inside batch fan-out: these workers *are* the
-                // pool, and the committer's inline path is bit-identical.
                 run_lane(
                     &engine,
                     &shared.ssd,
@@ -1932,7 +1007,6 @@ impl Session {
                     &indices,
                     base,
                     quantum,
-                    None,
                     |i, outcome| tx.send((i, outcome)).is_ok(),
                 );
             });
@@ -1945,13 +1019,8 @@ impl Session {
             let shared = Arc::clone(&shared);
             let tx = tx.clone();
             pool.execute(move || {
-                let outcome = execute_fresh(
-                    &shared.ssd,
-                    &shared.host,
-                    shared.faults,
-                    &shared.plans[i],
-                    None,
-                );
+                let outcome =
+                    execute_fresh(&shared.ssd, &shared.host, shared.faults, &shared.plans[i]);
                 let _ = tx.send((i, outcome));
             });
         }
@@ -1974,7 +1043,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conduit_types::{OpType, Operand};
+    use conduit_types::{Energy, OpType, Operand};
 
     fn program(name: &str) -> VectorProgram {
         let mut prog = VectorProgram::new(name);

@@ -1,0 +1,418 @@
+//! How planned runs execute: fresh runs on pristine devices, and warm runs
+//! on the named device pool — one FIFO (or deficit-round-robin) lane and
+//! stream clock per device.
+
+use std::sync::{Arc, Mutex};
+
+use conduit_sim::{DeviceDelta, DeviceSnapshot, SsdDevice};
+use conduit_types::{Duration, FaultConfig, HostConfig, Result, SimTime, SsdConfig, VectorProgram};
+
+use crate::batch::StripPlan;
+use crate::engine::{RunOptions, RuntimeEngine};
+use crate::report::RunReport;
+
+use super::summary::{RunArtifacts, RunOutcome, RunSummary};
+
+/// Handle to a named warm device in a [`Session`](crate::Session)'s device pool.
+///
+/// Minted by [`Session::create_device`](crate::Session::create_device) /
+/// [`Session::import_device`](crate::Session::import_device). Handles are
+/// dense indices in creation order and are only meaningful within the
+/// session that minted them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct DeviceHandle(pub(super) u32);
+
+impl DeviceHandle {
+    /// The dense creation-order index.
+    pub const fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl std::fmt::Display for DeviceHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "d{}", self.0)
+    }
+}
+
+/// How a planned run executes: on a pristine device, or on one of the
+/// session's pooled warm devices (by slot index).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum PlanMode {
+    Fresh,
+    Device(usize),
+}
+
+/// Everything needed to execute one request with no reference back to the
+/// session — the unit shipped to pool workers.
+pub(super) struct RunPlan {
+    pub(super) program: Arc<VectorProgram>,
+    pub(super) options: RunOptions,
+    pub(super) repeats: u32,
+    pub(super) collect_energy_split: bool,
+    pub(super) percentiles: Vec<f64>,
+    pub(super) mode: PlanMode,
+    /// Arrival offset on the batch timeline
+    /// ([`RunRequest::arriving_at`](crate::RunRequest::arriving_at)).
+    pub(super) arrival: Duration,
+    /// Weighted-fair flow and weight ([`RunRequest::weighted`](crate::RunRequest::weighted)).
+    pub(super) flow: u32,
+    pub(super) weight: u32,
+    /// The cached strip decomposition for registered programs (see
+    /// [`StripPlan`]); inline programs plan on the fly in the engine.
+    pub(super) strip_plan: Option<Arc<StripPlan>>,
+}
+
+/// Shared state of one in-flight batch, shipped to pool workers.
+pub(super) struct BatchState {
+    pub(super) ssd: SsdConfig,
+    pub(super) host: HostConfig,
+    pub(super) faults: FaultConfig,
+    pub(super) plans: Vec<RunPlan>,
+}
+
+/// One named warm device of the pool: its lazily-built simulated device and
+/// the explicit stream clock of its request lane.
+#[derive(Debug)]
+pub(super) struct DeviceSlot {
+    pub(super) name: String,
+    /// The fault-injection plan the device is built with on first use
+    /// (imported devices carry their own plan inside the checkpoint).
+    pub(super) faults: FaultConfig,
+    pub(super) lane: Mutex<DeviceLane>,
+}
+
+impl DeviceSlot {
+    pub(super) fn new(name: impl Into<String>, faults: FaultConfig) -> Self {
+        DeviceSlot {
+            name: name.into(),
+            faults,
+            lane: Mutex::new(DeviceLane {
+                device: None,
+                clock: SimTime::ZERO,
+            }),
+        }
+    }
+}
+
+#[derive(Debug)]
+pub(super) struct DeviceLane {
+    /// The warm device (immutable models + persistent state), created
+    /// lazily on the first run so unused pool members cost nothing.
+    pub(super) device: Option<SsdDevice>,
+    /// The stream clock: the finish time of the last request on this
+    /// device. The next request issues here.
+    pub(super) clock: SimTime,
+}
+
+/// Assembles the outcome from the final run report plus the device work the
+/// request performed and the lane wait it observed.
+fn build_outcome(
+    report: RunReport,
+    plan: &RunPlan,
+    device_delta: DeviceDelta,
+    queueing_time: Duration,
+) -> RunOutcome {
+    let percentiles = plan
+        .percentiles
+        .iter()
+        .map(|&p| (p, report.latency.percentile(p)))
+        .collect();
+    let service_time = report.total_time;
+    let summary = RunSummary {
+        workload: report.workload,
+        policy: report.policy,
+        instructions: report.instructions,
+        repeats: plan.repeats,
+        total_time: queueing_time + service_time,
+        queueing_time,
+        service_time,
+        total_energy: report.energy.total(),
+        energy_split: plan.collect_energy_split.then_some(report.energy),
+        breakdown: report.breakdown,
+        offload_mix: report.offload_mix,
+        latency: report.latency,
+        percentiles,
+        overhead: report.overhead,
+        device_delta,
+    };
+    let artifacts = plan.options.record_timeline.then_some(RunArtifacts {
+        timeline: report.timeline,
+    });
+    RunOutcome { summary, artifacts }
+}
+
+/// Executes a fresh-mode plan: every repeat on its own pristine device, so
+/// runs are independent and parallel batches stay bit-identical to serial
+/// submission.
+pub(super) fn execute_fresh(
+    ssd: &SsdConfig,
+    host: &HostConfig,
+    faults: FaultConfig,
+    plan: &RunPlan,
+) -> Result<RunOutcome> {
+    let engine = RuntimeEngine::with_host(ssd, host);
+    let pristine = DeviceSnapshot::default();
+    // An open-loop arrival translates the fresh run's timeline (timestamps
+    // shift, service time and energy do not); there is no lane to queue in.
+    let options = plan.options.starting_at(SimTime::ZERO + plan.arrival);
+    let mut report: Option<RunReport> = None;
+    let mut delta = DeviceDelta::default();
+    for _ in 0..plan.repeats {
+        // A fresh device per repeat keeps every run independent and the
+        // whole batch bit-identical to serial execution. Each repeat's
+        // device restarts the session's fault plan from its seed.
+        let mut device = SsdDevice::with_faults(ssd, faults)?;
+        engine.prepare(&mut device, &plan.program)?;
+        let run = engine.run_with_plan(
+            &mut device,
+            &plan.program,
+            &options,
+            plan.strip_plan.as_deref(),
+        )?;
+        delta.accumulate(device.snapshot().delta_since(&pristine));
+        report = Some(run);
+    }
+    let report = report.expect("repeats is clamped to at least one");
+    Ok(build_outcome(report, plan, delta, Duration::ZERO))
+}
+
+/// Executes a warm plan on one device lane. The request **arrives** at the
+/// batch base (the lane's stream clock when the batch was submitted; the
+/// current clock for a lone submit) plus its open-loop arrival offset, and
+/// issues at `max(previous finish, arrival)`: the stream clock advances
+/// through any idle gap, the arrival-relative wait becomes the outcome's
+/// queueing time, and each repeat then issues at its predecessor's finish.
+///
+/// The lane mutex is what serializes a device's requests: within a device
+/// runs execute strictly in the order they take the lock (request order, in
+/// both [`Session::submit_batch`](crate::Session::submit_batch) paths), which
+/// keeps every per-device stream deterministic and replayable while distinct
+/// devices proceed in parallel.
+pub(super) fn execute_on_lane(
+    engine: &RuntimeEngine,
+    ssd: &SsdConfig,
+    slot: &DeviceSlot,
+    plan: &RunPlan,
+    batch_base: Option<SimTime>,
+) -> Result<RunOutcome> {
+    let mut lane = slot.lane.lock().expect("device-lane mutex poisoned");
+    let lane = &mut *lane;
+    if lane.device.is_none() {
+        lane.device = Some(SsdDevice::with_faults(ssd, slot.faults)?);
+    }
+    let device = lane.device.as_mut().expect("device was just installed");
+    // SimTime + Duration saturates, so a pathological arrival offset clamps
+    // at the end of representable time instead of wrapping the clock.
+    let arrival = batch_base.unwrap_or(lane.clock) + plan.arrival;
+    let before = device.snapshot();
+    // Queueing ends when the request's *first* repeat issues; later repeats
+    // are part of its own service, not lane wait. An arrival past the
+    // previous finish instead leaves the device idle for the gap.
+    let queueing_time = lane.clock.saturating_since(arrival);
+    let idle_gap = arrival.saturating_since(lane.clock);
+    lane.clock = lane.clock.max(arrival);
+    let issue = lane.clock;
+    let mut report: Result<Option<RunReport>> = Ok(None);
+    for _ in 0..plan.repeats {
+        let start = lane.clock;
+        let options = plan.options.starting_at(start);
+        // Re-preparing is idempotent for pages the warm device already
+        // mapped; only genuinely new pages get placed.
+        report = engine
+            .prepare(device, &plan.program)
+            .and_then(|()| {
+                engine.run_with_plan(device, &plan.program, &options, plan.strip_plan.as_deref())
+            })
+            .map(Some);
+        match &report {
+            Ok(Some(run)) => lane.clock = start + run.total_time,
+            // The (possibly partially advanced) device stays with the
+            // session so the stream can continue or be inspected.
+            _ => break,
+        }
+    }
+    // Lane accounting happens even on a failed request: the device may have
+    // partially advanced, and the idle gap was real either way.
+    device.record_lane_request(idle_gap, queueing_time, lane.clock.saturating_since(issue));
+    let delta = device.snapshot().delta_since(&before);
+    let report = report?.expect("repeats is clamped to at least one");
+    Ok(build_outcome(report, plan, delta, queueing_time))
+}
+
+/// One flow's FIFO sub-queue inside a mixed-weight lane: the request
+/// indices in request order, a cursor, and the flow's deficit credit in
+/// picoseconds (negative = the flow overdrew its share and sits out rounds
+/// until the per-round top-ups pay the debt back).
+struct LaneFlow {
+    queue: Vec<usize>,
+    head: usize,
+    credit: i128,
+}
+
+impl LaneFlow {
+    fn head_index(&self) -> Option<usize> {
+        self.queue.get(self.head).copied()
+    }
+}
+
+/// Serves one device lane's share of a batch, delivering each outcome to
+/// `deliver(request index, outcome)`; `deliver` returns `false` to stop
+/// early (the batch collector went away).
+///
+/// While every request on the lane carries the same weight — the default —
+/// the lane is the plain FIFO it has always been: requests execute in
+/// request order, bit for bit identical to pre-weight scheduling. Mixed
+/// weights switch the lane to **deficit round robin** over per-flow FIFO
+/// sub-queues ([`RunRequest::weighted`](crate::RunRequest::weighted)):
+///
+/// * each round visits the flows in first-appearance order; a flow whose
+///   head has *arrived* (on the lane's simulated stream clock) earns
+///   `quantum × weight` of credit and serves requests while its credit
+///   stays positive, with each request's **actual simulated service time**
+///   charged against the credit afterwards (so no a-priori cost model is
+///   needed — an expensive request just drives the flow's credit negative
+///   and it sits out following rounds);
+/// * a flow that drains its queue forfeits leftover credit (standard DRR:
+///   credit never accumulates across backlog periods);
+/// * when no flow has an arrived head, the lane has gone idle: credits
+///   reset (a new busy period starts) and the earliest-arriving head is
+///   served, advancing the stream clock through the idle gap — the lane
+///   stays work-conserving.
+///
+/// Everything the scheduler consults — arrivals, the stream clock, service
+/// times — is simulated time, so the dispatch order is deterministic and
+/// identical across pool sizes and across the serial and parallel batch
+/// paths. Over a saturated stretch each flow's lane busy-time share
+/// converges to `weight / Σ weights`.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn run_lane(
+    engine: &RuntimeEngine,
+    ssd: &SsdConfig,
+    slot: &DeviceSlot,
+    plans: &[RunPlan],
+    indices: &[usize],
+    base: SimTime,
+    quantum: Duration,
+    mut deliver: impl FnMut(usize, Result<RunOutcome>) -> bool,
+) {
+    let uniform = indices
+        .windows(2)
+        .all(|w| plans[w[0]].weight == plans[w[1]].weight);
+    if uniform {
+        for &i in indices {
+            let outcome = execute_on_lane(engine, ssd, slot, &plans[i], Some(base));
+            if !deliver(i, outcome) {
+                return;
+            }
+        }
+        return;
+    }
+
+    // Per-flow sub-queues in order of first appearance (deterministic in
+    // request order).
+    let mut flows: Vec<(u32, LaneFlow)> = Vec::new();
+    for &i in indices {
+        let key = plans[i].flow;
+        match flows.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, flow)) => flow.queue.push(i),
+            None => flows.push((
+                key,
+                LaneFlow {
+                    queue: vec![i],
+                    head: 0,
+                    credit: 0,
+                },
+            )),
+        }
+    }
+    let quantum_ps = quantum.as_ps().max(1) as i128;
+    let arrival = |i: usize| base + plans[i].arrival;
+    let clock = || slot.lane.lock().expect("device-lane mutex poisoned").clock;
+    let mut serve = |flows: &mut Vec<(u32, LaneFlow)>, fi: usize| -> Option<bool> {
+        let i = flows[fi].1.head_index()?;
+        let outcome = execute_on_lane(engine, ssd, slot, &plans[i], Some(base));
+        let service = outcome
+            .as_ref()
+            .map(|o| o.summary.service_time)
+            .unwrap_or(Duration::ZERO);
+        let flow = &mut flows[fi].1;
+        flow.head += 1;
+        flow.credit -= service.as_ps() as i128;
+        Some(deliver(i, outcome))
+    };
+
+    let mut remaining = indices.len();
+    while remaining > 0 {
+        let mut served_this_round = false;
+        for fi in 0..flows.len() {
+            let Some(head) = flows[fi].1.head_index() else {
+                continue;
+            };
+            if arrival(head) > clock() {
+                // Not backlogged right now: no top-up, no service. The flow
+                // keeps any leftover credit for when its stream resumes.
+                continue;
+            }
+            let weight = plans[head].weight.max(1) as i128;
+            flows[fi].1.credit += quantum_ps * weight;
+            while flows[fi].1.credit > 0 {
+                let Some(i) = flows[fi].1.head_index() else {
+                    break;
+                };
+                if arrival(i) > clock() {
+                    break;
+                }
+                match serve(&mut flows, fi) {
+                    Some(true) => {
+                        remaining -= 1;
+                        served_this_round = true;
+                    }
+                    _ => return,
+                }
+            }
+            if flows[fi].1.head_index().is_none() {
+                // A drained flow forfeits leftover credit.
+                flows[fi].1.credit = 0;
+            }
+        }
+        if served_this_round || remaining == 0 {
+            continue;
+        }
+        let now = clock();
+        let any_eligible = flows
+            .iter()
+            .any(|(_, f)| f.head_index().is_some_and(|i| arrival(i) <= now));
+        if any_eligible {
+            // Backlogged flows exist but are all in credit debt: rounds cost
+            // no simulated time, so just keep topping up until one goes
+            // positive.
+            continue;
+        }
+        // The lane went idle: every remaining head arrives in the future.
+        // The busy period is over — credits reset — and the next one opens
+        // with the earliest-arriving head (ties break by flow position).
+        for (_, flow) in &mut flows {
+            flow.credit = 0;
+        }
+        let next = flows
+            .iter()
+            .enumerate()
+            .filter_map(|(fi, (_, f))| f.head_index().map(|i| (arrival(i), fi)))
+            .min()
+            .map(|(_, fi)| fi)
+            .expect("remaining > 0 implies a nonempty flow");
+        match serve(&mut flows, next) {
+            Some(true) => remaining -= 1,
+            _ => return,
+        }
+    }
+}
+
+/// Default deficit-round-robin quantum for weighted device lanes: the
+/// per-round credit a weight-1 flow earns (see
+/// [`RunRequest::weighted`](crate::RunRequest::weighted)). Small relative to
+/// typical service times, so shares track weights smoothly; the exact
+/// value only shapes interleaving granularity, not the long-run weight
+/// shares.
+pub const DEFAULT_DRR_QUANTUM: Duration = Duration::from_ps(10_000_000); // 10 µs

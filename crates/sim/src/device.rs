@@ -99,10 +99,7 @@ impl OpCompletion {
 /// See the crate-level documentation for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct SsdDevice {
-    /// The immutable substrate models, shareable across threads. The
-    /// parallel strip-evaluation path hands a clone of this [`Arc`] to
-    /// worker threads so they can answer pure estimate queries while the
-    /// committing thread holds `&mut SsdDevice`.
+    /// The immutable substrate models, shared by clones of the device.
     models: Arc<DeviceModels>,
     #[allow(dead_code)]
     cores: CoreAllocation,
@@ -114,9 +111,7 @@ pub struct SsdDevice {
 /// the precomputed [`EstimateTable`], all pure functions of the
 /// [`SsdConfig`]. Nothing in here ever mutates after construction, so a
 /// `DeviceModels` is freely shareable (`Send + Sync`) and answers the
-/// state-independent estimate queries the batched engine hoists per strip —
-/// including on worker threads, concurrently with the owning device
-/// executing commits.
+/// state-independent estimate queries the engine looks up once per strip.
 #[derive(Debug)]
 pub struct DeviceModels {
     cfg: SsdConfig,
@@ -211,8 +206,7 @@ impl DeviceModels {
     }
 
     /// Hoists a whole strip's per-resource compute and static-move
-    /// estimates (see [`SsdDevice::estimate_strip`]). Pure, so worker
-    /// threads can evaluate strips concurrently with the committing thread.
+    /// estimates (see [`SsdDevice::estimate_strip`]).
     #[inline]
     pub fn estimate_strip(
         &self,
@@ -279,13 +273,6 @@ impl SsdDevice {
     /// The device configuration.
     pub fn config(&self) -> &SsdConfig {
         &self.models.cfg
-    }
-
-    /// A shareable handle to the immutable substrate models (see
-    /// [`DeviceModels`]). Cloning the [`Arc`] is cheap; worker threads use
-    /// it to answer estimate queries while the owner mutates device state.
-    pub fn models(&self) -> Arc<DeviceModels> {
-        Arc::clone(&self.models)
     }
 
     /// The persistent device state (read-only).
@@ -548,45 +535,6 @@ impl SsdDevice {
     /// per-instruction energy is charged `count` times in order so the
     /// floating-point accumulation in the energy meter is unchanged.
     pub fn offloader_busy_strip(
-        &mut self,
-        dur: Duration,
-        earliest: SimTime,
-        count: u64,
-    ) -> StripWindow {
-        let probed = self.probe_offloader_strip(dur, earliest, count);
-        let committed = self.commit_offloader_strip(dur, earliest, count);
-        debug_assert_eq!(
-            probed, committed,
-            "an un-interleaved probe must predict its commit exactly"
-        );
-        committed
-    }
-
-    /// Pure half of [`SsdDevice::offloader_busy_strip`]: the
-    /// [`StripWindow`] a strip arriving at `earliest` *would* get, without
-    /// touching the offloader-core timeline or the energy meter. Exact as
-    /// long as no other reservation lands before the matching
-    /// [`SsdDevice::commit_offloader_strip`].
-    pub fn probe_offloader_strip(
-        &self,
-        dur: Duration,
-        earliest: SimTime,
-        count: u64,
-    ) -> StripWindow {
-        let (start, _end) = self.state.offloader_core.probe_batch(earliest, dur, count);
-        StripWindow {
-            first_ready: start + dur,
-            step: dur,
-            energy_each: Energy::from_power(self.models.cfg.ctrl.core_power_w, dur),
-        }
-    }
-
-    /// Commit half of [`SsdDevice::offloader_busy_strip`]: applies the
-    /// strip's offloader-core reservation and charges the per-instruction
-    /// energy `count` times in order (so the floating-point accumulation in
-    /// the energy meter matches `count` chained
-    /// [`SsdDevice::offloader_busy`] calls exactly).
-    pub fn commit_offloader_strip(
         &mut self,
         dur: Duration,
         earliest: SimTime,

@@ -306,9 +306,9 @@ impl EstimateTable {
     /// location to each resource's home location, all at the strip's shape.
     ///
     /// Table hits and exact fallbacks are combined per entry exactly as the
-    /// scalar path would ([`Resource::supports`] first, then the tabled or
-    /// exact estimate), so a [`StripEstimates`] answer is bit-identical to
-    /// per-instruction queries.
+    /// per-instruction queries combine them ([`Resource::supports`] first,
+    /// then the tabled or exact estimate), so a [`StripEstimates`] answer is
+    /// bit-identical to those queries.
     #[allow(clippy::too_many_arguments)]
     pub fn estimate_batch(
         &self,

@@ -104,10 +104,8 @@ impl SharedResource {
     /// each call's `earliest` is at or before the previous end (each slot
     /// then starts exactly at `busy_until`): `busy_until`, `total_busy` and
     /// `completed` land on the same values because all the arithmetic is
-    /// integer picoseconds. This is the *commit* half of the two-phase
-    /// protocol: the batched engine probes windows speculatively (possibly
-    /// on worker threads) and commits them in program order, so the
-    /// committed timeline is bit-identical to the sequential one.
+    /// integer picoseconds. The engine reserves a strip's offloader-core
+    /// windows this way.
     pub fn commit_batch(
         &mut self,
         earliest: SimTime,

@@ -1,40 +1,80 @@
-//! Differential tests for the batched (strip-mined) run loop: the scalar
-//! per-instruction loop is the reference implementation, and the batched
-//! path — the default — must be bit-identical to it for every workload,
-//! every policy, fresh and warm devices, serial and pooled submission.
-//! `RunRequest::scalar` / `RunOptions::scalar` is the same escape hatch the
-//! `CONDUIT_SCALAR=1` environment variable flips process-wide (CI runs the
-//! whole perf-gate under both modes and diffs the output).
+//! The strip-batched run loop against the golden outcome oracle.
+//!
+//! The engine once had three run loops: a per-instruction scalar loop, the
+//! strip-batched loop, and a pooled evaluate/commit loop. Before the scalar
+//! and pooled loops were deleted, every scenario below was recorded into
+//! `tests/golden/batched_*.txt` from the scalar reference loop
+//! (`CONDUIT_SCALAR=1`), and the other two loops reproduced those files byte
+//! for byte. The batched loop — now the only one — must keep reproducing
+//! them: for every workload and policy, on fresh and warm devices, submitted
+//! one at a time or fanned out across a thread pool. See `tests/common` for
+//! the file format and `CONDUIT_REGEN_GOLDEN=1`.
+
+mod common;
 
 use std::collections::BTreeSet;
 
-use conduit::{Policy, RunOptions, RunRequest, RuntimeEngine, Session, StripPlan};
+use common::{report_line, Golden};
+use conduit::{
+    Policy, RunOptions, RunOutcome, RunReport, RunRequest, RuntimeEngine, Session, StripPlan,
+};
 use conduit_types::{
     DataLocation, LogicalPageId, OpType, Operand, SsdConfig, VectorInst, VectorProgram,
 };
 use conduit_workloads::{Scale, Workload};
 
-#[test]
-fn batched_path_matches_scalar_for_every_workload_and_policy() {
-    let mut session = Session::builder(SsdConfig::small_for_tests()).build();
+/// Every workload × policy at test scale, with timelines, rendered in
+/// workload-major order into `golden`.
+fn every_workload_and_policy(session: &mut Session, batched: bool, mut golden: Golden) -> Golden {
+    let mut requests = Vec::new();
+    let mut labels = Vec::new();
     for workload in Workload::ALL {
         let id = session
             .register(workload.program(Scale::test()).unwrap())
             .unwrap();
         for policy in Policy::ALL {
-            let batched = session
-                .submit(&RunRequest::new(id, policy).timeline(true))
-                .unwrap();
-            let scalar = session
-                .submit(&RunRequest::new(id, policy).timeline(true).scalar())
-                .unwrap();
-            assert_eq!(
-                batched, scalar,
-                "{workload}/{policy}: batched outcome diverged from the scalar reference"
-            );
+            requests.push(RunRequest::new(id, policy).timeline(true));
+            labels.push(format!("{workload}/{policy}"));
         }
     }
+    let outcomes: Vec<RunOutcome> = if batched {
+        session.submit_batch(&requests).unwrap()
+    } else {
+        requests
+            .iter()
+            .map(|r| session.submit(r).unwrap())
+            .collect()
+    };
+    for (label, outcome) in labels.iter().zip(&outcomes) {
+        golden.outcome(label, outcome);
+    }
+    golden
 }
+
+#[test]
+fn batched_path_matches_scalar_for_every_workload_and_policy() {
+    let mut session = Session::builder(SsdConfig::small_for_tests()).build();
+    let golden = Golden::new("batched_every_workload_and_policy");
+    every_workload_and_policy(&mut session, false, golden).check();
+}
+
+#[test]
+fn parallel_path_matches_scalar_for_every_workload_policy_and_pool_size() {
+    // The fresh fan-out of `submit_batch` on pools of every size reproduces
+    // the serially recorded outcomes.
+    for workers in [2, 4, 8] {
+        let mut session = Session::builder(SsdConfig::small_for_tests())
+            .workers(workers)
+            .build();
+        let golden = Golden::same_as("batched_every_workload_and_policy");
+        every_workload_and_policy(&mut session, true, golden).check();
+    }
+}
+
+/// The warm-device stream of the two warm tests: three rounds of Conduit,
+/// DM-Offloading and Ideal on jacobi-1d, each round's outcomes in order.
+const WARM_ROUNDS: usize = 3;
+const WARM_POLICIES: [Policy; 3] = [Policy::Conduit, Policy::DmOffloading, Policy::Ideal];
 
 #[test]
 fn batched_path_matches_scalar_on_warm_devices() {
@@ -42,40 +82,57 @@ fn batched_path_matches_scalar_on_warm_devices() {
     let id = session
         .register(Workload::Jacobi1d.program(Scale::test()).unwrap())
         .unwrap();
-    let warm_batched = session.create_device("warm-batched");
-    let warm_scalar = session.create_device("warm-scalar");
-
-    // Age both devices through the same request stream, one per mode. Every
-    // round must agree — which also proves each round left the two devices'
-    // FTL/coherence state identical for the next.
-    for round in 0..3 {
-        for policy in [Policy::Conduit, Policy::DmOffloading, Policy::Ideal] {
-            let batched = session
-                .submit(
-                    &RunRequest::new(id, policy)
-                        .on_device(warm_batched)
-                        .timeline(true),
-                )
+    let device = session.create_device("warm");
+    let mut golden = Golden::new("batched_warm_device");
+    for round in 0..WARM_ROUNDS {
+        for policy in WARM_POLICIES {
+            let outcome = session
+                .submit(&RunRequest::new(id, policy).on_device(device).timeline(true))
                 .unwrap();
-            let scalar = session
-                .submit(
-                    &RunRequest::new(id, policy)
-                        .on_device(warm_scalar)
-                        .timeline(true)
-                        .scalar(),
-                )
-                .unwrap();
-            assert_eq!(
-                batched, scalar,
-                "round {round}/{policy}: warm-device outcome diverged"
-            );
+            golden.outcome(format!("round{round}/{policy}"), &outcome);
         }
     }
-    assert_eq!(
-        session.device_snapshot(warm_batched),
-        session.device_snapshot(warm_scalar),
-        "warm devices aged differently under the two paths"
-    );
+    golden.snapshot("final", &session.device_snapshot(device));
+    golden.check();
+}
+
+#[test]
+fn parallel_path_matches_scalar_on_warm_devices_across_rounds() {
+    // Three devices age through the same stream, each round submitted as
+    // one batch whose three device lanes run in parallel on the pool. Every
+    // device must reproduce the serially recorded stream, which also proves
+    // each round left the devices' FTL/coherence state identical.
+    let mut session = Session::builder(SsdConfig::small_for_tests())
+        .workers(4)
+        .build();
+    let id = session
+        .register(Workload::Jacobi1d.program(Scale::test()).unwrap())
+        .unwrap();
+    let devices: Vec<_> = (0..3)
+        .map(|d| session.create_device(&format!("warm-{d}")))
+        .collect();
+    let mut goldens: Vec<Golden> = devices
+        .iter()
+        .map(|_| Golden::same_as("batched_warm_device"))
+        .collect();
+    for round in 0..WARM_ROUNDS {
+        for policy in WARM_POLICIES {
+            let requests: Vec<RunRequest> = devices
+                .iter()
+                .map(|&d| RunRequest::new(id, policy).on_device(d).timeline(true))
+                .collect();
+            let outcomes = session.submit_batch(&requests).unwrap();
+            for (golden, outcome) in goldens.iter_mut().zip(&outcomes) {
+                golden.outcome(format!("round{round}/{policy}"), outcome);
+            }
+        }
+    }
+    for (golden, &device) in goldens.iter_mut().zip(&devices) {
+        golden.snapshot("final", &session.device_snapshot(device));
+    }
+    for golden in goldens {
+        golden.check();
+    }
 }
 
 #[test]
@@ -84,56 +141,40 @@ fn batched_path_matches_scalar_under_the_thread_pool() {
         .workers(4)
         .build();
     let mut requests = Vec::new();
+    let mut labels = Vec::new();
     for workload in [Workload::Aes, Workload::LlamaInference] {
         let id = session
             .register(workload.program(Scale::test()).unwrap())
             .unwrap();
         for policy in [Policy::Conduit, Policy::DmOffloading, Policy::Ideal] {
-            // Adjacent batched/scalar pairs of the same request.
             requests.push(RunRequest::new(id, policy).timeline(true));
-            requests.push(RunRequest::new(id, policy).timeline(true).scalar());
+            labels.push(format!("{workload}/{policy}"));
         }
     }
     let pooled = session.submit_batch(&requests).unwrap();
-    for (pair, chunk) in pooled.chunks(2).enumerate() {
+    let mut golden = Golden::new("batched_thread_pool");
+    for (i, (label, outcome)) in labels.iter().zip(&pooled).enumerate() {
+        golden.outcome(label, outcome);
+        // And the pooled results match serial submission of the same
+        // requests.
         assert_eq!(
-            chunk[0], chunk[1],
-            "pair {pair}: pooled batched outcome diverged from pooled scalar"
-        );
-    }
-    // And the pooled results match serial submission of the same requests.
-    for (i, request) in requests.iter().enumerate() {
-        assert_eq!(
-            pooled[i],
-            session.submit(request).unwrap(),
+            *outcome,
+            session.submit(&requests[i]).unwrap(),
             "request {i}: pooled outcome diverged from serial"
         );
     }
+    golden.check();
 }
 
-/// Runs `program` on a fresh device under both paths and asserts equality;
-/// returns the batched report.
-fn differential(program: &VectorProgram, policy: Policy) -> conduit::RunReport {
+/// Runs `program` under `policy` on a fresh device through the engine API.
+fn run_fresh(program: &VectorProgram, policy: Policy) -> RunReport {
     let cfg = SsdConfig::small_for_tests();
     let engine = RuntimeEngine::new(&cfg);
-    let run = |scalar: bool| {
-        let mut device = conduit_sim::SsdDevice::new(&cfg).unwrap();
-        engine.prepare(&mut device, program).unwrap();
-        let mut options = RunOptions::new(policy);
-        if scalar {
-            options = options.scalar();
-        }
-        engine.run(&mut device, program, &options).unwrap()
-    };
-    let batched = run(false);
-    let scalar = run(true);
-    assert_eq!(
-        batched,
-        scalar,
-        "{}/{policy}: batched diverged from scalar",
-        program.name()
-    );
-    batched
+    let mut device = conduit_sim::SsdDevice::new(&cfg).unwrap();
+    engine.prepare(&mut device, program).unwrap();
+    engine
+        .run(&mut device, program, &RunOptions::new(policy))
+        .unwrap()
 }
 
 #[test]
@@ -143,10 +184,13 @@ fn single_instruction_programs_are_one_strip_and_match_scalar() {
     let plan = StripPlan::plan(&prog, Policy::Conduit, conduit::CostFunction::conduit());
     assert_eq!(plan.strips().len(), 1);
     assert_eq!((plan.strips()[0].start, plan.strips()[0].len), (0, 1));
+    let mut golden = Golden::new("batched_single_instruction");
     for policy in Policy::ALL {
-        let report = differential(&prog, policy);
+        let report = run_fresh(&prog, policy);
         assert_eq!(report.instructions, 1);
+        golden.line(report_line(policy, &report));
     }
+    golden.check();
 }
 
 #[test]
@@ -184,6 +228,7 @@ fn fully_heterogeneous_programs_degenerate_to_unit_strips_and_match_scalar() {
     let plan = StripPlan::plan(&prog, Policy::Conduit, conduit::CostFunction::conduit());
     assert_eq!(plan.strips().len(), prog.len());
     assert!(plan.strips().iter().all(|s| s.len == 1));
+    let mut golden = Golden::new("batched_heterogeneous");
     for policy in [
         Policy::Conduit,
         Policy::DmOffloading,
@@ -191,8 +236,9 @@ fn fully_heterogeneous_programs_degenerate_to_unit_strips_and_match_scalar() {
         Policy::HostCpu,
         Policy::AresFlash,
     ] {
-        differential(&prog, policy);
+        golden.line(report_line(policy, &run_fresh(&prog, policy)));
     }
+    golden.check();
 }
 
 #[test]
@@ -200,8 +246,7 @@ fn warm_coherence_state_flips_placement_mid_strip() {
     // Warm a device so that only the first instruction's operands are
     // DRAM-resident, then run one homogeneous three-instruction strip under
     // DM-Offloading: placement must change *inside* the strip (the plan
-    // never pins dynamic decisions), and the batched path must still match
-    // the scalar reference bit for bit.
+    // never pins dynamic decisions).
     let cfg = SsdConfig::small_for_tests();
     let engine = RuntimeEngine::new(&cfg);
 
@@ -212,26 +257,22 @@ fn warm_coherence_state_flips_placement_mid_strip() {
     hot.push_binary(OpType::Xor, Operand::page(8), Operand::page(12));
     hot.push_binary(OpType::Xor, Operand::page(16), Operand::page(20));
 
-    let run = |scalar: bool| {
-        let mut device = conduit_sim::SsdDevice::new(&cfg).unwrap();
-        engine.prepare(&mut device, &warm).unwrap();
-        engine.prepare(&mut device, &hot).unwrap();
-        let mut warm_options = RunOptions::new(Policy::IspOnly);
-        let mut hot_options = RunOptions::new(Policy::DmOffloading);
-        if scalar {
-            warm_options = warm_options.scalar();
-            hot_options = hot_options.scalar();
-        }
-        // ISP executes out of DRAM: pages 0..8 become DRAM-resident.
-        engine.run(&mut device, &warm, &warm_options).unwrap();
-        assert_eq!(device.locate(LogicalPageId::new(0)), DataLocation::Dram);
-        assert_eq!(device.locate(LogicalPageId::new(8)), DataLocation::Flash);
-        engine.run(&mut device, &hot, &hot_options).unwrap()
-    };
-
-    let batched = run(false);
-    let scalar = run(true);
-    assert_eq!(batched, scalar, "warm mid-strip run diverged");
+    let mut device = conduit_sim::SsdDevice::new(&cfg).unwrap();
+    engine.prepare(&mut device, &warm).unwrap();
+    engine.prepare(&mut device, &hot).unwrap();
+    // ISP executes out of DRAM: pages 0..8 become DRAM-resident.
+    engine
+        .run(&mut device, &warm, &RunOptions::new(Policy::IspOnly))
+        .unwrap();
+    assert_eq!(device.locate(LogicalPageId::new(0)), DataLocation::Dram);
+    assert_eq!(device.locate(LogicalPageId::new(8)), DataLocation::Flash);
+    let report = engine
+        .run(&mut device, &hot, &RunOptions::new(Policy::DmOffloading))
+        .unwrap();
+    let mut golden = Golden::new("batched_mid_strip_flip");
+    golden.line(report_line("hot-strip/DM-Offloading", &report));
+    golden.snapshot("device", &device.snapshot());
+    golden.check();
 
     // The whole hot program is one strip (same op and shape throughout) …
     let plan = StripPlan::plan(&hot, Policy::DmOffloading, conduit::CostFunction::conduit());
@@ -239,7 +280,7 @@ fn warm_coherence_state_flips_placement_mid_strip() {
     assert_eq!(plan.strips()[0].site, None);
     // … yet the warm coherence state forces more than one execution site
     // within it.
-    let sites: BTreeSet<_> = batched
+    let sites: BTreeSet<_> = report
         .timeline
         .iter()
         .map(|e| format!("{:?}", e.site))
@@ -250,172 +291,13 @@ fn warm_coherence_state_flips_placement_mid_strip() {
     );
 }
 
-// ---------------------------------------------------------------------
-// The parallel (DAG-scheduled) evaluate/commit path. `RunRequest::
-// sequential_strips` / `CONDUIT_SEQ_STRIPS=1` is its escape hatch, the
-// same way `scalar` / `CONDUIT_SCALAR=1` gates the batched loop.
-// ---------------------------------------------------------------------
-
-#[test]
-fn parallel_path_matches_scalar_for_every_workload_policy_and_pool_size() {
-    let mut serial = Session::builder(SsdConfig::small_for_tests())
-        .workers(1)
-        .build();
-    let serial_ids: Vec<_> = Workload::ALL
-        .iter()
-        .map(|w| serial.register(w.program(Scale::test()).unwrap()).unwrap())
-        .collect();
-    for workers in [2, 4, 8] {
-        let mut session = Session::builder(SsdConfig::small_for_tests())
-            .workers(workers)
-            .build();
-        for (wi, workload) in Workload::ALL.iter().enumerate() {
-            let id = session
-                .register(workload.program(Scale::test()).unwrap())
-                .unwrap();
-            for policy in Policy::ALL {
-                let parallel = session
-                    .submit(&RunRequest::new(id, policy).timeline(true))
-                    .unwrap();
-                let sequential = session
-                    .submit(
-                        &RunRequest::new(id, policy)
-                            .timeline(true)
-                            .sequential_strips(),
-                    )
-                    .unwrap();
-                let scalar = session
-                    .submit(&RunRequest::new(id, policy).timeline(true).scalar())
-                    .unwrap();
-                assert_eq!(
-                    parallel, sequential,
-                    "{workers} workers, {workload}/{policy}: parallel diverged from sequential strips"
-                );
-                assert_eq!(
-                    parallel, scalar,
-                    "{workers} workers, {workload}/{policy}: parallel diverged from scalar"
-                );
-                let lone = serial
-                    .submit(&RunRequest::new(serial_ids[wi], policy).timeline(true))
-                    .unwrap();
-                assert_eq!(
-                    parallel, lone,
-                    "{workers} workers, {workload}/{policy}: parallel diverged from a serial session"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_path_matches_scalar_on_warm_devices_across_rounds() {
-    let mut session = Session::builder(SsdConfig::small_for_tests())
-        .workers(4)
-        .build();
-    let id = session
-        .register(Workload::Jacobi1d.program(Scale::test()).unwrap())
-        .unwrap();
-    let dev_parallel = session.create_device("warm-parallel");
-    let dev_sequential = session.create_device("warm-sequential");
-    let dev_scalar = session.create_device("warm-scalar");
-
-    // Age three devices through the same stream, one per mode. Every round
-    // must agree — which also proves each round left all three devices'
-    // FTL/coherence state identical for the next.
-    for round in 0..3 {
-        for policy in [Policy::Conduit, Policy::DmOffloading, Policy::Ideal] {
-            let parallel = session
-                .submit(
-                    &RunRequest::new(id, policy)
-                        .on_device(dev_parallel)
-                        .timeline(true),
-                )
-                .unwrap();
-            let sequential = session
-                .submit(
-                    &RunRequest::new(id, policy)
-                        .on_device(dev_sequential)
-                        .timeline(true)
-                        .sequential_strips(),
-                )
-                .unwrap();
-            let scalar = session
-                .submit(
-                    &RunRequest::new(id, policy)
-                        .on_device(dev_scalar)
-                        .timeline(true)
-                        .scalar(),
-                )
-                .unwrap();
-            assert_eq!(
-                parallel, sequential,
-                "round {round}/{policy}: warm parallel diverged from sequential strips"
-            );
-            assert_eq!(
-                parallel, scalar,
-                "round {round}/{policy}: warm parallel diverged from scalar"
-            );
-        }
-    }
-    let parallel_snapshot = session.device_snapshot(dev_parallel);
-    assert_eq!(
-        parallel_snapshot,
-        session.device_snapshot(dev_sequential),
-        "warm devices aged differently under parallel vs sequential strips"
-    );
-    assert_eq!(
-        parallel_snapshot,
-        session.device_snapshot(dev_scalar),
-        "warm devices aged differently under parallel vs scalar"
-    );
-}
-
-#[test]
-fn parallel_run_reports_evaluator_diagnostics() {
-    // Many independent same-shaped strips, split by op changes: every strip
-    // is DAG-independent (no cross-strip results, no stores), so all of
-    // them are speculation-eligible under Conduit.
-    let mut prog = VectorProgram::new("diagnostics");
-    for k in 0..24u64 {
-        let op = if k % 2 == 0 { OpType::Xor } else { OpType::Add };
-        prog.push_binary(op, Operand::page(k * 8), Operand::page(k * 8 + 4));
-    }
-    let mut session = Session::builder(SsdConfig::small_for_tests())
-        .workers(4)
-        .build();
-    let id = session.register(prog).unwrap();
-    let outcome = session
-        .submit(&RunRequest::new(id, Policy::Conduit))
-        .unwrap();
-    let stats = outcome.summary.parallelism;
-    // Every strip goes through the two-phase evaluator exactly once,
-    // whether a worker or the committer evaluated it.
-    assert_eq!(stats.evals(), 24, "one eval per strip: {stats:?}");
-    // Placement speculation is deterministic (it only depends on the
-    // program and the device models), and every strip here is eligible.
-    assert_eq!(
-        stats.speculation_hits + stats.speculation_misses,
-        24,
-        "every independent strip speculates: {stats:?}"
-    );
-    // The sequential and scalar paths never touch the evaluator.
-    let sequential = session
-        .submit(&RunRequest::new(id, Policy::Conduit).sequential_strips())
-        .unwrap();
-    assert_eq!(sequential.summary.parallelism.evals(), 0);
-    let scalar = session
-        .submit(&RunRequest::new(id, Policy::Conduit).scalar())
-        .unwrap();
-    assert_eq!(scalar.summary.parallelism.evals(), 0);
-}
-
 #[test]
 fn l2p_miss_cadence_is_identical_in_every_mode_and_restarts_per_repeat() {
     // A deterministic L2P miss period of 4 (hit rate 0.75): in a run that
     // charges overheads every instruction bumps the lookup counter exactly
-    // once, so misses land on global instruction indices 3, 7, 11, 15 —
-    // regardless of strip boundaries and of which thread computed the
-    // overhead.
+    // once, so misses land on instruction indices 3, 7, 11, 15 — regardless
+    // of strip boundaries, of whether the run was submitted alone or in a
+    // pooled batch, and of whether the device is fresh or warm.
     let mut cfg = SsdConfig::small_for_tests();
     cfg.l2p_cache_hit_rate = 0.75;
     let overheads = conduit::OverheadModel::new(&cfg);
@@ -425,8 +307,8 @@ fn l2p_miss_cadence_is_identical_in_every_mode_and_restarts_per_repeat() {
     }
 
     // Two strips (op change at instruction 10), so the cadence crosses a
-    // strip boundary: the second strip's precomputed overheads must pick up
-    // the counter mid-period, not restart it.
+    // strip boundary: the second strip must pick up the counter
+    // mid-period, not restart it.
     let mut prog = VectorProgram::new("cadence");
     for k in 0..10u64 {
         prog.push_binary(OpType::Xor, Operand::page(k * 8), Operand::page(k * 8 + 4));
@@ -437,50 +319,31 @@ fn l2p_miss_cadence_is_identical_in_every_mode_and_restarts_per_repeat() {
 
     let mut session = Session::builder(cfg).workers(4).build();
     let id = session.register(prog).unwrap();
-    let parallel = session
-        .submit(&RunRequest::new(id, Policy::Conduit))
+    let request = RunRequest::new(id, Policy::Conduit);
+    let lone = session.submit(&request).unwrap();
+    let pooled = session
+        .submit_batch(&[request.clone(), request.clone()])
         .unwrap();
-    let sequential = session
-        .submit(&RunRequest::new(id, Policy::Conduit).sequential_strips())
-        .unwrap();
-    let scalar = session
-        .submit(&RunRequest::new(id, Policy::Conduit).scalar())
-        .unwrap();
-    assert_eq!(parallel.summary.overhead, expected, "parallel cadence");
-    assert_eq!(sequential.summary.overhead, expected, "sequential cadence");
-    assert_eq!(scalar.summary.overhead, expected, "scalar cadence");
-    assert_eq!(parallel, sequential);
-    assert_eq!(parallel, scalar);
+    assert_eq!(lone.summary.overhead, expected, "lone submit cadence");
+    assert_eq!(pooled[0], lone);
+    assert_eq!(pooled[1], lone);
 
     // The lookup counter is per run: across repeat boundaries the cadence
-    // restarts (repeat 2 misses on the same in-run indices as repeat 1), in
-    // every mode. The summary carries the final repeat's report, so a
-    // counter leaking across repeats would shift its miss pattern and the
-    // totals would differ.
-    let warm_parallel = session.create_device("cadence-parallel");
-    let warm_scalar = session.create_device("cadence-scalar");
+    // restarts (repeat 2 misses on the same in-run indices as repeat 1).
+    // The summary carries the final repeat's report, so a counter leaking
+    // across repeats would shift its miss pattern and the totals would
+    // differ.
+    let warm = session.create_device("cadence");
     let repeated = session
-        .submit(
-            &RunRequest::new(id, Policy::Conduit)
-                .on_device(warm_parallel)
-                .repeat(3),
-        )
-        .unwrap();
-    let repeated_scalar = session
-        .submit(
-            &RunRequest::new(id, Policy::Conduit)
-                .on_device(warm_scalar)
-                .repeat(3)
-                .scalar(),
-        )
+        .submit(&request.clone().on_device(warm).repeat(3))
         .unwrap();
     assert_eq!(
         repeated.summary.overhead, expected,
         "cadence must restart at each repeat boundary"
     );
-    assert_eq!(repeated, repeated_scalar);
-    assert_eq!(
-        session.device_snapshot(warm_parallel),
-        session.device_snapshot(warm_scalar)
-    );
+    let mut golden = Golden::new("batched_l2p_cadence");
+    golden.outcome("fresh", &lone);
+    golden.outcome("warm-repeat3", &repeated);
+    golden.snapshot("warm-device", &session.device_snapshot(warm));
+    golden.check();
 }
