@@ -1,17 +1,15 @@
 //! Microbenchmarks of the substrate models themselves: per-operation cost
 //! evaluation for each compute resource, the precomputed estimate-table
 //! lookups that replace them on the hot path, address arithmetic, the
-//! auto-vectorizer, the event queue, and the allocation-free energy meter.
+//! auto-vectorizer, and the allocation-free energy meter.
 //! These bound the simulator's own overhead per modelled instruction.
 
 use conduit_bench::micro::{self, black_box};
 use conduit_ctrl::IspModel;
 use conduit_dram::PudModel;
 use conduit_flash::{FlashGeometry, IfpModel, IfpPlacement};
-use conduit_sim::{EnergyMeter, EventQueue, SsdDevice};
-use conduit_types::{
-    Duration, Energy, EnergySource, FlashConfig, OpType, Resource, SimTime, SsdConfig,
-};
+use conduit_sim::{EnergyMeter, SsdDevice};
+use conduit_types::{Energy, EnergySource, FlashConfig, OpType, Resource, SsdConfig};
 use conduit_vectorizer::Vectorizer;
 use conduit_workloads::{Scale, Workload};
 
@@ -66,18 +64,6 @@ fn main() {
     micro::bench("flash_addr_roundtrip", || {
         let addr = geo.addr_of(black_box(1_234_567));
         geo.index_of(addr)
-    });
-
-    micro::bench("event_queue_1k_schedule_pop", || {
-        let mut q = EventQueue::new();
-        for i in 0..1_000u64 {
-            q.schedule(SimTime::ZERO + Duration::from_ns(i as f64), i);
-        }
-        let mut last = 0;
-        while let Some((_, e)) = q.pop() {
-            last = e;
-        }
-        last
     });
 
     let kernel = Workload::Jacobi1d.kernel(Scale::test());

@@ -37,12 +37,23 @@ pub struct ThroughputReport {
     /// paper scale. Recorded in the JSON so `repro perf-gate` refuses to
     /// compare measurements taken at different scales.
     pub quick: bool,
-    /// Vector instructions simulated during the timed section.
+    /// Vector instructions simulated during the timed section (all
+    /// passes).
     pub instructions: u64,
-    /// Wall-clock seconds of the timed section.
+    /// Wall-clock seconds of the timed section (all passes).
     pub wall_seconds: f64,
-    /// Instructions simulated per second (the headline number).
+    /// Instructions simulated per second over the whole timed section (the
+    /// headline number).
     pub instructions_per_sec: f64,
+    /// Timed passes over the workload set; each pass is timed on its own
+    /// so the spread below is real.
+    pub passes: usize,
+    /// First quartile of the per-pass instructions per second.
+    pub instructions_per_sec_q1: f64,
+    /// Median of the per-pass instructions per second.
+    pub instructions_per_sec_median: f64,
+    /// Third quartile of the per-pass instructions per second.
+    pub instructions_per_sec_q3: f64,
     /// Simulated device operations (contended-timeline reservations) the
     /// timed section performed. Fully deterministic for a given code
     /// version: the same program stream always schedules the same
@@ -117,19 +128,32 @@ impl ThroughputReport {
                     .expect("simulation cannot fail"),
             );
         }
+        // A single ~20 ms pass swings widely between runs, so the section
+        // is timed pass by pass and the spread recorded alongside the total.
+        const PASSES: usize = 5;
         let repeats = if quick { 3 } else { 1 };
         let mut instructions = 0u64;
         let mut sim_device_ops = 0u64;
-        let t = Instant::now();
-        for &id in &ids {
-            let outcome = session
-                .submit(&RunRequest::new(id, Policy::Conduit).repeat(repeats))
-                .expect("simulation cannot fail");
-            instructions += outcome.summary.instructions as u64 * outcome.summary.repeats as u64;
-            sim_device_ops += outcome.summary.device_delta.device_ops;
-            black_box(outcome);
+        let mut wall_seconds = 0.0;
+        let mut pass_rates = Vec::with_capacity(PASSES);
+        for _ in 0..PASSES {
+            let mut pass_instructions = 0u64;
+            let t = Instant::now();
+            for &id in &ids {
+                let outcome = session
+                    .submit(&RunRequest::new(id, Policy::Conduit).repeat(repeats))
+                    .expect("simulation cannot fail");
+                pass_instructions +=
+                    outcome.summary.instructions as u64 * outcome.summary.repeats as u64;
+                sim_device_ops += outcome.summary.device_delta.device_ops;
+                black_box(outcome);
+            }
+            let pass_seconds = t.elapsed().as_secs_f64();
+            instructions += pass_instructions;
+            wall_seconds += pass_seconds;
+            pass_rates.push(pass_instructions as f64 / pass_seconds.max(1e-12));
         }
-        let wall_seconds = t.elapsed().as_secs_f64();
+        pass_rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
 
         // --- per-policy probe timings (jacobi-1d, sampled) ----------------
         // Each policy is timed over several independent submissions so the
@@ -189,6 +213,11 @@ impl ThroughputReport {
             instructions,
             wall_seconds,
             instructions_per_sec: instructions as f64 / wall_seconds.max(1e-12),
+            passes: PASSES,
+            // Five sorted samples: ranks 1, 2 and 3 are the quartiles.
+            instructions_per_sec_q1: pass_rates[PASSES / 4],
+            instructions_per_sec_median: pass_rates[PASSES / 2],
+            instructions_per_sec_q3: pass_rates[3 * PASSES / 4],
             sim_device_ops,
             ops_per_instruction: sim_device_ops as f64 / (instructions.max(1)) as f64,
             plan_cache_hits: plan_stats.hits,
@@ -212,6 +241,7 @@ impl ThroughputReport {
              instructions simulated: {}\n\
              wall seconds:           {:.3}\n\
              instructions/sec:       {:.0}\n\
+             per-pass inst/sec:      {:.0} median, {:.0}–{:.0} interquartile ({} passes)\n\
              sim device ops:         {}\n\
              ops/instruction:        {:.4}\n\
              plan cache:             {} hits / {} misses / {} inline ({:.0}% hit rate)\n\
@@ -221,6 +251,10 @@ impl ThroughputReport {
             self.instructions,
             self.wall_seconds,
             self.instructions_per_sec,
+            self.instructions_per_sec_median,
+            self.instructions_per_sec_q1,
+            self.instructions_per_sec_q3,
+            self.passes,
             self.sim_device_ops,
             self.ops_per_instruction,
             self.plan_cache_hits,
@@ -248,6 +282,19 @@ impl ThroughputReport {
                 (
                     "instructions_per_sec",
                     format!("{:.1}", self.instructions_per_sec),
+                ),
+                ("passes", self.passes.to_string()),
+                (
+                    "instructions_per_sec_q1",
+                    format!("{:.1}", self.instructions_per_sec_q1),
+                ),
+                (
+                    "instructions_per_sec_median",
+                    format!("{:.1}", self.instructions_per_sec_median),
+                ),
+                (
+                    "instructions_per_sec_q3",
+                    format!("{:.1}", self.instructions_per_sec_q3),
                 ),
                 ("sim_device_ops", self.sim_device_ops.to_string()),
                 (
@@ -320,6 +367,10 @@ mod tests {
         let r = ThroughputReport::measure(true);
         assert!(r.instructions > 0);
         assert!(r.instructions_per_sec > 0.0);
+        assert_eq!(r.passes, 5);
+        assert!(r.instructions_per_sec_q1 > 0.0);
+        assert!(r.instructions_per_sec_q1 <= r.instructions_per_sec_median);
+        assert!(r.instructions_per_sec_median <= r.instructions_per_sec_q3);
         assert!(r.sweep_serial_seconds > 0.0);
         assert!(r.sweep_parallel_seconds > 0.0);
         assert_eq!(r.per_policy.len(), 4);
@@ -346,6 +397,10 @@ mod tests {
         assert!(json.contains("\"parallel_speedup\""));
         assert!(json.contains("\"sim_device_ops\""));
         assert!(json.contains("\"plan_cache_hits\""));
+        for field in ["q1", "median", "q3"] {
+            let key = format!("instructions_per_sec_{field}");
+            assert!(baseline_number(&json, &key).is_some(), "{key} missing");
+        }
         assert!(r.summary().contains("instructions/sec"));
         assert!(r.summary().contains("ops/instruction"));
         assert!(r.summary().contains("plan cache"));
@@ -428,6 +483,10 @@ mod tests {
             instructions: 1,
             wall_seconds: 1.0,
             instructions_per_sec: 1.0,
+            passes: 1,
+            instructions_per_sec_q1: 1.0,
+            instructions_per_sec_median: 1.0,
+            instructions_per_sec_q3: 1.0,
             sim_device_ops: 1,
             ops_per_instruction: 1.0,
             plan_cache_hits: 1,

@@ -214,24 +214,28 @@ impl RuntimeEngine {
     /// Propagates FTL allocation errors.
     pub fn prepare(&self, device: &mut SsdDevice, program: &VectorProgram) -> Result<()> {
         program.validate().map_err(ConduitError::invalid_program)?;
+        // One buffer serves every group and slice run of the program.
+        let mut pages: Vec<LogicalPageId> = Vec::new();
         for inst in program.iter() {
             let span = Self::pages_per_vector(inst);
-            let page_srcs: Vec<LogicalPageId> = inst.src_pages().collect();
-            if Resource::Ifp.supports(inst.op) && page_srcs.len() >= 2 {
+            if Resource::Ifp.supports(inst.op) && inst.src_pages().nth(1).is_some() {
                 // Co-locate slice k of every operand in one block; spread the
                 // slices across planes for multi-plane parallelism.
                 for k in 0..span {
-                    let group: Vec<LogicalPageId> = page_srcs.iter().map(|p| p.offset(k)).collect();
-                    device.map_group(&group, Some(k))?;
+                    pages.clear();
+                    pages.extend(inst.src_pages().map(|p| p.offset(k)));
+                    device.map_group(&pages, Some(k))?;
                 }
             } else {
-                for p in &page_srcs {
-                    let pages: Vec<LogicalPageId> = (0..span).map(|k| p.offset(k)).collect();
+                for p in inst.src_pages() {
+                    pages.clear();
+                    pages.extend((0..span).map(|k| p.offset(k)));
                     device.map_pages(&pages, None)?;
                 }
             }
             if let Some(dst) = inst.dst_page {
-                let pages: Vec<LogicalPageId> = (0..span).map(|k| dst.offset(k)).collect();
+                pages.clear();
+                pages.extend((0..span).map(|k| dst.offset(k)));
                 device.map_pages(&pages, None)?;
             }
         }

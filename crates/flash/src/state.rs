@@ -6,13 +6,23 @@
 //! has been erased (for wear-leveling) and whether it has been retired as a
 //! bad block.
 //!
-//! The array is stored **struct-of-arrays**: one flat byte per page state
-//! and one flat column per block attribute (erase count, write pointer,
-//! bad flag, invalid-page count). A pristine array is all zeroes, so
-//! construction is a handful of zeroed allocations the OS can serve from
-//! untouched virtual pages — building a paper-scale device (hundreds of
-//! thousands of blocks) costs microseconds instead of milliseconds, which
-//! matters because fresh-run benchmarks construct one device per repeat.
+//! The array is stored **sparsely**: only blocks that have been touched
+//! (programmed, erased or retired) carry a record, and every other block
+//! reads as pristine — all pages free, never erased, not bad. Per plane the
+//! records cover the *prefix* of blocks up to the highest one touched so
+//! far, each block a small record (erase count, write pointer, invalid
+//! count, bad flag) plus one state byte per page. Block indices are
+//! plane-major and the allocator opens blocks in scan order, so a plane's
+//! prefix is exactly the blocks it has opened. Building an array therefore
+//! allocates one empty slab per plane and nothing per block, and memory,
+//! scans (victim selection, wear statistics, the sparse checkpoint) and
+//! first-touch page faults all grow with the blocks a run uses rather than
+//! with the geometry: a paper-scale device has 262,144 blocks and 51.4 M
+//! pages, of which a figure run touches a few hundred blocks. (A dense
+//! zero-filled layout would be nearly free to *allocate*, since the OS maps
+//! zero pages lazily, but would pay page faults the first time placement
+//! writes each column, and every whole-array scan.)
+//!
 //! Aggregates the hot paths ask for on every operation (`page_totals`,
 //! per-block page counts, wear statistics) are maintained incrementally and
 //! answered in O(1) instead of rescanning the array.
@@ -46,8 +56,8 @@ fn decode_page(code: u8) -> PageState {
 }
 
 /// A by-value view of one block's bookkeeping: erase count, bad flag, write
-/// pointer and page counts. Cheap to copy; reading one costs four array
-/// loads from the struct-of-arrays columns.
+/// pointer and page counts. Cheap to copy; an untouched block reads as the
+/// pristine record without touching memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockInfo {
     erase_count: u64,
@@ -90,6 +100,41 @@ impl BlockInfo {
     }
 }
 
+/// The stored bookkeeping of one touched block. The default value is the
+/// pristine block every untouched index reads as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct BlockRecord {
+    erase_count: u64,
+    write_pointer: u32,
+    /// Invalid pages below the write pointer (GC victim selection).
+    invalid: u32,
+    bad: bool,
+}
+
+impl BlockRecord {
+    /// Whether the block is indistinguishable from a factory-fresh one:
+    /// never programmed, never erased, not retired. Such blocks carry no
+    /// information and are skipped by the sparse encoding.
+    fn is_pristine(&self) -> bool {
+        self.erase_count == 0 && !self.bad && self.write_pointer == 0
+    }
+}
+
+/// One plane's touched prefix: records for blocks `0..blocks.len()` and
+/// their page codes, `pages_per_block` per block.
+///
+/// Invariant: the last record (if any) is not pristine — a touched block
+/// never becomes pristine again, and decoders store no pristine record —
+/// so two arrays holding the same contents have identical prefixes and the
+/// derived equality is semantic.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct PlaneBlocks {
+    blocks: Vec<BlockRecord>,
+    /// One code per page (`PAGE_FREE`/`PAGE_VALID`/`PAGE_INVALID`), indexed
+    /// `block * pages_per_block + page`.
+    pages: Vec<u8>,
+}
+
 /// State of every physical page and block in the flash array.
 ///
 /// # Examples
@@ -109,17 +154,8 @@ impl BlockInfo {
 pub struct FlashState {
     geometry: FlashGeometry,
     pages_per_block: u32,
-    /// One code per physical page (`PAGE_FREE`/`PAGE_VALID`/`PAGE_INVALID`),
-    /// indexed `block * pages_per_block + page`.
-    page_states: Vec<u8>,
-    /// Per-block erase counts.
-    erase_counts: Vec<u64>,
-    /// Per-block next sequential program target.
-    write_pointers: Vec<u32>,
-    /// Per-block bad flag (0/1).
-    bad: Vec<u8>,
-    /// Per-block count of invalid pages (GC victim selection).
-    invalid_counts: Vec<u32>,
+    /// The touched prefix of every plane, indexed by global plane index.
+    planes: Vec<PlaneBlocks>,
     /// Array-wide running totals, maintained on every transition.
     valid_pages: u64,
     invalid_pages: u64,
@@ -131,20 +167,14 @@ pub struct FlashState {
 }
 
 impl FlashState {
-    /// Creates a fully-erased flash array. All columns start zeroed, so
-    /// this performs no per-block work.
+    /// Creates a fully-erased flash array. Every block reads as pristine,
+    /// so this allocates one empty slab per plane and nothing per block.
     pub fn new(cfg: &FlashConfig) -> Self {
         let geometry = FlashGeometry::new(cfg);
-        let blocks = geometry.total_blocks() as usize;
-        let pages = blocks * cfg.pages_per_block as usize;
         FlashState {
+            planes: vec![PlaneBlocks::default(); geometry.total_planes() as usize],
             geometry,
             pages_per_block: cfg.pages_per_block,
-            page_states: vec![0u8; pages],
-            erase_counts: vec![0u64; blocks],
-            write_pointers: vec![0u32; blocks],
-            bad: vec![0u8; blocks],
-            invalid_counts: vec![0u32; blocks],
             valid_pages: 0,
             invalid_pages: 0,
             total_erases: 0,
@@ -158,6 +188,78 @@ impl FlashState {
         &self.geometry
     }
 
+    /// Splits a flat block index into `(plane, block within the plane)`.
+    fn split(&self, block_index: u64) -> (usize, usize) {
+        let per_plane = self.geometry.blocks_per_plane() as u64;
+        (
+            (block_index / per_plane) as usize,
+            (block_index % per_plane) as usize,
+        )
+    }
+
+    /// The stored record of a block, or the pristine record if the block
+    /// lies beyond its plane's touched prefix.
+    fn record(&self, plane: usize, block: usize) -> BlockRecord {
+        self.planes[plane]
+            .blocks
+            .get(block)
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// The code of one page; pages of untouched blocks are free.
+    fn page_code(&self, plane: usize, block: usize, page: usize) -> u8 {
+        let ppb = self.pages_per_block as usize;
+        let slab = &self.planes[plane];
+        if page < ppb && block < slab.blocks.len() {
+            slab.pages[block * ppb + page]
+        } else {
+            PAGE_FREE
+        }
+    }
+
+    /// Grows the plane's touched prefix to cover `block` (new blocks are
+    /// pristine) and returns the plane. Called only once a mutation is
+    /// known to succeed, so rejected operations leave the layout alone.
+    fn touch(&mut self, plane: usize, block: usize) -> &mut PlaneBlocks {
+        let ppb = self.pages_per_block as usize;
+        let slab = &mut self.planes[plane];
+        if block >= slab.blocks.len() {
+            slab.blocks.resize(block + 1, BlockRecord::default());
+            slab.pages.resize((block + 1) * ppb, PAGE_FREE);
+        }
+        slab
+    }
+
+    /// Every touched (programmed, erased or retired) block in ascending
+    /// index order with its bookkeeping. Untouched blocks are pristine:
+    /// free, never erased and not bad.
+    pub fn touched_blocks(&self) -> impl Iterator<Item = (u64, BlockInfo)> + '_ {
+        let per_plane = self.geometry.blocks_per_plane() as u64;
+        self.planes
+            .iter()
+            .enumerate()
+            .flat_map(move |(plane, slab)| {
+                slab.blocks
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, rec)| !rec.is_pristine())
+                    .map(move |(block, rec)| {
+                        (plane as u64 * per_plane + block as u64, self.info(*rec))
+                    })
+            })
+    }
+
+    fn info(&self, rec: BlockRecord) -> BlockInfo {
+        BlockInfo {
+            erase_count: rec.erase_count,
+            bad: rec.bad,
+            write_pointer: rec.write_pointer,
+            pages_per_block: self.pages_per_block,
+            invalid: rec.invalid,
+        }
+    }
+
     /// Block bookkeeping for the block containing `addr`.
     pub fn block(&self, addr: PhysicalPageAddr) -> BlockInfo {
         self.block_by_index(self.geometry.block_index_of(addr))
@@ -165,29 +267,19 @@ impl FlashState {
 
     /// Block bookkeeping by flat block index.
     pub fn block_by_index(&self, block_index: u64) -> BlockInfo {
-        let b = block_index as usize;
-        BlockInfo {
-            erase_count: self.erase_counts[b],
-            bad: self.bad[b] != 0,
-            write_pointer: self.write_pointers[b],
-            pages_per_block: self.pages_per_block,
-            invalid: self.invalid_counts[b],
-        }
+        let (plane, block) = self.split(block_index);
+        self.info(self.record(plane, block))
     }
 
     /// Total number of blocks.
     pub fn total_blocks(&self) -> u64 {
-        self.erase_counts.len() as u64
-    }
-
-    fn page_index(&self, addr: PhysicalPageAddr) -> usize {
-        self.geometry.block_index_of(addr) as usize * self.pages_per_block as usize
-            + addr.page as usize
+        self.geometry.total_blocks()
     }
 
     /// The state of a single physical page.
     pub fn page_state(&self, addr: PhysicalPageAddr) -> PageState {
-        decode_page(self.page_states[self.page_index(addr)])
+        let (plane, block) = self.split(self.geometry.block_index_of(addr));
+        decode_page(self.page_code(plane, block, addr.page as usize))
     }
 
     /// Marks a page as programmed with valid data.
@@ -195,29 +287,37 @@ impl FlashState {
     /// # Errors
     ///
     /// Returns [`ConduitError::Simulation`] if the page is not free, is not
-    /// the block's next sequential page, or the block is bad — all of which
-    /// indicate an FTL bug.
+    /// the block's next sequential page, lies beyond the block, or the block
+    /// is bad — all of which indicate an FTL bug.
     pub fn program(&mut self, addr: PhysicalPageAddr) -> Result<()> {
-        let b = self.geometry.block_index_of(addr) as usize;
-        if self.bad[b] != 0 {
+        let (plane, block) = self.split(self.geometry.block_index_of(addr));
+        let page = addr.page as usize;
+        let rec = self.record(plane, block);
+        if rec.bad {
             return Err(ConduitError::simulation(format!(
                 "program to bad block at {addr}"
             )));
         }
-        let idx = b * self.pages_per_block as usize + addr.page as usize;
-        if self.page_states[idx] != PAGE_FREE {
+        if page >= self.pages_per_block as usize {
+            return Err(ConduitError::simulation(format!(
+                "program beyond the end of the block at {addr}"
+            )));
+        }
+        if self.page_code(plane, block, page) != PAGE_FREE {
             return Err(ConduitError::simulation(format!(
                 "program to non-free page at {addr}"
             )));
         }
-        if self.write_pointers[b] != addr.page as u32 {
+        if rec.write_pointer != addr.page as u32 {
             return Err(ConduitError::simulation(format!(
                 "out-of-order program at {addr} (write pointer {})",
-                self.write_pointers[b]
+                rec.write_pointer
             )));
         }
-        self.page_states[idx] = PAGE_VALID;
-        self.write_pointers[b] += 1;
+        let ppb = self.pages_per_block as usize;
+        let slab = self.touch(plane, block);
+        slab.pages[block * ppb + page] = PAGE_VALID;
+        slab.blocks[block].write_pointer += 1;
         self.valid_pages += 1;
         Ok(())
     }
@@ -228,17 +328,19 @@ impl FlashState {
     ///
     /// Returns [`ConduitError::Simulation`] if the page is not valid.
     pub fn invalidate(&mut self, addr: PhysicalPageAddr) -> Result<()> {
-        let b = self.geometry.block_index_of(addr) as usize;
-        let idx = b * self.pages_per_block as usize + addr.page as usize;
-        if self.page_states[idx] != PAGE_VALID {
+        let (plane, block) = self.split(self.geometry.block_index_of(addr));
+        let page = addr.page as usize;
+        if self.page_code(plane, block, page) != PAGE_VALID {
             return Err(ConduitError::simulation(format!(
                 "invalidate of non-valid page at {addr}"
             )));
         }
-        self.page_states[idx] = PAGE_INVALID;
+        let ppb = self.pages_per_block as usize;
+        let slab = &mut self.planes[plane];
+        slab.pages[block * ppb + page] = PAGE_INVALID;
+        slab.blocks[block].invalid += 1;
         self.valid_pages -= 1;
         self.invalid_pages += 1;
-        self.invalid_counts[b] += 1;
         Ok(())
     }
 
@@ -249,60 +351,65 @@ impl FlashState {
     /// Returns [`ConduitError::Simulation`] if the block still contains
     /// valid pages (the FTL must relocate them first) or is bad.
     pub fn erase_block(&mut self, block_index: u64) -> Result<()> {
-        let b = block_index as usize;
-        if self.bad[b] != 0 {
+        let (plane, block) = self.split(block_index);
+        let rec = self.record(plane, block);
+        if rec.bad {
             return Err(ConduitError::simulation("erase of bad block"));
         }
-        let written = self.write_pointers[b];
         // Every page below the write pointer is Valid or Invalid; pages at
         // or beyond it are Free. A block still holding valid pages must be
         // collected first.
-        if written > self.invalid_counts[b] {
+        if rec.write_pointer > rec.invalid {
             return Err(ConduitError::simulation(
                 "erase of block that still holds valid pages",
             ));
         }
-        let base = b * self.pages_per_block as usize;
-        self.page_states[base..base + written as usize].fill(PAGE_FREE);
-        self.invalid_pages -= self.invalid_counts[b] as u64;
-        self.invalid_counts[b] = 0;
-        self.write_pointers[b] = 0;
-        if self.erase_counts[b] == 0 {
+        let ppb = self.pages_per_block as usize;
+        let slab = self.touch(plane, block);
+        let base = block * ppb;
+        slab.pages[base..base + rec.write_pointer as usize].fill(PAGE_FREE);
+        let stored = &mut slab.blocks[block];
+        stored.invalid = 0;
+        stored.write_pointer = 0;
+        stored.erase_count += 1;
+        let erases = stored.erase_count;
+        self.invalid_pages -= rec.invalid as u64;
+        if erases == 1 {
             self.erased_blocks += 1;
         }
-        self.erase_counts[b] += 1;
         self.total_erases += 1;
-        self.max_erases = self.max_erases.max(self.erase_counts[b]);
+        self.max_erases = self.max_erases.max(erases);
         Ok(())
     }
 
     /// Retires a block as bad. Its pages become unusable.
     pub fn mark_bad(&mut self, block_index: u64) {
-        self.bad[block_index as usize] = 1;
+        let (plane, block) = self.split(block_index);
+        self.touch(plane, block).blocks[block].bad = true;
     }
 
     /// Totals across the whole array: `(free, valid, invalid)` pages.
     /// Maintained incrementally, so this is O(1) — it sits on the garbage
     /// collector's should-run check, which runs on every rewrite.
     pub fn page_totals(&self) -> (u64, u64, u64) {
-        let total = self.page_states.len() as u64;
+        let total = self.geometry.total_pages();
         let free = total - self.valid_pages - self.invalid_pages;
         (free, self.valid_pages, self.invalid_pages)
     }
 
     /// The block (if any) with the most invalid pages, ties broken by the
     /// lowest index — the garbage collector's victim-selection rule,
-    /// answered from the per-block invalid column without touching page
-    /// states.
+    /// answered from the touched blocks' invalid counts without touching
+    /// page states.
     pub fn most_invalid_block(&self) -> Option<u64> {
         let mut best: Option<(u64, u32)> = None;
-        for (b, &invalid) in self.invalid_counts.iter().enumerate() {
-            if invalid == 0 || self.bad[b] != 0 {
+        for (b, info) in self.touched_blocks() {
+            if info.invalid == 0 || info.bad {
                 continue;
             }
             match best {
-                Some((_, best_invalid)) if invalid <= best_invalid => {}
-                _ => best = Some((b as u64, invalid)),
+                Some((_, best_invalid)) if info.invalid <= best_invalid => {}
+                _ => best = Some((b, info.invalid)),
             }
         }
         best.map(|(b, _)| b)
@@ -310,18 +417,28 @@ impl FlashState {
 
     /// Appends this array's mutable state (per-block erase counts, bad
     /// flags, write pointers and 2-bit page states) to `out` in the compact
-    /// little-endian checkpoint layout. The geometry is *not* stored — it is
+    /// little-endian checkpoint layout, one entry per block of the geometry
+    /// (untouched blocks as pristine). The geometry is *not* stored — it is
     /// a pure function of the [`FlashConfig`] the decoder is given.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let blocks = self.erase_counts.len();
-        put_u64(out, blocks as u64);
         let ppb = self.pages_per_block as usize;
-        for b in 0..blocks {
-            put_u64(out, self.erase_counts[b]);
-            out.push(self.bad[b]);
-            put_u32(out, self.write_pointers[b]);
-            // Page states packed four to a byte (Free=0, Valid=1, Invalid=2).
-            Self::pack_pages(&self.page_states[b * ppb..(b + 1) * ppb], out);
+        let per_plane = self.geometry.blocks_per_plane() as usize;
+        let pristine_pages = vec![PAGE_FREE; ppb];
+        put_u64(out, self.total_blocks());
+        for slab in &self.planes {
+            for block in 0..per_plane {
+                let rec = slab.blocks.get(block).copied().unwrap_or_default();
+                put_u64(out, rec.erase_count);
+                out.push(u8::from(rec.bad));
+                put_u32(out, rec.write_pointer);
+                // Page states packed four to a byte (Free=0, Valid=1, Invalid=2).
+                let codes = if block < slab.blocks.len() {
+                    &slab.pages[block * ppb..(block + 1) * ppb]
+                } else {
+                    &pristine_pages[..]
+                };
+                Self::pack_pages(codes, out);
+            }
         }
     }
 
@@ -342,13 +459,6 @@ impl FlashState {
         }
     }
 
-    /// Whether a block is indistinguishable from a factory-fresh one:
-    /// never programmed, never erased, not retired. Such blocks carry no
-    /// information and are skipped by the sparse encoding.
-    fn block_is_pristine(&self, b: usize) -> bool {
-        self.erase_counts[b] == 0 && self.bad[b] == 0 && self.write_pointers[b] == 0
-    }
-
     /// Appends a **delta-against-pristine** image of the array: only
     /// touched blocks (programmed, erased or retired at least once) are
     /// stored, keyed by block index, and within each block only the first
@@ -358,32 +468,44 @@ impl FlashState {
     /// array size, while a fully-written device costs the same as the dense
     /// [`FlashState::encode_into`] layout plus one index per block.
     pub fn encode_sparse_into(&self, out: &mut Vec<u8>) {
-        let blocks = self.erase_counts.len();
-        put_u64(out, blocks as u64);
-        let touched = (0..blocks).filter(|&b| !self.block_is_pristine(b)).count();
-        put_u64(out, touched as u64);
+        put_u64(out, self.total_blocks());
+        put_u64(out, self.touched_blocks().count() as u64);
         let ppb = self.pages_per_block as usize;
-        for b in 0..blocks {
-            if self.block_is_pristine(b) {
-                continue;
-            }
-            put_u64(out, b as u64);
-            put_u64(out, self.erase_counts[b]);
-            out.push(self.bad[b]);
-            put_u32(out, self.write_pointers[b]);
-            let written = self.write_pointers[b] as usize;
+        for (b, info) in self.touched_blocks() {
+            let (plane, block) = self.split(b);
+            put_u64(out, b);
+            put_u64(out, info.erase_count);
+            out.push(u8::from(info.bad));
+            put_u32(out, info.write_pointer);
+            let base = block * ppb;
+            let written = info.write_pointer as usize;
+            let pages = &self.planes[plane].pages;
             debug_assert!(
-                self.page_states[b * ppb + written..(b + 1) * ppb]
+                pages[base + written..base + ppb]
                     .iter()
                     .all(|&p| p == PAGE_FREE),
                 "pages beyond the write pointer must be Free"
             );
-            Self::pack_pages(&self.page_states[b * ppb..b * ppb + written], out);
+            Self::pack_pages(&pages[base..base + written], out);
         }
     }
 
-    /// Rebuilds the O(1) aggregate columns (page totals, per-block invalid
-    /// counts, wear totals) from the freshly decoded raw columns.
+    /// Stores one decoded block. Pristine records are not stored, so the
+    /// touched prefixes match an array that reached the same contents by
+    /// simulation.
+    fn restore_block(&mut self, block_index: u64, rec: BlockRecord, codes: &[u8]) {
+        if rec.is_pristine() {
+            return;
+        }
+        let ppb = self.pages_per_block as usize;
+        let (plane, block) = self.split(block_index);
+        let slab = self.touch(plane, block);
+        slab.blocks[block] = rec;
+        slab.pages[block * ppb..block * ppb + codes.len()].copy_from_slice(codes);
+    }
+
+    /// Rebuilds the O(1) aggregates (page totals, per-block invalid counts,
+    /// wear totals) from the freshly decoded records and page codes.
     fn rebuild_aggregates(&mut self) {
         let ppb = self.pages_per_block as usize;
         self.valid_pages = 0;
@@ -391,25 +513,26 @@ impl FlashState {
         self.total_erases = 0;
         self.max_erases = 0;
         self.erased_blocks = 0;
-        for b in 0..self.erase_counts.len() {
-            let written = self.write_pointers[b] as usize;
-            let mut invalid = 0u32;
-            let mut valid = 0u32;
-            for &code in &self.page_states[b * ppb..b * ppb + written] {
-                match code {
-                    PAGE_VALID => valid += 1,
-                    PAGE_INVALID => invalid += 1,
-                    _ => {}
+        for slab in &mut self.planes {
+            for (block, rec) in slab.blocks.iter_mut().enumerate() {
+                let written = rec.write_pointer as usize;
+                let mut invalid = 0u32;
+                let mut valid = 0u32;
+                for &code in &slab.pages[block * ppb..block * ppb + written] {
+                    match code {
+                        PAGE_VALID => valid += 1,
+                        PAGE_INVALID => invalid += 1,
+                        _ => {}
+                    }
                 }
-            }
-            self.invalid_counts[b] = invalid;
-            self.valid_pages += valid as u64;
-            self.invalid_pages += invalid as u64;
-            let erases = self.erase_counts[b];
-            self.total_erases += erases;
-            self.max_erases = self.max_erases.max(erases);
-            if erases > 0 {
-                self.erased_blocks += 1;
+                rec.invalid = invalid;
+                self.valid_pages += valid as u64;
+                self.invalid_pages += invalid as u64;
+                self.total_erases += rec.erase_count;
+                self.max_erases = self.max_erases.max(rec.erase_count);
+                if rec.erase_count > 0 {
+                    self.erased_blocks += 1;
+                }
             }
         }
     }
@@ -426,24 +549,25 @@ impl FlashState {
     /// pointer beyond the block size.
     pub fn decode_sparse_from(cfg: &FlashConfig, r: &mut Reader<'_>) -> Result<Self> {
         let mut state = FlashState::new(cfg);
-        let total = r.u64()? as usize;
-        if total != state.erase_counts.len() {
+        let total = r.u64()?;
+        if total != state.total_blocks() {
             return Err(ConduitError::corrupt_checkpoint(format!(
                 "flash checkpoint has {total} blocks but the configuration describes {}",
-                state.erase_counts.len()
+                state.total_blocks()
             )));
         }
-        let touched = r.u64()? as usize;
+        let touched = r.u64()?;
         if touched > total {
             return Err(ConduitError::corrupt_checkpoint(format!(
                 "flash checkpoint stores {touched} touched blocks of only {total}"
             )));
         }
         let pages_per_block = cfg.pages_per_block as usize;
+        let mut codes = Vec::with_capacity(pages_per_block);
         let mut prev_index: Option<u64> = None;
         for _ in 0..touched {
             let index = r.u64()?;
-            if index as usize >= total {
+            if index >= total {
                 return Err(ConduitError::corrupt_checkpoint(format!(
                     "touched block index {index} outside the {total}-block array"
                 )));
@@ -454,38 +578,55 @@ impl FlashState {
                 ));
             }
             prev_index = Some(index);
-            let b = index as usize;
-            state.erase_counts[b] = r.counter()?;
-            state.bad[b] = match r.u8()? {
-                0 => 0,
-                1 => 1,
-                v => {
-                    return Err(ConduitError::corrupt_checkpoint(format!(
-                        "unknown bad-block flag {v}"
-                    )))
-                }
-            };
-            state.write_pointers[b] = r.u32()?;
-            let written = state.write_pointers[b] as usize;
-            if written > pages_per_block {
-                return Err(ConduitError::corrupt_checkpoint(
-                    "write pointer beyond block size",
-                ));
-            }
+            let rec = Self::decode_record(r, pages_per_block)?;
+            let written = rec.write_pointer as usize;
             let packed = r.take(written.div_ceil(4))?;
-            let base = b * pages_per_block;
+            codes.clear();
             for i in 0..written {
-                let code = (packed[i / 4] >> (2 * (i % 4))) & 0b11;
-                if code > PAGE_INVALID {
-                    return Err(ConduitError::corrupt_checkpoint(format!(
-                        "unknown page-state code {code}"
-                    )));
-                }
-                state.page_states[base + i] = code;
+                codes.push(Self::unpack_code(packed, i)?);
             }
+            state.restore_block(index, rec, &codes);
         }
         state.rebuild_aggregates();
         Ok(state)
+    }
+
+    /// Reads one block header (erase count, bad flag, write pointer); the
+    /// invalid count is rebuilt from the page codes.
+    fn decode_record(r: &mut Reader<'_>, pages_per_block: usize) -> Result<BlockRecord> {
+        let erase_count = r.counter()?;
+        let bad = match r.u8()? {
+            0 => false,
+            1 => true,
+            v => {
+                return Err(ConduitError::corrupt_checkpoint(format!(
+                    "unknown bad-block flag {v}"
+                )))
+            }
+        };
+        let write_pointer = r.u32()?;
+        if write_pointer as usize > pages_per_block {
+            return Err(ConduitError::corrupt_checkpoint(
+                "write pointer beyond block size",
+            ));
+        }
+        Ok(BlockRecord {
+            erase_count,
+            write_pointer,
+            invalid: 0,
+            bad,
+        })
+    }
+
+    /// The `i`-th 2-bit page code of a packed run.
+    fn unpack_code(packed: &[u8], i: usize) -> Result<u8> {
+        let code = (packed[i / 4] >> (2 * (i % 4))) & 0b11;
+        if code > PAGE_INVALID {
+            return Err(ConduitError::corrupt_checkpoint(format!(
+                "unknown page-state code {code}"
+            )));
+        }
+        Ok(code)
     }
 
     /// Decodes a state serialized by [`FlashState::encode_into`] for the
@@ -502,48 +643,30 @@ impl FlashState {
     /// page on the next re-export).
     pub fn decode_from(cfg: &FlashConfig, r: &mut Reader<'_>) -> Result<Self> {
         let mut state = FlashState::new(cfg);
-        let count = r.u64()? as usize;
-        if count != state.erase_counts.len() {
+        let count = r.u64()?;
+        if count != state.total_blocks() {
             return Err(ConduitError::corrupt_checkpoint(format!(
                 "flash checkpoint has {count} blocks but the configuration describes {}",
-                state.erase_counts.len()
+                state.total_blocks()
             )));
         }
         let pages_per_block = cfg.pages_per_block as usize;
         let packed_len = pages_per_block.div_ceil(4);
+        let mut codes = Vec::with_capacity(pages_per_block);
         for b in 0..count {
-            state.erase_counts[b] = r.counter()?;
-            state.bad[b] = match r.u8()? {
-                0 => 0,
-                1 => 1,
-                v => {
-                    return Err(ConduitError::corrupt_checkpoint(format!(
-                        "unknown bad-block flag {v}"
-                    )))
-                }
-            };
-            state.write_pointers[b] = r.u32()?;
-            if state.write_pointers[b] as usize > pages_per_block {
-                return Err(ConduitError::corrupt_checkpoint(
-                    "write pointer beyond block size",
-                ));
-            }
+            let rec = Self::decode_record(r, pages_per_block)?;
             let packed = r.take(packed_len)?;
-            let base = b * pages_per_block;
+            codes.clear();
             for i in 0..pages_per_block {
-                let code = (packed[i / 4] >> (2 * (i % 4))) & 0b11;
-                if code > PAGE_INVALID {
-                    return Err(ConduitError::corrupt_checkpoint(format!(
-                        "unknown page-state code {code}"
-                    )));
-                }
-                if i >= state.write_pointers[b] as usize && code != PAGE_FREE {
+                let code = Self::unpack_code(packed, i)?;
+                if i >= rec.write_pointer as usize && code != PAGE_FREE {
                     return Err(ConduitError::corrupt_checkpoint(
                         "programmed page at or beyond the block's write pointer",
                     ));
                 }
-                state.page_states[base + i] = code;
+                codes.push(code);
             }
+            state.restore_block(b, rec, &codes);
         }
         state.rebuild_aggregates();
         Ok(state)
@@ -552,13 +675,17 @@ impl FlashState {
     /// Wear statistics across blocks: `(min, max, mean)` erase counts.
     /// Answered from the maintained totals — the minimum is zero until
     /// every block has been erased at least once, which only a pathological
-    /// workload reaches (and then it pays one scan).
+    /// workload reaches (and then it pays one scan of the, by then fully
+    /// touched, array).
     pub fn wear_stats(&self) -> (u64, u64, f64) {
-        let blocks = self.erase_counts.len() as u64;
+        let blocks = self.total_blocks();
         let min = if self.erased_blocks < blocks {
             0
         } else {
-            self.erase_counts.iter().copied().min().unwrap_or(0)
+            self.touched_blocks()
+                .map(|(_, info)| info.erase_count)
+                .min()
+                .unwrap_or(0)
         };
         let mean = if blocks == 0 {
             0.0
@@ -829,5 +956,304 @@ mod tests {
         assert_eq!(invalid, 0);
         assert_eq!(free, s.geometry().pages_per_block() - 1);
         assert_eq!(s.block(a0).next_free_page(), Some(1));
+    }
+
+    /// A minimal dense model of the flash array for differential testing:
+    /// one code per page and one erase count, write pointer and bad flag per
+    /// block, with every answer recomputed by scanning.
+    struct DenseModel {
+        ppb: usize,
+        pages: Vec<u8>,
+        erases: Vec<u64>,
+        write_pointers: Vec<u32>,
+        bad: Vec<bool>,
+    }
+
+    impl DenseModel {
+        fn new(cfg: &FlashConfig) -> Self {
+            let blocks = FlashGeometry::new(cfg).total_blocks() as usize;
+            let ppb = cfg.pages_per_block as usize;
+            DenseModel {
+                ppb,
+                pages: vec![PAGE_FREE; blocks * ppb],
+                erases: vec![0; blocks],
+                write_pointers: vec![0; blocks],
+                bad: vec![false; blocks],
+            }
+        }
+
+        fn block_pages(&self, b: usize) -> &[u8] {
+            &self.pages[b * self.ppb..(b + 1) * self.ppb]
+        }
+
+        fn count(&self, b: usize, code: u8) -> u32 {
+            self.block_pages(b).iter().filter(|&&c| c == code).count() as u32
+        }
+
+        fn program(&mut self, b: usize, page: usize) -> bool {
+            let ok = !self.bad[b]
+                && page < self.ppb
+                && self.pages[b * self.ppb + page] == PAGE_FREE
+                && self.write_pointers[b] as usize == page;
+            if ok {
+                self.pages[b * self.ppb + page] = PAGE_VALID;
+                self.write_pointers[b] += 1;
+            }
+            ok
+        }
+
+        fn invalidate(&mut self, b: usize, page: usize) -> bool {
+            let ok = page < self.ppb && self.pages[b * self.ppb + page] == PAGE_VALID;
+            if ok {
+                self.pages[b * self.ppb + page] = PAGE_INVALID;
+            }
+            ok
+        }
+
+        fn erase(&mut self, b: usize) -> bool {
+            let ok = !self.bad[b] && self.count(b, PAGE_VALID) == 0;
+            if ok {
+                let ppb = self.ppb;
+                self.pages[b * ppb..(b + 1) * ppb].fill(PAGE_FREE);
+                self.write_pointers[b] = 0;
+                self.erases[b] += 1;
+            }
+            ok
+        }
+
+        fn totals(&self) -> (u64, u64, u64) {
+            let count = |code| self.pages.iter().filter(|&&c| c == code).count() as u64;
+            (count(PAGE_FREE), count(PAGE_VALID), count(PAGE_INVALID))
+        }
+
+        fn most_invalid(&self) -> Option<u64> {
+            let mut best: Option<(usize, u32)> = None;
+            for b in 0..self.erases.len() {
+                let invalid = self.count(b, PAGE_INVALID);
+                if invalid > 0 && !self.bad[b] && best.is_none_or(|(_, most)| invalid > most) {
+                    best = Some((b, invalid));
+                }
+            }
+            best.map(|(b, _)| b as u64)
+        }
+
+        fn wear(&self) -> (u64, u64, f64) {
+            let min = self.erases.iter().copied().min().unwrap_or(0);
+            let max = self.erases.iter().copied().max().unwrap_or(0);
+            let mean = self.erases.iter().sum::<u64>() as f64 / self.erases.len() as f64;
+            (min, max, mean)
+        }
+
+        fn pack(codes: &[u8], out: &mut Vec<u8>) {
+            for chunk in codes.chunks(4) {
+                out.push(
+                    chunk
+                        .iter()
+                        .enumerate()
+                        .fold(0u8, |acc, (i, &c)| acc | c << (2 * i)),
+                );
+            }
+        }
+
+        fn encode_block(&self, b: usize, out: &mut Vec<u8>) {
+            put_u64(out, self.erases[b]);
+            out.push(u8::from(self.bad[b]));
+            put_u32(out, self.write_pointers[b]);
+        }
+
+        fn encode_dense(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            put_u64(&mut out, self.erases.len() as u64);
+            for b in 0..self.erases.len() {
+                self.encode_block(b, &mut out);
+                Self::pack(self.block_pages(b), &mut out);
+            }
+            out
+        }
+
+        fn encode_sparse(&self) -> Vec<u8> {
+            let touched: Vec<usize> = (0..self.erases.len())
+                .filter(|&b| self.erases[b] > 0 || self.bad[b] || self.write_pointers[b] > 0)
+                .collect();
+            let mut out = Vec::new();
+            put_u64(&mut out, self.erases.len() as u64);
+            put_u64(&mut out, touched.len() as u64);
+            for b in touched {
+                put_u64(&mut out, b as u64);
+                self.encode_block(b, &mut out);
+                let written = self.write_pointers[b] as usize;
+                Self::pack(&self.block_pages(b)[..written], &mut out);
+            }
+            out
+        }
+    }
+
+    /// splitmix64: a seeded, std-only stream for the differential test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    fn assert_matches_model(s: &FlashState, model: &DenseModel, cfg: &FlashConfig, step: usize) {
+        let geo = s.geometry().clone();
+        for b in 0..s.total_blocks() {
+            let info = s.block_by_index(b);
+            let i = b as usize;
+            let invalid = model.count(i, PAGE_INVALID);
+            let wp = model.write_pointers[i];
+            assert_eq!(info.erase_count(), model.erases[i], "step {step} block {b}");
+            assert_eq!(info.is_bad(), model.bad[i], "step {step} block {b}");
+            assert_eq!(
+                info.page_counts(),
+                (cfg.pages_per_block - wp, wp - invalid, invalid),
+                "step {step} block {b}"
+            );
+            let next = (!model.bad[i] && wp < cfg.pages_per_block).then_some(wp);
+            assert_eq!(info.next_free_page(), next, "step {step} block {b}");
+        }
+        assert_eq!(s.page_totals(), model.totals(), "step {step}");
+        assert_eq!(s.most_invalid_block(), model.most_invalid(), "step {step}");
+        assert_eq!(s.wear_stats(), model.wear(), "step {step}");
+
+        let mut dense = Vec::new();
+        s.encode_into(&mut dense);
+        assert_eq!(dense, model.encode_dense(), "step {step}: dense encoding");
+        let mut sparse = Vec::new();
+        s.encode_sparse_into(&mut sparse);
+        assert_eq!(
+            sparse,
+            model.encode_sparse(),
+            "step {step}: sparse encoding"
+        );
+        let back = FlashState::decode_from(cfg, &mut Reader::new(&dense)).unwrap();
+        assert_eq!(&back, s, "step {step}: dense round trip");
+        let back = FlashState::decode_sparse_from(cfg, &mut Reader::new(&sparse)).unwrap();
+        assert_eq!(&back, s, "step {step}: sparse round trip");
+        if step.is_multiple_of(97) {
+            for p in 0..geo.total_pages() {
+                let code = model.pages[p as usize];
+                assert_eq!(s.page_state(geo.addr_of(p)), decode_page(code), "page {p}");
+            }
+        }
+    }
+
+    /// Drives the sparse array and the dense model through the same seeded
+    /// stream of programs, invalidations, erases and retirements — many of
+    /// them invalid and required to fail on both — and compares every
+    /// observable after each step.
+    fn differential_run(cfg: &FlashConfig, seed: u64, steps: usize) {
+        let geo = FlashGeometry::new(cfg);
+        let per_plane = geo.blocks_per_plane() as u64;
+        let ppb = cfg.pages_per_block as u64;
+        let mut s = FlashState::new(cfg);
+        let mut model = DenseModel::new(cfg);
+        let mut rng = Rng(seed);
+        // Accepted and rejected counts per operation kind (program,
+        // invalidate, erase), so the stream provably exercises both paths.
+        let mut outcomes = [[0usize; 2]; 3];
+        for step in 0..steps {
+            // Mostly the first few blocks of a random plane (the allocator's
+            // pattern), sometimes anywhere — leaving gaps in the prefixes.
+            let b = if rng.below(10) < 7 {
+                rng.below(geo.total_planes()) * per_plane + rng.below(per_plane.min(4))
+            } else {
+                rng.below(geo.total_blocks())
+            };
+            let wp = model.write_pointers[b as usize] as u64;
+            let page = match rng.below(10) {
+                0..=5 => wp,
+                6..=8 if wp > 0 => rng.below(wp),
+                _ => rng.below(ppb + 1),
+            };
+            let first = b * ppb;
+            let addr_of = |page: u64| {
+                // One past the block's end aliases the next block's first
+                // page in flat indexing; use the block's own coordinates.
+                let base = geo.addr_of(first);
+                PhysicalPageAddr {
+                    page: page as u16,
+                    ..base
+                }
+            };
+            let roll = rng.below(1000);
+            let (got, want) = match roll {
+                0..=549 => (
+                    s.program(addr_of(page)).is_ok(),
+                    model.program(b as usize, page as usize),
+                ),
+                550..=849 => (
+                    s.invalidate(addr_of(page)).is_ok(),
+                    model.invalidate(b as usize, page as usize),
+                ),
+                850..=994 => (s.erase_block(b).is_ok(), model.erase(b as usize)),
+                _ => {
+                    s.mark_bad(b);
+                    model.bad[b as usize] = true;
+                    (true, true)
+                }
+            };
+            assert_eq!(got, want, "step {step}: op {roll} on block {b} page {page}");
+            if let Some(kind) = [550, 850, 995].iter().position(|&end| roll < end) {
+                outcomes[kind][usize::from(got)] += 1;
+            }
+            assert_matches_model(&s, &model, cfg, step);
+        }
+        assert!(
+            outcomes.iter().flatten().all(|&n| n >= steps / 100),
+            "every operation must be both accepted and rejected: {outcomes:?}"
+        );
+
+        // Wear phase: erase every block of a fresh pair in a seeded order,
+        // then a few again, so the wear minimum leaves zero and is computed
+        // from the (by then fully touched) array.
+        let mut s = FlashState::new(cfg);
+        let mut model = DenseModel::new(cfg);
+        let mut order: Vec<u64> = (0..geo.total_blocks()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        for (step, &b) in order.iter().chain(&order[..5]).enumerate() {
+            assert!(s.erase_block(b).is_ok() && model.erase(b as usize));
+            assert_eq!(s.wear_stats(), model.wear(), "wear step {step}");
+        }
+        assert_matches_model(&s, &model, cfg, 0);
+    }
+
+    #[test]
+    fn sparse_array_matches_a_dense_model_on_the_test_geometry() {
+        differential_run(&SsdConfig::small_for_tests().flash, 0x5EED, 400);
+    }
+
+    #[test]
+    fn sparse_array_matches_a_dense_model_with_odd_blocks_per_plane() {
+        let mut cfg = SsdConfig::small_for_tests().flash;
+        cfg.channels = 1;
+        cfg.dies_per_channel = 3;
+        cfg.planes_per_die = 1;
+        cfg.blocks_per_plane = 13;
+        cfg.pages_per_block = 6;
+        differential_run(&cfg, 0xC0FFEE, 1500);
+    }
+
+    #[test]
+    fn construction_touches_no_block() {
+        let s = FlashState::new(&FlashConfig::default());
+        assert_eq!(s.touched_blocks().count(), 0);
+        assert!(s.planes.iter().all(|p| p.blocks.is_empty()));
+        assert_eq!(
+            s.block_by_index(s.total_blocks() - 1).next_free_page(),
+            Some(0)
+        );
     }
 }

@@ -8,9 +8,8 @@
 //! resource holds the latest version), the **state** (clean/dirty) and a
 //! one-byte monotonically increasing **version** counter.
 
-use std::collections::HashMap;
-
 use conduit_types::bytes::{put_u64, Reader};
+use conduit_types::hash::PageMap;
 use conduit_types::{ConduitError, DataLocation, LogicalPageId, Result};
 
 /// One-byte wire encoding of a [`DataLocation`] (checkpoint format).
@@ -97,7 +96,7 @@ impl Default for Entry {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CoherenceDirectory {
-    entries: HashMap<LogicalPageId, Entry>,
+    entries: PageMap<LogicalPageId, Entry>,
     flushes: u64,
     writes: u64,
 }

@@ -6,10 +6,9 @@
 //! bookkeeping only; the returned structures tell the simulator how much
 //! physical work (page reads/programs, erases) to charge.
 
-use std::collections::HashMap;
-
 use conduit_flash::FlashState;
 use conduit_types::bytes::{put_u64, Reader};
+use conduit_types::hash::PageMap;
 use conduit_types::{
     ConduitError, DeviceHealth, FaultConfig, FaultPlan, LogicalPageId, PhysicalPageAddr, Result,
     SsdConfig,
@@ -81,7 +80,8 @@ pub struct Ftl {
     coherence: CoherenceDirectory,
     gc: GarbageCollector,
     wear: WearLeveler,
-    reverse: HashMap<u64, LogicalPageId>,
+    /// Physical → logical map, keyed by flat physical page index.
+    reverse: PageMap<u64, LogicalPageId>,
     logical_pages: u64,
     stats: FtlStats,
     faults: FaultConfig,
@@ -125,7 +125,7 @@ impl Ftl {
             coherence: CoherenceDirectory::new(),
             gc: GarbageCollector::new(0.0625),
             wear: WearLeveler::new(64),
-            reverse: HashMap::new(),
+            reverse: PageMap::default(),
             logical_pages: cfg.logical_pages(),
             state,
             stats: FtlStats::default(),
@@ -279,6 +279,11 @@ impl Ftl {
     /// [`ConduitError::DeviceDegraded`] if unmapped pages need placement on
     /// a degraded device.
     pub fn map_group(&mut self, pages: &[LogicalPageId], plane: Option<u64>) -> Result<()> {
+        // The common case on re-preparation and for shared operands: every
+        // page is already placed, so nothing is collected or allocated.
+        if pages.iter().all(|&p| self.l2p.contains(p)) {
+            return Ok(());
+        }
         let unmapped: Vec<LogicalPageId> = pages
             .iter()
             .copied()
@@ -543,9 +548,9 @@ impl Ftl {
     /// considered so the migration never races the allocator's active
     /// blocks.
     fn coldest_full_block(&self) -> Option<u64> {
+        // Untouched blocks are empty, so only touched blocks can qualify.
         let mut best: Option<(u64, u64)> = None;
-        for block in 0..self.state.total_blocks() {
-            let info = self.state.block_by_index(block);
+        for (block, info) in self.state.touched_blocks() {
             if info.is_bad() || info.next_free_page().is_some() {
                 continue;
             }
@@ -703,7 +708,7 @@ impl Ftl {
         ftl.stats.wear_relocations = r.counter()?;
         // The reverse map is the inverse of the decoded L2P mapping.
         let total_pages = ftl.state.geometry().total_pages();
-        let mut reverse = HashMap::with_capacity(ftl.l2p.len());
+        let mut reverse = PageMap::with_capacity_and_hasher(ftl.l2p.len(), Default::default());
         for (page, addr) in ftl.l2p.mappings() {
             if page.index() >= ftl.logical_pages {
                 return Err(ConduitError::corrupt_checkpoint(format!(

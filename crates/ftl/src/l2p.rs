@@ -6,10 +6,17 @@
 //! flash, which is three orders of magnitude slower — the offloader's
 //! feature-collection overhead model (§4.5) distinguishes exactly these two
 //! cases (≈100 ns vs ≈30 µs).
+//!
+//! The cache evicts in exact least-recently-used order, computed from the
+//! cached entries and their last-use stamps alone. A miss adds a flash read
+//! to the simulated request, so the victim must never depend on hash-table
+//! layout: two tables driven through the same operations — including one
+//! restored from a checkpoint mid-stream — hit and miss identically.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use conduit_types::bytes::{put_u16, put_u32, put_u64, Reader};
+use conduit_types::hash::PageMap;
 use conduit_types::{ConduitError, LogicalPageId, PhysicalPageAddr, Result};
 
 /// Whether an L2P lookup hit the in-DRAM mapping cache or had to fetch the
@@ -36,15 +43,34 @@ pub enum LookupKind {
 /// assert_eq!(addr.block, 1);
 /// assert_eq!(kind, LookupKind::CacheHit);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct L2pTable {
-    map: HashMap<LogicalPageId, PhysicalPageAddr>,
-    /// Approximate-LRU mapping cache: page → last-use stamp.
-    cache: HashMap<LogicalPageId, u64>,
+    map: PageMap<LogicalPageId, PhysicalPageAddr>,
+    /// LRU mapping cache: page → last-use stamp.
+    cache: PageMap<LogicalPageId, u64>,
+    /// Eviction order, oldest first: one `(stamp, page)` per touch since the
+    /// cache first overflowed. An entry whose stamp is no longer the page's
+    /// current one is stale and skipped. Empty (and not maintained) until
+    /// the first eviction, so a cache that never fills pays nothing for it.
+    lru: VecDeque<(u64, LogicalPageId)>,
     cache_capacity: usize,
     clock: u64,
     hits: u64,
     misses: u64,
+}
+
+impl PartialEq for L2pTable {
+    /// Tables are equal when their mappings, cached entries with stamps,
+    /// clock and counters are; the eviction queue is derived from the
+    /// stamps and not compared.
+    fn eq(&self, other: &Self) -> bool {
+        self.map == other.map
+            && self.cache == other.cache
+            && self.cache_capacity == other.cache_capacity
+            && self.clock == other.clock
+            && self.hits == other.hits
+            && self.misses == other.misses
+    }
 }
 
 impl L2pTable {
@@ -52,8 +78,9 @@ impl L2pTable {
     /// entries.
     pub fn new(cache_capacity: usize) -> Self {
         L2pTable {
-            map: HashMap::new(),
-            cache: HashMap::new(),
+            map: PageMap::default(),
+            cache: PageMap::default(),
+            lru: VecDeque::new(),
             cache_capacity: cache_capacity.max(1),
             clock: 0,
             hits: 0,
@@ -153,7 +180,7 @@ impl L2pTable {
     /// Appends the table's state (mappings, cached entries with their LRU
     /// stamps, clock and hit/miss counters) to `out`. Map entries are sorted
     /// by logical page id so the encoding is deterministic regardless of
-    /// `HashMap` iteration order.
+    /// hash-table iteration order.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         let mut mappings: Vec<(&LogicalPageId, &PhysicalPageAddr)> = self.map.iter().collect();
         mappings.sort_by_key(|(p, _)| **p);
@@ -227,27 +254,43 @@ impl L2pTable {
 
     fn touch(&mut self, page: LogicalPageId) {
         // Saturating: the stamp clock never wraps (a wrap would reorder the
-        // LRU approximation, and a restored checkpoint may carry a large
-        // clock).
+        // LRU queue, and a restored checkpoint may carry a large clock).
         self.clock = self.clock.saturating_add(1);
         self.cache.insert(page, self.clock);
+        if !self.lru.is_empty() {
+            self.lru.push_back((self.clock, page));
+            // Bound the stale entries cache hits leave behind.
+            if self.lru.len() > 2 * self.cache_capacity + 32 {
+                let cache = &self.cache;
+                self.lru
+                    .retain(|(stamp, page)| cache.get(page) == Some(stamp));
+            }
+        }
         if self.cache.len() > self.cache_capacity {
             self.evict();
         }
     }
 
-    /// Evicts the approximately-least-recently-used cached entry by sampling
-    /// a handful of entries (CLOCK-like approximation; exact LRU is not worth
-    /// the bookkeeping cost at simulation scale).
+    /// Evicts the least-recently-used cached entry, the one with the oldest
+    /// stamp. Stamps are unique until the clock saturates, so the victim is
+    /// a function of the cached entries and their stamps. On the first
+    /// eviction the queue is built by sorting the cache by stamp; after that
+    /// every touch appends to it.
     fn evict(&mut self) {
-        let victim = self
-            .cache
-            .iter()
-            .take(32)
-            .min_by_key(|(_, &stamp)| stamp)
-            .map(|(&page, _)| page);
-        if let Some(page) = victim {
-            self.cache.remove(&page);
+        if self.lru.is_empty() {
+            let mut order: Vec<(u64, LogicalPageId)> = self
+                .cache
+                .iter()
+                .map(|(&page, &stamp)| (stamp, page))
+                .collect();
+            order.sort_unstable();
+            self.lru = order.into();
+        }
+        while let Some((stamp, page)) = self.lru.pop_front() {
+            if self.cache.get(&page) == Some(&stamp) {
+                self.cache.remove(&page);
+                return;
+            }
         }
     }
 }
@@ -296,8 +339,8 @@ mod tests {
         for i in 0..10 {
             l2p.update(LogicalPageId::new(i), addr(i as u32, 0));
         }
-        // Pages 0..8 have almost certainly been evicted from the 2-entry
-        // cache; looking one of them up must be a miss.
+        // Exact LRU: the 2-entry cache holds pages 8 and 9, so looking up
+        // page 0 must be a miss.
         let (_, kind) = l2p.lookup(LogicalPageId::new(0)).unwrap();
         assert_eq!(kind, LookupKind::CacheMiss);
         let (hits, misses) = l2p.cache_stats();
@@ -325,5 +368,51 @@ mod tests {
         assert_eq!(l2p.remove(LogicalPageId::new(1)), Some(addr(1, 0)));
         assert!(!l2p.contains(LogicalPageId::new(1)));
         assert_eq!(l2p.remove(LogicalPageId::new(1)), None);
+    }
+
+    /// A seeded stream of lookups and remaps over `pages` logical pages.
+    fn drive(l2p: &mut L2pTable, seed: u64, ops: usize, pages: u64) {
+        let mut x = seed;
+        for _ in 0..ops {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let page = LogicalPageId::new((x >> 33) % pages);
+            if (x >> 20).is_multiple_of(8) || !l2p.contains(page) {
+                l2p.update(page, addr((x >> 40) as u32 % 1000, 0));
+            } else {
+                l2p.lookup(page).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn eviction_is_replayable_across_tables() {
+        // The victim depends only on the cached entries and their stamps,
+        // never on hash-table layout: two tables fed the same operations
+        // past capacity hit and miss identically.
+        let mut a = L2pTable::new(64);
+        let mut b = L2pTable::new(64);
+        drive(&mut a, 7, 5_000, 200);
+        drive(&mut b, 7, 5_000, 200);
+        assert!(a.cache_stats().1 > 0, "the stream must overflow the cache");
+        assert_eq!(a.cache_stats(), b.cache_stats());
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_restored_table_continues_like_the_original() {
+        let mut original = L2pTable::new(64);
+        drive(&mut original, 11, 2_500, 200);
+        let mut bytes = Vec::new();
+        original.encode_into(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        let mut restored = L2pTable::decode_from(64, &mut r).unwrap();
+        assert!(r.finished());
+        assert_eq!(restored, original);
+        drive(&mut original, 12, 2_500, 200);
+        drive(&mut restored, 12, 2_500, 200);
+        assert_eq!(restored.cache_stats(), original.cache_stats());
+        assert_eq!(restored, original);
     }
 }

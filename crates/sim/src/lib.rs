@@ -6,7 +6,6 @@
 //! inherits its core SSD model from MQSim and adds NDP compute models. This
 //! crate is the Rust equivalent:
 //!
-//! * [`EventQueue`] — a deterministic discrete-event queue,
 //! * [`SharedResource`] / [`ResourcePool`] — busy-time tracking for every
 //!   contended unit (flash channels and dies, DRAM banks and bus, controller
 //!   cores, the PCIe link), which is how queueing delays and contention are
@@ -37,7 +36,6 @@
 
 mod device;
 mod energy;
-mod engine;
 mod estimates;
 mod host;
 mod resources;
@@ -46,7 +44,6 @@ mod stats;
 
 pub use device::{DeviceModels, OpCompletion, SsdDevice, StripWindow};
 pub use energy::{EnergyCategory, EnergyMeter};
-pub use engine::EventQueue;
 pub use estimates::{CostEstimate, EstimateTable, StripEstimates, LOC_COUNT, RESOURCE_COUNT};
 pub use host::{HostCpuModel, HostGpuModel};
 pub use resources::{ResourcePool, SharedResource};

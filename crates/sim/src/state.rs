@@ -16,10 +16,11 @@
 //! [`DeviceSnapshot::delta_since`] turns two snapshots into the per-run
 //! [`DeviceDelta`] that run summaries carry.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use conduit_ftl::Ftl;
 use conduit_types::bytes::{put_u16, put_u64, Reader};
+use conduit_types::hash::PageSet;
 use conduit_types::{
     ConduitError, DeviceHealth, Duration, Energy, FaultConfig, LogicalPageId, Result, SsdConfig,
 };
@@ -77,10 +78,10 @@ pub struct DeviceState {
     pub(crate) offloader_core: SharedResource,
     pub(crate) pcie: SharedResource,
     // Residency of clean cached copies.
-    pub(crate) dram_resident: HashSet<LogicalPageId>,
+    pub(crate) dram_resident: PageSet<LogicalPageId>,
     pub(crate) dram_order: VecDeque<LogicalPageId>,
     pub(crate) dram_capacity_pages: usize,
-    pub(crate) ctrl_resident: HashSet<LogicalPageId>,
+    pub(crate) ctrl_resident: PageSet<LogicalPageId>,
     pub(crate) ctrl_order: VecDeque<LogicalPageId>,
     pub(crate) ctrl_capacity_pages: usize,
     /// Pages whose current flash contents have already been shipped to host
@@ -89,7 +90,7 @@ pub struct DeviceState {
     /// of each workload exceeds the SSD capacity by 2×"), so only a small
     /// window of recently transferred pages stays host-resident; everything
     /// else must be re-streamed over the host link.
-    pub(crate) host_resident: HashSet<LogicalPageId>,
+    pub(crate) host_resident: PageSet<LogicalPageId>,
     pub(crate) host_order: VecDeque<LogicalPageId>,
     pub(crate) energy: EnergyMeter,
     /// Request-lane statistics: how the device's FIFO lane spent its stream
@@ -142,13 +143,13 @@ impl DeviceState {
             compute_cores: ResourcePool::new("isp-core", compute_core_count),
             offloader_core: SharedResource::new("offloader-core"),
             pcie: SharedResource::new("pcie"),
-            dram_resident: HashSet::new(),
+            dram_resident: PageSet::default(),
             dram_order: VecDeque::new(),
             dram_capacity_pages,
-            ctrl_resident: HashSet::new(),
+            ctrl_resident: PageSet::default(),
             ctrl_order: VecDeque::new(),
             ctrl_capacity_pages,
-            host_resident: HashSet::new(),
+            host_resident: PageSet::default(),
             host_order: VecDeque::new(),
             energy: EnergyMeter::new(),
             lane: LaneStats::default(),

@@ -28,6 +28,7 @@ pub mod config;
 pub mod energy;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod inst;
 pub mod op;
 pub mod resource;
