@@ -158,7 +158,11 @@ impl ThroughputReport {
         // --- per-policy probe timings (jacobi-1d, sampled) ----------------
         // Each policy is timed over several independent submissions so the
         // recorded spread is real; a single-sample row would make the
-        // min/median/max fields degenerate copies of the mean.
+        // min/median/max fields degenerate copies of the mean. Besides the
+        // host baseline and Ideal, the probe covers every policy whose host
+        // time the resource-pool queries shape: PuD-SSD (unit selection
+        // across the DRAM subarrays), BW-Offloading (pool utilizations) and
+        // the queue-delay readers DM-Offloading and Conduit.
         const PROBE_SAMPLES: usize = 5;
         let probe = ids[Workload::ALL
             .iter()
@@ -167,6 +171,8 @@ impl ThroughputReport {
         let mut per_policy = Vec::new();
         for policy in [
             Policy::HostCpu,
+            Policy::PudSsd,
+            Policy::BwOffloading,
             Policy::DmOffloading,
             Policy::Conduit,
             Policy::Ideal,
@@ -373,7 +379,7 @@ mod tests {
         assert!(r.instructions_per_sec_median <= r.instructions_per_sec_q3);
         assert!(r.sweep_serial_seconds > 0.0);
         assert!(r.sweep_parallel_seconds > 0.0);
-        assert_eq!(r.per_policy.len(), 4);
+        assert_eq!(r.per_policy.len(), 6);
         // The probe rows carry a real sample spread, not degenerate
         // single-sample copies.
         for p in &r.per_policy {
@@ -384,11 +390,11 @@ mod tests {
         assert!(r.sim_device_ops > 0);
         assert!(r.ops_per_instruction > 0.0);
         // Every (program, policy) key planned once — every workload under
-        // Conduit, plus three more policy keys for the jacobi-1d probes.
+        // Conduit, plus five more policy keys for the jacobi-1d probes.
         // Re-planned never: the warm-up and timed passes hit the cache.
         assert_eq!(
             r.plan_cache_misses,
-            conduit_workloads::Workload::ALL.len() as u64 + 3
+            conduit_workloads::Workload::ALL.len() as u64 + 5
         );
         assert!(r.plan_cache_hits >= r.plan_cache_misses);
         assert_eq!(r.plan_cache_inline, 0);

@@ -162,15 +162,14 @@ impl Policy {
             return site;
         }
         let choice = match self {
+            // Each candidate's utilization is evaluated once; ties keep the
+            // earlier resource in `Resource::ALL` order.
             Policy::BwOffloading => Resource::ALL
                 .iter()
                 .filter(|r| r.supports(op))
-                .min_by(|a, b| {
-                    let ua = ctx.device.utilization(**a, ctx.now);
-                    let ub = ctx.device.utilization(**b, ctx.now);
-                    ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .copied(),
+                .map(|&r| (r, ctx.device.utilization(r, ctx.now)))
+                .min_by(|(_, ua), (_, ub)| ua.partial_cmp(ub).unwrap_or(std::cmp::Ordering::Equal))
+                .map(|(r, _)| r),
             Policy::DmOffloading => cost.choose_min_data_movement(op, ctx).map(|(r, _)| r),
             Policy::Ideal => cost.choose_ideal(ctx.estimates).map(|(r, _)| r),
             // Conduit; every static policy returned above.

@@ -101,8 +101,6 @@ impl OpCompletion {
 pub struct SsdDevice {
     /// The immutable substrate models, shared by clones of the device.
     models: Arc<DeviceModels>,
-    #[allow(dead_code)]
-    cores: CoreAllocation,
     /// Everything that mutates as instructions execute.
     state: DeviceState,
 }
@@ -166,25 +164,6 @@ impl DeviceModels {
                 &self.cfg, &self.ifp, &self.pud, &self.isp, resource, op, elem_bits, lanes,
             )
             .map(|e| e.latency),
-        }
-    }
-
-    /// Un-contended compute energy of `op` on `resource` (see
-    /// [`SsdDevice::estimate_compute_energy`]).
-    #[inline]
-    pub fn estimate_compute_energy(
-        &self,
-        resource: Resource,
-        op: OpType,
-        elem_bits: u32,
-        lanes: u32,
-    ) -> Option<Energy> {
-        match self.estimates.compute(resource, op, elem_bits, lanes) {
-            Some(entry) => entry.map(|e| e.energy),
-            None => EstimateTable::evaluate(
-                &self.cfg, &self.ifp, &self.pud, &self.isp, resource, op, elem_bits, lanes,
-            )
-            .map(|e| e.energy),
         }
     }
 
@@ -262,10 +241,9 @@ impl SsdDevice {
     ///
     /// Returns configuration errors from the core allocation.
     pub fn with_state(cfg: &SsdConfig, state: DeviceState) -> Result<Self> {
-        let cores = CoreAllocation::standard(&cfg.ctrl)?;
+        CoreAllocation::standard(&cfg.ctrl)?;
         Ok(SsdDevice {
             models: Arc::new(DeviceModels::new(cfg)),
-            cores,
             state,
         })
     }
@@ -508,32 +486,15 @@ impl SsdDevice {
         }
     }
 
-    /// Occupies the offloader core for `dur` (feature collection and
-    /// instruction transformation overheads, §4.5).
-    pub fn offloader_busy(&mut self, dur: Duration, earliest: SimTime) -> OpCompletion {
-        let (_, end) = self.state.offloader_core.reserve(earliest, dur);
-        let energy = Energy::from_power(self.models.cfg.ctrl.core_power_w, dur);
-        self.state.energy.charge(EnergySource::Offloader, energy);
-        OpCompletion {
-            ready: end,
-            breakdown: CostBreakdown {
-                compute: dur,
-                ..CostBreakdown::zero()
-            },
-            energy,
-        }
-    }
-
     /// Occupies the offloader core for `count` back-to-back exclusive
-    /// windows of `dur` each — a whole strip's transformation overheads in
-    /// one timeline reservation.
+    /// windows of `dur` each (feature collection and instruction
+    /// transformation overheads, §4.5) — a whole strip's overheads in one
+    /// timeline reservation.
     ///
-    /// Bit-identical to `count` chained [`SsdDevice::offloader_busy`] calls
-    /// where each call's `earliest` is the previous call's `ready` (which is
-    /// exactly how the run loop chains its offload clock): the reservation
-    /// window is `[max(earliest, busy_until), start + dur * count)`, and the
-    /// per-instruction energy is charged `count` times in order so the
-    /// floating-point accumulation in the energy meter is unchanged.
+    /// The window is `[max(earliest, busy_until), start + dur * count)`,
+    /// exactly what `count` single reservations chained on the run loop's
+    /// offload clock would occupy, and the per-instruction energy is charged
+    /// `count` times in order, as those reservations would charge it.
     pub fn offloader_busy_strip(
         &mut self,
         dur: Duration,
@@ -636,7 +597,14 @@ impl SsdDevice {
         lanes: u32,
         earliest: SimTime,
     ) -> Result<OpCompletion> {
-        let banks_free = self.state.dram_banks.free_units(earliest).max(1) as u32;
+        // `op_cost` reads the free-bank count only through
+        // `ceil(sub_ops / banks)`, so counting past `sub_ops` changes nothing.
+        let sub_ops = self.models.pud.sub_ops(elem_bits, lanes) as usize;
+        let banks_free = self
+            .state
+            .dram_banks
+            .free_units_up_to(earliest, sub_ops)
+            .max(1) as u32;
         let cost = self.models.pud.op_cost(op, elem_bits, lanes, banks_free)?;
         let mut ready = earliest;
         for _ in 0..cost.sub_ops {
@@ -696,21 +664,6 @@ impl SsdDevice {
         self.models.estimate_compute(resource, op, elem_bits, lanes)
     }
 
-    /// Un-contended compute *energy* of `op` on `resource`, or `None` if the
-    /// resource cannot execute it (used by the Ideal policy, which bypasses
-    /// the contention timelines entirely).
-    #[inline]
-    pub fn estimate_compute_energy(
-        &self,
-        resource: Resource,
-        op: OpType,
-        elem_bits: u32,
-        lanes: u32,
-    ) -> Option<Energy> {
-        self.models
-            .estimate_compute_energy(resource, op, elem_bits, lanes)
-    }
-
     /// Static (contention-free) estimate of moving `bytes` from `from` to
     /// `to` — the precomputed `latency_dm` table of §4.3.2. Canonical-sized
     /// vectors hit the precomputed table; other sizes are computed exactly.
@@ -757,28 +710,6 @@ impl SsdDevice {
             }
             Resource::Ifp => self.state.dies.utilization(now),
         }
-    }
-
-    /// Mean flash-channel utilization over `[0, now]`.
-    pub fn channel_utilization(&self, now: SimTime) -> f64 {
-        if self.state.channels.is_empty() {
-            return 0.0;
-        }
-        self.state
-            .channels
-            .iter()
-            .map(|c| c.utilization(now))
-            .sum::<f64>()
-            / self.state.channels.len() as f64
-    }
-
-    /// Per-resource completed-operation counts `(isp, pud, ifp)`.
-    pub fn completed_ops(&self) -> (u64, u64, u64) {
-        (
-            self.state.compute_cores.completed(),
-            self.state.dram_banks.completed(),
-            self.state.dies.completed(),
-        )
     }
 
     // ------------------------------------------------------------------
@@ -1195,23 +1126,38 @@ mod tests {
     #[test]
     fn offloader_overhead_occupies_the_offloader_core() {
         let mut dev = device();
-        let a = dev.offloader_busy(Duration::from_us(2.0), SimTime::ZERO);
-        let b = dev.offloader_busy(Duration::from_us(2.0), SimTime::ZERO);
+        let a = dev.offloader_busy_strip(Duration::from_us(2.0), SimTime::ZERO, 1);
+        // A second strip queues behind the first on the one offloader core.
+        let b = dev.offloader_busy_strip(Duration::from_us(2.0), SimTime::ZERO, 3);
         assert_eq!(
-            b.ready.saturating_since(SimTime::ZERO),
+            a.first_ready.saturating_since(SimTime::ZERO),
+            Duration::from_us(2.0)
+        );
+        assert_eq!(
+            b.first_ready.saturating_since(SimTime::ZERO),
             Duration::from_us(4.0)
         );
-        assert!(a.ready < b.ready);
+        assert_eq!(b.step, Duration::from_us(2.0));
+        assert!(b.energy_each > Energy::ZERO);
+        // The queued strip's three windows end at 2 + 3 × 2 = 8 us, so the
+        // next strip's single window ends at 9 us.
+        let c = dev.offloader_busy_strip(Duration::from_us(1.0), SimTime::ZERO, 1);
+        assert_eq!(
+            c.first_ready.saturating_since(SimTime::ZERO),
+            Duration::from_us(9.0)
+        );
     }
 
     #[test]
     fn completed_ops_counts_increase() {
         let mut dev = device();
+        assert_eq!(dev.snapshot().device_ops, 0);
         dev.execute_isp(OpType::Add, 32, 4096, SimTime::ZERO);
+        assert_eq!(dev.snapshot().device_ops, 1);
+        let sub_ops = dev.models.pud.sub_ops(32, 4096) as u64;
         dev.execute_pud(OpType::Add, 32, 4096, SimTime::ZERO)
             .unwrap();
-        let (isp, pud, _ifp) = dev.completed_ops();
-        assert!(isp >= 1);
-        assert!(pud >= 1);
+        // One reservation per PuD sub-operation.
+        assert_eq!(dev.snapshot().device_ops, 1 + sub_ops);
     }
 }

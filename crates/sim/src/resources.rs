@@ -10,6 +10,26 @@
 //! This is the mechanism behind two of Conduit's cost-function features:
 //! the *resource queueing delay* (how long until the unit is free) and the
 //! implicit contention captured in data-movement times.
+//!
+//! # The pool index
+//!
+//! A pool answers its hot queries without walking its units. It keeps a
+//! min-tree (tournament tree) over the units' busy-until times, with the
+//! leaves padded to a power of two by [`SimTime::MAX`], and each unit's
+//! total busy time in nanoseconds. Every reservation updates its unit's leaf
+//! and the path to the root; a checkpoint restore rebuilds both. Neither is
+//! serialized, and pool equality compares the units only.
+//!
+//! * [`ResourcePool::reserve`] serves work arriving at `earliest` on the
+//!   unit that minimizes `max(busy_until, earliest)`, breaking ties towards
+//!   the lowest unit index. That minimum is `t = max(earliest, root)`, and
+//!   the lowest-index unit reaching it is the leftmost unit whose busy-until
+//!   is at most `t`: one descent from the root finds it.
+//! * [`ResourcePool::queue_delay`] reads the root.
+//! * [`ResourcePool::free_units_up_to`] visits only subtrees that hold a free
+//!   unit and stops at its cap.
+//! * [`ResourcePool::utilization`] is still an in-order sum over the units,
+//!   one division per unit.
 
 use conduit_types::bytes::{put_u64, Reader};
 use conduit_types::{ConduitError, Duration, Result, SimTime};
@@ -22,15 +42,14 @@ use conduit_types::{ConduitError, Duration, Result, SimTime};
 /// use conduit_sim::SharedResource;
 /// use conduit_types::{Duration, SimTime};
 ///
-/// let mut ch = SharedResource::new("flash-channel-0");
+/// let mut ch = SharedResource::new();
 /// let (s1, e1) = ch.reserve(SimTime::ZERO, Duration::from_us(3.0));
 /// let (s2, _e2) = ch.reserve(SimTime::ZERO, Duration::from_us(3.0));
 /// assert_eq!(s1, SimTime::ZERO);
 /// assert_eq!(s2, e1); // second request queues behind the first
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SharedResource {
-    name: String,
     busy_until: SimTime,
     total_busy: Duration,
     completed: u64,
@@ -38,18 +57,8 @@ pub struct SharedResource {
 
 impl SharedResource {
     /// Creates an idle resource.
-    pub fn new(name: impl Into<String>) -> Self {
-        SharedResource {
-            name: name.into(),
-            busy_until: SimTime::ZERO,
-            total_busy: Duration::ZERO,
-            completed: 0,
-        }
-    }
-
-    /// The resource's name (for reports and debugging).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn new() -> Self {
+        SharedResource::default()
     }
 
     /// Reserves the resource for `service` time, starting no earlier than
@@ -110,7 +119,7 @@ impl SharedResource {
     }
 
     /// Appends the timeline's state (busy-until, total busy time, completed
-    /// count) to `out`; the name is configuration-derived and not stored.
+    /// count) to `out`.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         put_u64(out, self.busy_until.as_ps());
         put_u64(out, self.total_busy.as_ps());
@@ -118,7 +127,7 @@ impl SharedResource {
     }
 
     /// Restores the timeline state serialized by
-    /// [`SharedResource::encode_into`], keeping this resource's name.
+    /// [`SharedResource::encode_into`].
     pub(crate) fn restore_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
         self.busy_until = SimTime::from_ps(r.counter()?);
         self.total_busy = Duration::from_ps(r.counter()?);
@@ -130,13 +139,6 @@ impl SharedResource {
     /// reserved and back at time zero).
     pub(crate) fn is_untouched(&self) -> bool {
         self.busy_until == SimTime::ZERO && self.total_busy.is_zero() && self.completed == 0
-    }
-
-    /// Resets the timeline to the idle state, keeping the name.
-    fn reset(&mut self) {
-        self.busy_until = SimTime::ZERO;
-        self.total_busy = Duration::ZERO;
-        self.completed = 0;
     }
 
     /// Sparse variant of [`SharedResource::encode_into`]: an untouched
@@ -155,7 +157,7 @@ impl SharedResource {
     pub(crate) fn restore_sparse_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
         match r.u8()? {
             0 => {
-                self.reset();
+                *self = SharedResource::new();
                 Ok(())
             }
             1 => self.restore_from(r),
@@ -178,7 +180,9 @@ impl SharedResource {
 }
 
 /// A pool of interchangeable [`SharedResource`] units (e.g. the flash dies,
-/// the DRAM banks, or the ISP compute cores).
+/// the DRAM banks, or the ISP compute cores), indexed so that reservations
+/// and queue-delay queries never walk the units (see the module
+/// documentation for the index and the unit-selection rule).
 ///
 /// # Examples
 ///
@@ -186,7 +190,7 @@ impl SharedResource {
 /// use conduit_sim::ResourcePool;
 /// use conduit_types::{Duration, SimTime};
 ///
-/// let mut dies = ResourcePool::new("die", 2);
+/// let mut dies = ResourcePool::new(2);
 /// // Two requests run in parallel on different units, the third queues.
 /// let (_, e1, _) = dies.reserve(SimTime::ZERO, Duration::from_us(10.0));
 /// let (_, e2, _) = dies.reserve(SimTime::ZERO, Duration::from_us(10.0));
@@ -194,10 +198,27 @@ impl SharedResource {
 /// assert_eq!(e1, e2);
 /// assert_eq!(s3, e1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ResourcePool {
     units: Vec<SharedResource>,
+    /// Min-tree over the units' busy-until times. Node 1 is the root, node
+    /// `k` holds the minimum of nodes `2k` and `2k + 1`, and leaf
+    /// `leaves + i` holds unit `i`; leaves past the last unit hold
+    /// [`SimTime::MAX`]. Node 0 is unused.
+    free_at: Vec<SimTime>,
+    /// Each unit's total busy time in nanoseconds (the numerator of its
+    /// utilization), refreshed whenever that unit is reserved.
+    busy_ns: Vec<f64>,
 }
+
+impl PartialEq for ResourcePool {
+    /// Pools are equal when their units are: the index is derived state.
+    fn eq(&self, other: &Self) -> bool {
+        self.units == other.units
+    }
+}
+
+impl Eq for ResourcePool {}
 
 impl ResourcePool {
     /// Creates a pool of `count` idle units.
@@ -205,13 +226,15 @@ impl ResourcePool {
     /// # Panics
     ///
     /// Panics if `count` is zero.
-    pub fn new(name: &str, count: usize) -> Self {
+    pub fn new(count: usize) -> Self {
         assert!(count > 0, "resource pool must have at least one unit");
-        ResourcePool {
-            units: (0..count)
-                .map(|i| SharedResource::new(format!("{name}-{i}")))
-                .collect(),
-        }
+        let mut pool = ResourcePool {
+            units: vec![SharedResource::new(); count],
+            free_at: vec![SimTime::MAX; 2 * count.next_power_of_two()],
+            busy_ns: vec![0.0; count],
+        };
+        pool.rebuild_index();
+        pool
     }
 
     /// Number of units in the pool.
@@ -225,51 +248,64 @@ impl ResourcePool {
     }
 
     /// Reserves the earliest-available unit for `service` time starting no
-    /// earlier than `earliest`. Returns `(start, end, unit_index)`.
+    /// earlier than `earliest`, the lowest-index one among equals. Returns
+    /// `(start, end, unit_index)`.
     pub fn reserve(&mut self, earliest: SimTime, service: Duration) -> (SimTime, SimTime, usize) {
-        let idx = self.earliest_unit(earliest);
-        let (start, end) = self.units[idx].reserve(earliest, service);
+        // The earliest start any unit offers; the leftmost unit free by then
+        // is the lowest-index unit that offers it.
+        let first_start = earliest.max(self.free_at[1]);
+        let leaves = self.leaves();
+        let mut node = 1;
+        while node < leaves {
+            node = if self.free_at[2 * node] <= first_start {
+                2 * node
+            } else {
+                2 * node + 1
+            };
+        }
+        let idx = node - leaves;
+        let (start, end) = self.reserve_at(idx, earliest, service);
         (start, end, idx)
     }
 
     /// Reserves a *specific* unit (e.g. the die where an operand physically
-    /// lives). Returns `(start, end)`.
+    /// lives); the index wraps modulo the pool size. Returns `(start, end)`.
     pub fn reserve_unit(
         &mut self,
         unit: usize,
         earliest: SimTime,
         service: Duration,
     ) -> (SimTime, SimTime) {
-        let idx = unit % self.units.len();
-        self.units[idx].reserve(earliest, service)
+        self.reserve_at(unit % self.units.len(), earliest, service)
     }
 
     /// Queueing delay a request arriving at `at` would see on the
     /// earliest-available unit.
     pub fn queue_delay(&self, at: SimTime) -> Duration {
-        self.units
-            .iter()
-            .map(|u| u.queue_delay(at))
-            .min()
-            .unwrap_or(Duration::ZERO)
+        self.free_at[1].saturating_since(at)
     }
 
-    /// Queueing delay on a specific unit.
-    pub fn queue_delay_on(&self, unit: usize, at: SimTime) -> Duration {
-        self.units[unit % self.units.len()].queue_delay(at)
+    /// Number of units that are free at `at`, counting no further than
+    /// `cap`: the answer is `min(free units, cap)`.
+    pub fn free_units_up_to(&self, at: SimTime, cap: usize) -> usize {
+        // Padding leaves read as free only when `at` is `SimTime::MAX`, and
+        // then every real unit (all to their left) is counted first.
+        self.count_free(1, at, cap.min(self.units.len()))
     }
 
-    /// Number of units that are free at `at`.
-    pub fn free_units(&self, at: SimTime) -> usize {
-        self.units.iter().filter(|u| u.free_at() <= at).count()
-    }
-
-    /// Mean utilization of the pool over `[ZERO, now]`.
+    /// Mean utilization of the pool over `[ZERO, now]`: the in-order sum of
+    /// each unit's busy fraction (clamped to 1) over the unit count.
     pub fn utilization(&self, now: SimTime) -> f64 {
-        if self.units.is_empty() {
+        let elapsed = now.saturating_since(SimTime::ZERO);
+        if elapsed.is_zero() {
             return 0.0;
         }
-        self.units.iter().map(|u| u.utilization(now)).sum::<f64>() / self.units.len() as f64
+        let elapsed_ns = elapsed.as_ns();
+        self.busy_ns
+            .iter()
+            .map(|&busy| (busy / elapsed_ns).min(1.0))
+            .sum::<f64>()
+            / self.units.len() as f64
     }
 
     /// Total busy time across all units.
@@ -295,25 +331,20 @@ impl ResourcePool {
         }
     }
 
-    /// Restores the pool serialized by [`ResourcePool::encode_into`],
-    /// keeping the unit names.
+    /// Restores the pool serialized by [`ResourcePool::encode_into`].
     ///
     /// # Errors
     ///
     /// Returns [`ConduitError::CorruptCheckpoint`] if the stored unit count
     /// does not match this (configuration-derived) pool's size.
     pub(crate) fn restore_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        let count = r.u64()? as usize;
-        if count != self.units.len() {
-            return Err(ConduitError::corrupt_checkpoint(format!(
-                "pool checkpoint has {count} units but the configuration describes {}",
-                self.units.len()
-            )));
-        }
-        for unit in &mut self.units {
-            unit.restore_from(r)?;
-        }
-        Ok(())
+        self.read_unit_count(r)?;
+        let restored = self
+            .units
+            .iter_mut()
+            .try_for_each(|unit| unit.restore_from(r));
+        self.rebuild_index();
+        restored
     }
 
     /// Sparse variant of [`ResourcePool::encode_into`]: only touched units
@@ -341,24 +372,16 @@ impl ResourcePool {
     /// than exist, or if the touched indices are not strictly increasing and
     /// in range.
     pub(crate) fn restore_sparse_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        let count = r.u64()? as usize;
-        if count != self.units.len() {
-            return Err(ConduitError::corrupt_checkpoint(format!(
-                "pool checkpoint has {count} units but the configuration describes {}",
-                self.units.len()
-            )));
-        }
+        let count = self.read_unit_count(r)?;
         let touched = r.u64()? as usize;
         if touched > count {
             return Err(ConduitError::corrupt_checkpoint(format!(
                 "pool checkpoint marks {touched} of {count} units as touched"
             )));
         }
-        for unit in &mut self.units {
-            unit.reset();
-        }
+        self.units.fill(SharedResource::new());
         let mut prev: Option<u64> = None;
-        for _ in 0..touched {
+        let restored = (0..touched).try_for_each(|_| {
             let idx = r.u64()?;
             if prev.is_some_and(|p| idx <= p) || idx >= count as u64 {
                 return Err(ConduitError::corrupt_checkpoint(format!(
@@ -366,24 +389,82 @@ impl ResourcePool {
                 )));
             }
             prev = Some(idx);
-            self.units[idx as usize].restore_from(r)?;
-        }
-        Ok(())
+            self.units[idx as usize].restore_from(r)
+        });
+        self.rebuild_index();
+        restored
     }
 
-    fn earliest_unit(&self, at: SimTime) -> usize {
-        self.units
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, u)| u.free_at().max(at))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+    /// Reads a checkpoint's unit count and checks it against this
+    /// (configuration-derived) pool's size.
+    fn read_unit_count(&self, r: &mut Reader<'_>) -> Result<usize> {
+        let count = r.u64()? as usize;
+        if count != self.units.len() {
+            return Err(ConduitError::corrupt_checkpoint(format!(
+                "pool checkpoint has {count} units but the configuration describes {}",
+                self.units.len()
+            )));
+        }
+        Ok(count)
+    }
+
+    /// Number of leaves in the min-tree (the unit count rounded up to a
+    /// power of two).
+    fn leaves(&self) -> usize {
+        self.free_at.len() / 2
+    }
+
+    /// Reserves unit `idx` and refreshes its leaf, the path to the root and
+    /// its busy-time column entry.
+    fn reserve_at(
+        &mut self,
+        idx: usize,
+        earliest: SimTime,
+        service: Duration,
+    ) -> (SimTime, SimTime) {
+        let leaves = self.leaves();
+        let unit = &mut self.units[idx];
+        let interval = unit.reserve(earliest, service);
+        self.busy_ns[idx] = unit.total_busy.as_ns();
+        let mut node = leaves + idx;
+        self.free_at[node] = unit.busy_until;
+        while node > 1 {
+            node /= 2;
+            self.free_at[node] = self.free_at[2 * node].min(self.free_at[2 * node + 1]);
+        }
+        interval
+    }
+
+    /// Recomputes the whole index from the units (at construction and after
+    /// a restore).
+    fn rebuild_index(&mut self) {
+        let leaves = self.leaves();
+        for (i, unit) in self.units.iter().enumerate() {
+            self.free_at[leaves + i] = unit.busy_until;
+            self.busy_ns[i] = unit.total_busy.as_ns();
+        }
+        for node in (1..leaves).rev() {
+            self.free_at[node] = self.free_at[2 * node].min(self.free_at[2 * node + 1]);
+        }
+    }
+
+    /// Counts free leaves under `node`, stopping at `cap`.
+    fn count_free(&self, node: usize, at: SimTime, cap: usize) -> usize {
+        if cap == 0 || self.free_at[node] > at {
+            return 0;
+        }
+        if node >= self.leaves() {
+            return 1;
+        }
+        let left = self.count_free(2 * node, at, cap);
+        left + self.count_free(2 * node + 1, at, cap - left)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conduit_types::FaultPlan;
 
     fn us(v: f64) -> Duration {
         Duration::from_us(v)
@@ -391,7 +472,7 @@ mod tests {
 
     #[test]
     fn shared_resource_serializes_work() {
-        let mut r = SharedResource::new("ch");
+        let mut r = SharedResource::new();
         let (s1, e1) = r.reserve(SimTime::ZERO, us(5.0));
         let (s2, e2) = r.reserve(SimTime::ZERO, us(5.0));
         assert_eq!(s1, SimTime::ZERO);
@@ -405,8 +486,8 @@ mod tests {
     fn commit_batch_equals_chained_reserves() {
         // One batched window lands on exactly the state of `count` chained
         // reservations, each queued behind the previous one.
-        let mut batched = SharedResource::new("ch");
-        let mut chained = SharedResource::new("ch");
+        let mut batched = SharedResource::new();
+        let mut chained = SharedResource::new();
         batched.reserve(SimTime::ZERO, us(2.0));
         chained.reserve(SimTime::ZERO, us(2.0));
 
@@ -426,7 +507,7 @@ mod tests {
 
     #[test]
     fn queue_delay_reflects_backlog() {
-        let mut r = SharedResource::new("ch");
+        let mut r = SharedResource::new();
         assert_eq!(r.queue_delay(SimTime::ZERO), Duration::ZERO);
         r.reserve(SimTime::ZERO, us(8.0));
         assert_eq!(r.queue_delay(SimTime::ZERO), us(8.0));
@@ -436,7 +517,7 @@ mod tests {
 
     #[test]
     fn idle_gaps_do_not_count_as_busy() {
-        let mut r = SharedResource::new("ch");
+        let mut r = SharedResource::new();
         r.reserve(SimTime::ZERO, us(2.0));
         // Next request arrives much later; the gap is idle.
         r.reserve(SimTime::ZERO + us(100.0), us(2.0));
@@ -447,11 +528,13 @@ mod tests {
 
     #[test]
     fn pool_spreads_work_across_units() {
-        let mut p = ResourcePool::new("die", 4);
+        let mut p = ResourcePool::new(4);
         for _ in 0..4 {
             p.reserve(SimTime::ZERO, us(10.0));
         }
-        assert_eq!(p.free_units(SimTime::ZERO), 0);
+        assert_eq!(p.free_units_up_to(SimTime::ZERO, 4), 0);
+        assert_eq!(p.free_units_up_to(SimTime::ZERO + us(10.0), 4), 4);
+        assert_eq!(p.free_units_up_to(SimTime::ZERO + us(10.0), 3), 3);
         assert_eq!(p.queue_delay(SimTime::ZERO), us(10.0));
         assert_eq!(p.completed(), 4);
         // A fifth request queues on whichever unit frees first.
@@ -461,7 +544,7 @@ mod tests {
 
     #[test]
     fn pool_tie_breaks_on_lowest_unit_index() {
-        let mut p = ResourcePool::new("die", 3);
+        let mut p = ResourcePool::new(3);
         // All units idle: ties must resolve to the lowest index, in order,
         // so simulations are deterministic regardless of pool size.
         let (_, _, i0) = p.reserve(SimTime::ZERO, us(5.0));
@@ -476,7 +559,7 @@ mod tests {
 
     #[test]
     fn pool_prefers_earliest_free_unit_over_index() {
-        let mut p = ResourcePool::new("die", 3);
+        let mut p = ResourcePool::new(3);
         // Unit 0 busy for 10 us, unit 1 for 2 us, unit 2 for 6 us.
         p.reserve_unit(0, SimTime::ZERO, us(10.0));
         p.reserve_unit(1, SimTime::ZERO, us(2.0));
@@ -488,18 +571,19 @@ mod tests {
 
     #[test]
     fn pool_specific_unit_reservation() {
-        let mut p = ResourcePool::new("bank", 2);
+        let mut p = ResourcePool::new(2);
         p.reserve_unit(0, SimTime::ZERO, us(5.0));
-        assert_eq!(p.queue_delay_on(0, SimTime::ZERO), us(5.0));
-        assert_eq!(p.queue_delay_on(1, SimTime::ZERO), Duration::ZERO);
-        // Unit index wraps.
+        assert_eq!(p.queue_delay(SimTime::ZERO), Duration::ZERO);
+        // Unit index 3 wraps to unit 1.
         p.reserve_unit(3, SimTime::ZERO, us(2.0));
-        assert_eq!(p.queue_delay_on(1, SimTime::ZERO), us(2.0));
+        assert_eq!(p.queue_delay(SimTime::ZERO), us(2.0));
+        let (start, _, idx) = p.reserve(SimTime::ZERO, us(1.0));
+        assert_eq!((start, idx), (SimTime::ZERO + us(2.0), 1));
     }
 
     #[test]
     fn pool_utilization_averages_units() {
-        let mut p = ResourcePool::new("core", 2);
+        let mut p = ResourcePool::new(2);
         p.reserve_unit(0, SimTime::ZERO, us(10.0));
         let util = p.utilization(SimTime::ZERO + us(10.0));
         assert!((util - 0.5).abs() < 1e-9);
@@ -509,41 +593,39 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one unit")]
     fn empty_pool_panics() {
-        let _ = ResourcePool::new("x", 0);
+        let _ = ResourcePool::new(0);
     }
 
     #[test]
     fn sparse_resource_encoding_roundtrips_and_stays_small() {
         // Idle: one flag byte instead of 24 zeros.
-        let idle = SharedResource::new("ch");
+        let idle = SharedResource::new();
         let mut buf = Vec::new();
         idle.encode_sparse_into(&mut buf);
         assert_eq!(buf, vec![0]);
-        let mut back = SharedResource::new("ch");
+        let mut back = SharedResource::new();
         back.reserve(SimTime::ZERO, us(3.0)); // stale state must be cleared
         back.restore_sparse_from(&mut Reader::new(&buf)).unwrap();
         assert_eq!(back, idle);
 
         // Busy: flag byte plus the dense triple.
-        let mut busy = SharedResource::new("ch");
+        let mut busy = SharedResource::new();
         busy.reserve(SimTime::ZERO, us(7.0));
         let mut buf = Vec::new();
         busy.encode_sparse_into(&mut buf);
         assert_eq!(buf.len(), 1 + 24);
-        let mut back = SharedResource::new("ch");
+        let mut back = SharedResource::new();
         back.restore_sparse_from(&mut Reader::new(&buf)).unwrap();
         assert_eq!(back, busy);
 
         // Garbage flag is rejected.
         let mut r = Reader::new(&[7u8]);
-        assert!(SharedResource::new("ch")
-            .restore_sparse_from(&mut r)
-            .is_err());
+        assert!(SharedResource::new().restore_sparse_from(&mut r).is_err());
     }
 
     #[test]
     fn sparse_pool_encoding_skips_idle_units() {
-        let mut p = ResourcePool::new("die", 16);
+        let mut p = ResourcePool::new(16);
         p.reserve_unit(3, SimTime::ZERO, us(5.0));
         p.reserve_unit(11, SimTime::ZERO, us(2.0));
         let mut sparse = Vec::new();
@@ -554,13 +636,13 @@ mod tests {
         p.encode_into(&mut dense);
         assert!(sparse.len() < dense.len());
 
-        let mut back = ResourcePool::new("die", 16);
+        let mut back = ResourcePool::new(16);
         back.reserve_unit(0, SimTime::ZERO, us(9.0)); // must be reset on restore
         back.restore_sparse_from(&mut Reader::new(&sparse)).unwrap();
         assert_eq!(back, p);
 
         // A fully idle pool costs only the 16-byte header.
-        let idle = ResourcePool::new("die", 64);
+        let idle = ResourcePool::new(64);
         let mut buf = Vec::new();
         idle.encode_sparse_into(&mut buf);
         assert_eq!(buf.len(), 16);
@@ -569,7 +651,7 @@ mod tests {
     #[test]
     fn sparse_pool_restore_rejects_malformed_indices() {
         let probe =
-            |bytes: &[u8]| ResourcePool::new("die", 4).restore_sparse_from(&mut Reader::new(bytes));
+            |bytes: &[u8]| ResourcePool::new(4).restore_sparse_from(&mut Reader::new(bytes));
         let mut wrong_count = Vec::new();
         put_u64(&mut wrong_count, 5);
         put_u64(&mut wrong_count, 0);
@@ -598,5 +680,182 @@ mod tests {
         entry(&mut unordered, 2);
         entry(&mut unordered, 1);
         assert!(probe(&unordered).is_err());
+    }
+
+    /// Linear-scan reference model of [`ResourcePool`]: every query walks
+    /// the units, and utilization divides each unit's busy time by the
+    /// elapsed time in two `as_ns` conversions.
+    struct ScanPool {
+        units: Vec<SharedResource>,
+    }
+
+    impl ScanPool {
+        fn reserve(&mut self, earliest: SimTime, service: Duration) -> (SimTime, SimTime, usize) {
+            let idx = self
+                .units
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, u)| u.free_at().max(earliest))
+                .map(|(i, _)| i)
+                .expect("pools are non-empty");
+            let (start, end) = self.units[idx].reserve(earliest, service);
+            (start, end, idx)
+        }
+
+        fn reserve_unit(
+            &mut self,
+            unit: usize,
+            earliest: SimTime,
+            service: Duration,
+        ) -> (SimTime, SimTime) {
+            let idx = unit % self.units.len();
+            self.units[idx].reserve(earliest, service)
+        }
+
+        fn queue_delay(&self, at: SimTime) -> Duration {
+            self.units
+                .iter()
+                .map(|u| u.queue_delay(at))
+                .min()
+                .expect("pools are non-empty")
+        }
+
+        fn free_units(&self, at: SimTime) -> usize {
+            self.units.iter().filter(|u| u.free_at() <= at).count()
+        }
+
+        fn utilization(&self, now: SimTime) -> f64 {
+            self.units.iter().map(|u| u.utilization(now)).sum::<f64>() / self.units.len() as f64
+        }
+    }
+
+    /// Asserts that `pool` answers every query exactly as the reference
+    /// does at each of the probe times.
+    fn assert_matches(pool: &ResourcePool, model: &ScanPool, probes: &[SimTime], ctx: &str) {
+        assert_eq!(pool.units, model.units, "{ctx}: unit timelines");
+        assert_eq!(
+            pool.completed(),
+            model.units.iter().map(|u| u.completed()).sum::<u64>(),
+            "{ctx}"
+        );
+        assert_eq!(
+            pool.total_busy(),
+            model.units.iter().map(|u| u.total_busy()).sum::<Duration>(),
+            "{ctx}"
+        );
+        for &at in probes {
+            assert_eq!(
+                pool.queue_delay(at),
+                model.queue_delay(at),
+                "{ctx}: queue delay at {at:?}"
+            );
+            assert_eq!(
+                pool.utilization(at).to_bits(),
+                model.utilization(at).to_bits(),
+                "{ctx}: utilization at {at:?}"
+            );
+            let free = model.free_units(at);
+            for cap in 0..=pool.len() + 1 {
+                assert_eq!(
+                    pool.free_units_up_to(at, cap),
+                    free.min(cap),
+                    "{ctx}: free units at {at:?} capped at {cap}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_pool_matches_a_linear_scan_model() {
+        // Sizes that are not powers of two exercise the padding leaves.
+        for size in [1, 3, 5, 64, 128] {
+            for seed in [1, 2] {
+                drive_against_model(size, seed);
+            }
+        }
+    }
+
+    /// Drives an indexed pool through seeded reservations next to the
+    /// reference model, checking every query after every step. Every few
+    /// steps a dense and a sparse restored copy of the pool join it and
+    /// continue alongside.
+    fn drive_against_model(size: usize, seed: u64) {
+        const STEPS: usize = 240;
+        const RESTORE_EVERY: usize = 9;
+        let mut rng = FaultPlan::new(seed * 1_000 + size as u64);
+        let mut model = ScanPool {
+            units: vec![SharedResource::new(); size],
+        };
+        let mut pools = vec![ResourcePool::new(size)];
+        for step in 0..STEPS {
+            let ctx = format!("size {size}, seed {seed}, step {step}");
+            // Arrivals on a coarse grid around a random unit's busy-until:
+            // before it, exactly at it, after it, or at time zero. On the
+            // grid, ties between units are common.
+            let anchor = model.units[rng.next_u64() as usize % size].free_at();
+            let offset = 1_000 * (rng.next_u64() % 4);
+            let earliest = SimTime::from_ps(match rng.next_u64() % 4 {
+                0 => anchor.as_ps().saturating_sub(offset),
+                1 => anchor.as_ps(),
+                2 => anchor.as_ps() + offset,
+                _ => 0,
+            });
+            let service = Duration::from_ps(1_000 * (rng.next_u64() % 6));
+            let end = if rng.next_u64().is_multiple_of(3) {
+                // A specific unit; indices up to twice the size wrap.
+                let unit = rng.next_u64() as usize % (2 * size + 1);
+                let expected = model.reserve_unit(unit, earliest, service);
+                for pool in &mut pools {
+                    let got = pool.reserve_unit(unit, earliest, service);
+                    assert_eq!(got, expected, "{ctx}");
+                }
+                expected.1
+            } else {
+                let expected = model.reserve(earliest, service);
+                for pool in &mut pools {
+                    assert_eq!(pool.reserve(earliest, service), expected, "{ctx}");
+                }
+                expected.1
+            };
+            let probes = [
+                SimTime::ZERO,
+                earliest,
+                end,
+                SimTime::from_ps(1_000 * (rng.next_u64() % 64)),
+            ];
+            if step % RESTORE_EVERY == RESTORE_EVERY - 1 {
+                let copies = restored_copies(&pools[0], &mut rng);
+                pools.truncate(1);
+                pools.extend(copies);
+            }
+            for pool in &pools {
+                assert_matches(pool, &model, &probes, &ctx);
+            }
+        }
+    }
+
+    /// Dense and sparse checkpoints of `pool`, each restored into a pool
+    /// first dirtied by other reservations (so any index entry a restore
+    /// failed to rebuild would show).
+    fn restored_copies(pool: &ResourcePool, rng: &mut FaultPlan) -> [ResourcePool; 2] {
+        let mut dirtied = || {
+            let mut p = ResourcePool::new(pool.len());
+            for _ in 0..1 + rng.next_u64() % 5 {
+                let at = SimTime::from_ps(1_000 * (rng.next_u64() % 32));
+                p.reserve(at, Duration::from_ps(1_000 * (1 + rng.next_u64() % 9)));
+            }
+            p
+        };
+        let mut dense = Vec::new();
+        pool.encode_into(&mut dense);
+        let mut from_dense = dirtied();
+        from_dense.restore_from(&mut Reader::new(&dense)).unwrap();
+        let mut sparse = Vec::new();
+        pool.encode_sparse_into(&mut sparse);
+        let mut from_sparse = dirtied();
+        from_sparse
+            .restore_sparse_from(&mut Reader::new(&sparse))
+            .unwrap();
+        [from_dense, from_sparse]
     }
 }

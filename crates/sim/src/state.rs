@@ -108,8 +108,9 @@ impl DeviceState {
     ///
     /// # Errors
     ///
-    /// Returns configuration errors from the FTL (degenerate geometry) or
-    /// core allocation.
+    /// Returns configuration errors from the FTL (degenerate flash
+    /// geometry), a DRAM geometry without PuD compute units, or the core
+    /// allocation.
     pub fn new(cfg: &SsdConfig) -> Result<Self> {
         Self::new_with_faults(cfg, FaultConfig::default())
     }
@@ -121,10 +122,17 @@ impl DeviceState {
     ///
     /// # Errors
     ///
-    /// Returns configuration errors from the FTL (degenerate geometry) or
-    /// core allocation.
+    /// Returns configuration errors from the FTL (degenerate flash
+    /// geometry), a DRAM geometry without PuD compute units, or the core
+    /// allocation.
     pub fn new_with_faults(cfg: &SsdConfig, faults: FaultConfig) -> Result<Self> {
         let ftl = Ftl::with_faults(cfg, faults)?;
+        let pud_units = cfg.dram.compute_units() as usize;
+        if pud_units == 0 {
+            return Err(ConduitError::invalid_config(
+                "DRAM geometry has no PuD compute units",
+            ));
+        }
         let total_dies = (cfg.flash.channels * cfg.flash.dies_per_channel) as usize;
         let compute_core_count = conduit_ctrl::CoreAllocation::standard(&cfg.ctrl)?
             .count(conduit_ctrl::CoreRole::Compute)
@@ -134,15 +142,13 @@ impl DeviceState {
         let ctrl_capacity_pages = (cfg.ctrl.sram_bytes / cfg.flash.page_bytes).max(4) as usize;
         Ok(DeviceState {
             ftl,
-            channels: (0..cfg.flash.channels)
-                .map(|i| SharedResource::new(format!("flash-channel-{i}")))
-                .collect(),
-            dies: ResourcePool::new("die", total_dies),
-            dram_banks: ResourcePool::new("dram-subarray", cfg.dram.compute_units() as usize),
-            dram_bus: SharedResource::new("dram-bus"),
-            compute_cores: ResourcePool::new("isp-core", compute_core_count),
-            offloader_core: SharedResource::new("offloader-core"),
-            pcie: SharedResource::new("pcie"),
+            channels: vec![SharedResource::new(); cfg.flash.channels as usize],
+            dies: ResourcePool::new(total_dies),
+            dram_banks: ResourcePool::new(pud_units),
+            dram_bus: SharedResource::new(),
+            compute_cores: ResourcePool::new(compute_core_count),
+            offloader_core: SharedResource::new(),
+            pcie: SharedResource::new(),
             dram_resident: PageSet::default(),
             dram_order: VecDeque::new(),
             dram_capacity_pages,
@@ -266,8 +272,8 @@ impl DeviceState {
     /// erased are skipped entirely, so a cold device's checkpoint stays
     /// small no matter how large the array is. Restore with
     /// [`DeviceState::from_bytes`] under the same [`SsdConfig`]; everything
-    /// derived from the configuration (geometry, capacities, resource
-    /// names, estimate tables) is rebuilt rather than stored.
+    /// derived from the configuration (geometry, capacities, pool sizes,
+    /// estimate tables) is rebuilt rather than stored.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&DEVICE_STATE_MAGIC);

@@ -2,7 +2,8 @@
 //! vectorization → program registration → runtime offloading → summary.
 
 use conduit::{Policy, RunOptions, RunRequest, RuntimeEngine, Session};
-use conduit_types::{Duration, Energy, OpType, SsdConfig};
+use conduit_sim::{DeviceState, SsdDevice};
+use conduit_types::{ConduitError, Duration, Energy, OpType, SsdConfig};
 use conduit_vectorizer::{ArrayDecl, Expr, Kernel, Loop, Statement, Vectorizer};
 
 /// A small mixed kernel: one vectorizable streaming loop, one multiply-heavy
@@ -151,4 +152,50 @@ fn vector_width_ablation_changes_instruction_count_not_correctness() {
         .summary;
     assert!(wide_report.total_time > Duration::ZERO);
     assert!(narrow_report.total_time > Duration::ZERO);
+}
+
+#[test]
+fn dram_geometry_without_pud_units_is_a_config_error() {
+    // Zeroing any factor of the PuD unit count (channels × ranks × banks ×
+    // subarrays) leaves the DRAM with no compute units: every entry point
+    // that builds a device reports a configuration error, even for a
+    // host-only request.
+    let zeroings: [fn(&mut SsdConfig); 3] = [
+        |cfg| cfg.dram.channels = 0,
+        |cfg| cfg.dram.ranks = 0,
+        |cfg| cfg.dram.banks = 0,
+    ];
+    let program = Vectorizer::default()
+        .vectorize(&mixed_kernel())
+        .unwrap()
+        .program;
+    let checkpoint = DeviceState::new(&SsdConfig::small_for_tests())
+        .unwrap()
+        .to_bytes();
+    for (i, zero) in zeroings.iter().enumerate() {
+        let mut cfg = SsdConfig::small_for_tests();
+        zero(&mut cfg);
+        assert!(
+            matches!(
+                SsdDevice::new(&cfg),
+                Err(ConduitError::InvalidConfig { .. })
+            ),
+            "zeroing {i}: SsdDevice::new"
+        );
+        assert!(
+            matches!(
+                DeviceState::from_bytes(&cfg, &checkpoint),
+                Err(ConduitError::InvalidConfig { .. })
+            ),
+            "zeroing {i}: DeviceState::from_bytes"
+        );
+        let mut session = Session::builder(cfg).serial().build();
+        let id = session.register(program.clone()).unwrap();
+        for policy in [Policy::HostCpu, Policy::Conduit] {
+            assert!(
+                session.submit(&RunRequest::new(id, policy)).is_err(),
+                "zeroing {i}: {policy} submit"
+            );
+        }
+    }
 }
