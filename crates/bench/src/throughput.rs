@@ -70,6 +70,14 @@ pub struct ThroughputReport {
     /// Inline-program runs that bypassed the plan cache (always 0 here —
     /// the measurement only submits registered programs).
     pub plan_cache_inline: u64,
+    /// Fresh runs that built and prepared their own device, over the
+    /// measurement's session and both figure-sweep sessions.
+    pub prepared_builds: u64,
+    /// Fresh runs that got a copy of their batch's prepared device instead
+    /// of building one, over the same sessions. Each 66-pair figure sweep
+    /// adds 6 builds and 60 clones: one prepared device per workload, shared
+    /// by its other ten policy runs.
+    pub prepared_clones: u64,
     /// Wall-clock seconds of the full figure sweep run serially.
     pub sweep_serial_seconds: f64,
     /// Wall-clock seconds of the same sweep with the parallel harness.
@@ -199,6 +207,9 @@ impl ThroughputReport {
         }
 
         // --- full figure sweep: serial vs parallel harness ----------------
+        let plan_stats = session.plan_cache_stats();
+        let mut prepared_builds = plan_stats.prepared_builds;
+        let mut prepared_clones = plan_stats.prepared_clones;
         let (sweep_serial_seconds, sweep_parallel_seconds) = if sweeps {
             let t = Instant::now();
             let mut serial = Harness::new(cfg.clone(), scale).with_parallel(false);
@@ -208,12 +219,17 @@ impl ThroughputReport {
             let t = Instant::now();
             let mut parallel = Harness::new(cfg, scale).with_parallel(true);
             parallel.prefetch_all();
-            (sweep_serial_seconds, t.elapsed().as_secs_f64())
+            let sweep_parallel_seconds = t.elapsed().as_secs_f64();
+            for harness in [&serial, &parallel] {
+                let stats = harness.session().plan_cache_stats();
+                prepared_builds += stats.prepared_builds;
+                prepared_clones += stats.prepared_clones;
+            }
+            (sweep_serial_seconds, sweep_parallel_seconds)
         } else {
             (0.0, 0.0)
         };
 
-        let plan_stats = session.plan_cache_stats();
         ThroughputReport {
             quick,
             instructions,
@@ -229,6 +245,8 @@ impl ThroughputReport {
             plan_cache_hits: plan_stats.hits,
             plan_cache_misses: plan_stats.misses,
             plan_cache_inline: plan_stats.inline,
+            prepared_builds,
+            prepared_clones,
             sweep_serial_seconds,
             sweep_parallel_seconds,
             parallel_speedup: if sweeps {
@@ -251,6 +269,7 @@ impl ThroughputReport {
              sim device ops:         {}\n\
              ops/instruction:        {:.4}\n\
              plan cache:             {} hits / {} misses / {} inline ({:.0}% hit rate)\n\
+             prepared devices:       {} builds / {} clones\n\
              sweep serial:           {:.3} s\n\
              sweep parallel:         {:.3} s\n\
              parallel speedup:       {:.2}x\n",
@@ -268,6 +287,8 @@ impl ThroughputReport {
             self.plan_cache_inline,
             100.0 * self.plan_cache_hits as f64
                 / ((self.plan_cache_hits + self.plan_cache_misses).max(1)) as f64,
+            self.prepared_builds,
+            self.prepared_clones,
             self.sweep_serial_seconds,
             self.sweep_parallel_seconds,
             self.parallel_speedup
@@ -309,6 +330,8 @@ impl ThroughputReport {
                 ),
                 ("plan_cache_hits", self.plan_cache_hits.to_string()),
                 ("plan_cache_misses", self.plan_cache_misses.to_string()),
+                ("prepared_builds", self.prepared_builds.to_string()),
+                ("prepared_clones", self.prepared_clones.to_string()),
                 (
                     "sweep_serial_seconds",
                     format!("{:.6}", self.sweep_serial_seconds),
@@ -398,11 +421,27 @@ mod tests {
         );
         assert!(r.plan_cache_hits >= r.plan_cache_misses);
         assert_eq!(r.plan_cache_inline, 0);
+        // Every measurement submit builds one device; at quick scale each
+        // timed submit repeats three times, and its other two repeats clone
+        // it. Each figure sweep prepares one device per workload, cloned by
+        // the workload's other policy runs.
+        let workloads = conduit_workloads::Workload::ALL.len() as u64;
+        let policies = Policy::ALL.len() as u64;
+        let probes: u64 = r.per_policy.iter().map(|p| p.samples as u64).sum();
+        let submits = workloads * (1 + r.passes as u64) + probes;
+        assert_eq!(r.prepared_builds, submits + 2 * workloads);
+        assert_eq!(
+            r.prepared_clones,
+            workloads * r.passes as u64 * 2 + 2 * workloads * (policies - 1)
+        );
         let json = r.to_json();
         assert!(json.contains("\"instructions_per_sec\""));
         assert!(json.contains("\"parallel_speedup\""));
         assert!(json.contains("\"sim_device_ops\""));
         assert!(json.contains("\"plan_cache_hits\""));
+        for field in ["prepared_builds", "prepared_clones"] {
+            assert!(baseline_number(&json, field).is_some(), "{field} missing");
+        }
         for field in ["q1", "median", "q3"] {
             let key = format!("instructions_per_sec_{field}");
             assert!(baseline_number(&json, &key).is_some(), "{key} missing");
@@ -410,6 +449,7 @@ mod tests {
         assert!(r.summary().contains("instructions/sec"));
         assert!(r.summary().contains("ops/instruction"));
         assert!(r.summary().contains("plan cache"));
+        assert!(r.summary().contains("prepared devices"));
         // The perf gate can read back what we wrote.
         let parsed = baseline_instructions_per_sec(&json).expect("field is present");
         assert!((parsed - r.instructions_per_sec).abs() <= 0.05 * r.instructions_per_sec + 0.1);
@@ -498,6 +538,8 @@ mod tests {
             plan_cache_hits: 1,
             plan_cache_misses: 1,
             plan_cache_inline: 0,
+            prepared_builds: 1,
+            prepared_clones: 0,
             sweep_serial_seconds: 1.0,
             sweep_parallel_seconds: 1.0,
             parallel_speedup: 1.0,

@@ -4,9 +4,9 @@
 //! A **strip** is a maximal run of consecutive instructions that share the
 //! same `(op, elem_bits, lanes)` shape — and therefore the same
 //! [`conduit_sim::StripEstimates`] (per-resource compute estimates and
-//! per-location static-move latencies). The batched run loop in
-//! [`crate::RuntimeEngine`] hoists those estimates and the offloader-core
-//! reservation once per strip instead of once per instruction.
+//! per-location static-move latencies). The run loop in
+//! [`crate::RuntimeEngine`] reserves the offloader core once per strip, and
+//! reads the estimates from the cost row it resolves once per shape.
 //!
 //! For policies whose placement is a pure function of the operation
 //! (host-side policies and the single-resource NDP baselines), the planner

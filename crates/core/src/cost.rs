@@ -15,7 +15,7 @@
 //! Every chooser reads its per-resource estimates from the
 //! [`StripEstimates`] in the [`PolicyContext`] — the compute and static
 //! data-movement latencies at the instruction's vector shape, which the run
-//! loop looks up once per strip of same-shaped instructions — and its
+//! loop looks up once per distinct shape in a run — and its
 //! runtime features (operand locations, dependence and queueing delays) from
 //! the rest of the context.
 //!

@@ -8,6 +8,14 @@
 //! protocol), executes the computation on the contended resource timelines,
 //! and records the result's new location.
 //!
+//! Costs that depend only on an instruction's shape `(op, elem_bits, lanes)`
+//! — the per-resource compute and static-move estimates, the host CPU or
+//! GPU compute cost, Ideal's pick — are resolved once per distinct shape
+//! per run, into a cost row the run loop reads for every strip of that
+//! shape. Programs have a handful of shapes but alternate them, so strips
+//! are short. Everything else (placement on runtime state, staging, PuD and
+//! IFP execution on the contended timelines) stays per instruction.
+//!
 //! The engine itself is **stateless across runs**: it owns only the models
 //! derived from the configuration (offloader overheads, the instruction
 //! transformer, the host CPU/GPU rooflines) and *borrows* the device it
@@ -18,9 +26,11 @@
 
 use std::sync::Mutex;
 
-use conduit_sim::{CostBreakdown, HostCpuModel, HostGpuModel, OpCompletion, SsdDevice};
+use conduit_sim::{
+    CostBreakdown, HostCpuModel, HostGpuModel, OpCompletion, SsdDevice, StripEstimates,
+};
 use conduit_types::{
-    ConduitError, DataLocation, Duration, Energy, ExecutionSite, HostConfig, LogicalPageId,
+    ConduitError, DataLocation, Duration, Energy, ExecutionSite, HostConfig, LogicalPageId, OpType,
     Operand, Resource, Result, SimTime, SsdConfig, VectorInst, VectorProgram, PAGE_BYTES,
 };
 
@@ -115,6 +125,32 @@ struct RunScratch {
     operand_first_pages: Vec<LogicalPageId>,
     /// Inline strip-plan buffer (used when no cached plan applies).
     strips: Vec<Strip>,
+    /// The run's cost rows, one per distinct instruction shape.
+    rows: Vec<CostRow>,
+}
+
+/// The costs of one instruction shape that depend only on the shape, the
+/// configuration and the run's options, resolved the first time a strip of
+/// that shape comes up in a run.
+#[derive(Debug, Clone, Copy)]
+struct CostRow {
+    op: OpType,
+    elem_bits: u32,
+    lanes: u32,
+    /// Per-resource compute and static-move estimates
+    /// ([`SsdDevice::estimate_strip`]).
+    estimates: StripEstimates,
+    /// Host policies, the only ones that place on the host: the host CPU's
+    /// or GPU's compute time and energy.
+    host: (Duration, Energy),
+    /// Ideal: the fastest resource and its compute time and energy.
+    ideal: (Resource, Duration, Energy),
+}
+
+impl CostRow {
+    fn is_for(&self, inst: &VectorInst) -> bool {
+        (self.op, self.elem_bits, self.lanes) == (inst.op, inst.elem_bits, inst.lanes)
+    }
 }
 
 impl RunScratch {
@@ -131,6 +167,7 @@ impl RunScratch {
         self.finished.resize(n, start);
         self.operand_locations.clear();
         self.operand_first_pages.clear();
+        self.rows.clear();
     }
 }
 
@@ -293,9 +330,9 @@ impl RuntimeEngine {
     }
 
     /// The strip-mined run loop. Per strip of homogeneous instructions it
-    /// looks up the per-resource estimates once ([`SsdDevice::estimate_strip`])
-    /// and reserves the offloader core for the whole strip in one window;
-    /// per instruction it places, stages, executes and commits in program
+    /// reads the shape's cost row (resolved on the shape's first strip) and
+    /// reserves the offloader core for the whole strip in one window; per
+    /// instruction it places, stages, executes and commits in program
     /// order. Bookkeeping lives in the reusable struct-of-arrays `scratch`,
     /// and the timeline is materialized from the columns only when
     /// requested.
@@ -319,6 +356,7 @@ impl RuntimeEngine {
             operand_locations,
             operand_first_pages,
             strips: strip_buf,
+            rows,
         } = scratch;
         let strips: &[Strip] = match plan {
             Some(p) if p.matches(options) => p.strips(),
@@ -343,25 +381,21 @@ impl RuntimeEngine {
 
         for strip in strips {
             let first = &insts[strip.start];
-            // One table walk per strip: per-resource compute estimates and
-            // per-location static-move latencies at the strip's shape.
-            let se =
-                device.estimate_strip(first.op, first.elem_bits, first.lanes, first.vector_bytes());
+            let row = match rows.iter().position(|row| row.is_for(first)) {
+                Some(k) => &rows[k],
+                None => {
+                    rows.push(self.cost_row(device, options, first));
+                    &rows[rows.len() - 1]
+                }
+            };
 
             // The unrealizable Ideal policy: no overhead, no data movement,
             // no contention — just the fastest compute latency. Its
-            // placement depends only on the estimates, so the whole strip
-            // resolves to one resource up front.
+            // placement depends only on the shape, so the whole strip runs
+            // on the row's resource.
             if policy.is_contention_free() {
-                let resource = options
-                    .cost_function
-                    .choose_ideal(&se)
-                    .map(|(r, _)| r)
-                    .unwrap_or(Resource::Isp);
+                let (resource, comp_latency, comp_energy) = row.ideal;
                 let site = ExecutionSite::Ssd(resource);
-                let est = se.compute_for(resource);
-                let comp_latency = est.map(|e| e.latency).unwrap_or(Duration::ZERO);
-                let comp_energy = est.map(|e| e.energy).unwrap_or(Energy::ZERO);
                 for idx in strip.start..strip.start + strip.len {
                     let inst = &insts[idx];
                     let issue = offload_clock;
@@ -420,13 +454,13 @@ impl RuntimeEngine {
                     // Statically planned placement (pure function of the op).
                     Some(site) => site,
                     // Runtime-state-dependent placement, evaluated per
-                    // instruction from the strip's estimates.
+                    // instruction from the row's estimates.
                     None => policy.choose_site(
                         &options.cost_function,
                         inst.op,
                         &PolicyContext {
                             device: &*device,
-                            estimates: &se,
+                            estimates: &row.estimates,
                             now: issue,
                             operand_locations,
                             dependence_delay: dep_ready.saturating_since(issue),
@@ -508,17 +542,7 @@ impl RuntimeEngine {
                         data_ready,
                     )?,
                     ExecutionSite::HostCpu | ExecutionSite::HostGpu => {
-                        let (t, e) = if site == ExecutionSite::HostCpu {
-                            let t = self
-                                .host_cpu
-                                .compute_time(inst.op, inst.elem_bits, inst.lanes);
-                            (t, self.host_cpu.energy(t))
-                        } else {
-                            let t = self
-                                .host_gpu
-                                .compute_time(inst.op, inst.elem_bits, inst.lanes);
-                            (t, self.host_gpu.energy(t))
-                        };
+                        let (t, e) = row.host;
                         host_clock = data_ready.max(host_clock) + t;
                         OpCompletion {
                             ready: host_clock,
@@ -596,6 +620,46 @@ impl RuntimeEngine {
             timeline,
             overhead: overhead_report,
         })
+    }
+
+    /// Resolves the cost row of `inst`'s shape for a run under `options`.
+    fn cost_row(&self, device: &SsdDevice, options: &RunOptions, inst: &VectorInst) -> CostRow {
+        let (op, elem_bits, lanes) = (inst.op, inst.elem_bits, inst.lanes);
+        let estimates = device.estimate_strip(op, elem_bits, lanes, inst.vector_bytes());
+        let host = match options.policy {
+            Policy::HostCpu => {
+                let t = self.host_cpu.compute_time(op, elem_bits, lanes);
+                (t, self.host_cpu.energy(t))
+            }
+            Policy::HostGpu => {
+                let t = self.host_gpu.compute_time(op, elem_bits, lanes);
+                (t, self.host_gpu.energy(t))
+            }
+            _ => (Duration::ZERO, Energy::ZERO),
+        };
+        let ideal = if options.policy.is_contention_free() {
+            let resource = options
+                .cost_function
+                .choose_ideal(&estimates)
+                .map(|(r, _)| r)
+                .unwrap_or(Resource::Isp);
+            let est = estimates.compute_for(resource);
+            (
+                resource,
+                est.map(|e| e.latency).unwrap_or(Duration::ZERO),
+                est.map(|e| e.energy).unwrap_or(Energy::ZERO),
+            )
+        } else {
+            (Resource::Isp, Duration::ZERO, Energy::ZERO)
+        };
+        CostRow {
+            op,
+            elem_bits,
+            lanes,
+            estimates,
+            host,
+            ideal,
+        }
     }
 
     fn pages_per_vector(inst: &VectorInst) -> u64 {

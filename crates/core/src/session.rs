@@ -21,7 +21,12 @@
 //!   and opt-in [`RunArtifacts`] (the full per-instruction timeline);
 //! * **fresh** runs (the default) each simulate on a pristine device, so
 //!   [`Session::submit_batch`] fans them out across the pool with results
-//!   **bit-identical** to running them serially;
+//!   **bit-identical** to running them serially. When one batch, or one
+//!   request's repeats, runs a registered program fresh more than once, the
+//!   first run builds and prepares the device and the others clone it: each
+//!   gets exactly the device it would have built. That prepared device
+//!   belongs to the batch: the program's last run takes it, and whatever is
+//!   left is dropped when the batch returns;
 //! * **warm** runs target a named device from the session's pool
 //!   ([`Session::create_device`] → [`DeviceHandle`],
 //!   [`RunRequest::on_device`]): each device's persistent
@@ -119,7 +124,10 @@ pub use lanes::{DeviceHandle, DEFAULT_DRR_QUANTUM};
 pub use registry::{ProgramId, ProgramRegistry, REGISTRY_FORMAT_VERSION, REGISTRY_MAGIC};
 pub use summary::{RunArtifacts, RunOutcome, RunSummary};
 
-use lanes::{execute_fresh, execute_on_lane, run_lane, BatchState, DeviceSlot, PlanMode, RunPlan};
+use lanes::{
+    execute_fresh, execute_on_lane, run_lane, share_prepared, BatchState, DeviceCounts, DeviceSlot,
+    PlanMode, RunPlan,
+};
 
 /// The percentile set collected when a request does not override it.
 pub const DEFAULT_PERCENTILES: [f64; 3] = [0.50, 0.99, 0.9999];
@@ -473,6 +481,7 @@ impl SessionBuilder {
             plan_cache_hits: AtomicU64::new(0),
             plan_cache_misses: AtomicU64::new(0),
             plan_cache_inline: AtomicU64::new(0),
+            device_counts: Arc::new(DeviceCounts::default()),
         }
     }
 }
@@ -540,12 +549,21 @@ pub struct Session {
     /// Inline-program runs that bypass the cache entirely (one-shot
     /// [`RunRequest::inline`] programs plan on the fly in the engine).
     plan_cache_inline: AtomicU64,
+    /// How fresh runs got their prepared devices: built, or cloned from
+    /// their batch's shared one. Behind `Arc` so pool workers count too.
+    device_counts: Arc<DeviceCounts>,
 }
 
 /// A point-in-time snapshot of a session's strip-plan cache counters
 /// ([`Session::plan_cache_stats`]). `hits + misses` equals the number of
 /// registered-program runs planned so far; `inline` counts one-shot
 /// [`RunRequest::inline`] runs that never touch the cache.
+///
+/// The prepared-device counters cover fresh runs, one per repeat: each run
+/// either built and prepared its device or got a copy of the one its batch
+/// prepared for the program, so `prepared_builds + prepared_clones` is the
+/// number of fresh runs whose device was ready. A batch that runs one
+/// registered program fresh `n` times adds one build and `n - 1` clones.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups served from the cache.
@@ -554,6 +572,11 @@ pub struct PlanCacheStats {
     pub misses: u64,
     /// Runs of unregistered (inline) programs that bypass the cache.
     pub inline: u64,
+    /// Fresh runs that built and prepared their own device.
+    pub prepared_builds: u64,
+    /// Fresh runs that got a copy of their batch's prepared device instead
+    /// of building one (the last such run takes the batch's own copy).
+    pub prepared_clones: u64,
 }
 
 impl PlanCacheStats {
@@ -807,6 +830,7 @@ impl Session {
         };
         Ok(RunPlan {
             program,
+            registered,
             options: request.run_options(),
             repeats: request.repeats,
             collect_energy_split: request.collect_energy_split,
@@ -816,6 +840,7 @@ impl Session {
             flow: request.flow,
             weight: request.weight.max(1),
             strip_plan,
+            prepared: None,
         })
     }
 
@@ -825,17 +850,21 @@ impl Session {
     }
 
     /// A point-in-time snapshot of the strip-plan cache counters: cache
-    /// hits, planner runs (misses), and inline-program runs that bypass the
-    /// cache. Counters only ever grow for the session's lifetime.
+    /// hits, planner runs (misses), inline-program runs that bypass the
+    /// cache, and how fresh runs got their prepared devices. Counters only
+    /// ever grow for the session's lifetime.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.plan_cache_hits.load(Ordering::Relaxed),
             misses: self.plan_cache_misses.load(Ordering::Relaxed),
             inline: self.plan_cache_inline.load(Ordering::Relaxed),
+            prepared_builds: self.device_counts.built.load(Ordering::Relaxed),
+            prepared_clones: self.device_counts.cloned.load(Ordering::Relaxed),
         }
     }
 
     /// Executes one request on the calling thread (fresh runs on a pristine
+    /// device, the repeats of a registered program sharing one prepared
     /// device; warm runs continue on their pooled device's persistent
     /// state).
     ///
@@ -844,9 +873,18 @@ impl Session {
     /// Propagates unknown program/device handles, preparation and
     /// simulation errors.
     pub fn submit(&self, request: &RunRequest) -> Result<RunOutcome> {
-        let plan = self.plan(request)?;
+        let mut plan = self.plan(request)?;
         match plan.mode {
-            PlanMode::Fresh => execute_fresh(&self.ssd, &self.host, self.faults, &plan),
+            PlanMode::Fresh => {
+                share_prepared(std::slice::from_mut(&mut plan));
+                execute_fresh(
+                    &self.ssd,
+                    &self.host,
+                    self.faults,
+                    &plan,
+                    &self.device_counts,
+                )
+            }
             PlanMode::Device(slot) => {
                 // A lone submit is a batch of one: the lane window covers
                 // exactly this request.
@@ -886,7 +924,10 @@ impl Session {
     /// order, so the outcomes are **bit-identical** to running the whole
     /// batch serially — only the wall-clock time changes
     /// (`tests/integration_determinism.rs` and
-    /// `tests/integration_device_pool.rs` assert this).
+    /// `tests/integration_device_pool.rs` assert this). A registered
+    /// program that runs fresh more than once in the batch (counting
+    /// repeats) is prepared once: its other runs clone that device, the last
+    /// of them takes it, and nothing is kept past the batch.
     ///
     /// # Errors
     ///
@@ -894,10 +935,11 @@ impl Session {
     /// on unknown handles) and propagates the first simulation error by
     /// request order.
     pub fn submit_batch(&self, requests: &[RunRequest]) -> Result<Vec<RunOutcome>> {
-        let plans: Vec<RunPlan> = requests
+        let mut plans: Vec<RunPlan> = requests
             .iter()
             .map(|r| self.plan(r))
             .collect::<Result<_>>()?;
+        share_prepared(&mut plans);
         let fresh: Vec<usize> = (0..plans.len())
             .filter(|&i| plans[i].mode == PlanMode::Fresh)
             .collect();
@@ -951,7 +993,13 @@ impl Session {
             let mut slots: Vec<Option<Result<RunOutcome>>> =
                 (0..plans.len()).map(|_| None).collect();
             for &i in &fresh {
-                slots[i] = Some(execute_fresh(&self.ssd, &self.host, self.faults, &plans[i]));
+                slots[i] = Some(execute_fresh(
+                    &self.ssd,
+                    &self.host,
+                    self.faults,
+                    &plans[i],
+                    &self.device_counts,
+                ));
             }
             for (slot, indices) in &lanes {
                 run_lane(
@@ -982,6 +1030,7 @@ impl Session {
             host: self.host.clone(),
             faults: self.faults,
             plans,
+            counts: Arc::clone(&self.device_counts),
         });
         let (tx, rx) = channel();
         // One lane-class task per device lane, enqueued ahead of the fresh
@@ -1019,8 +1068,13 @@ impl Session {
             let shared = Arc::clone(&shared);
             let tx = tx.clone();
             pool.execute(move || {
-                let outcome =
-                    execute_fresh(&shared.ssd, &shared.host, shared.faults, &shared.plans[i]);
+                let outcome = execute_fresh(
+                    &shared.ssd,
+                    &shared.host,
+                    shared.faults,
+                    &shared.plans[i],
+                    &shared.counts,
+                );
                 let _ = tx.send((i, outcome));
             });
         }

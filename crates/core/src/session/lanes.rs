@@ -2,6 +2,7 @@
 //! on the named device pool — one FIFO (or deficit-round-robin) lane and
 //! stream clock per device.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use conduit_sim::{DeviceDelta, DeviceSnapshot, SsdDevice};
@@ -11,6 +12,7 @@ use crate::batch::StripPlan;
 use crate::engine::{RunOptions, RuntimeEngine};
 use crate::report::RunReport;
 
+use super::registry::ProgramId;
 use super::summary::{RunArtifacts, RunOutcome, RunSummary};
 
 /// Handle to a named warm device in a [`Session`](crate::Session)'s device pool.
@@ -47,6 +49,8 @@ pub(super) enum PlanMode {
 /// session — the unit shipped to pool workers.
 pub(super) struct RunPlan {
     pub(super) program: Arc<VectorProgram>,
+    /// The program's registry id; `None` for an inline program.
+    pub(super) registered: Option<ProgramId>,
     pub(super) options: RunOptions,
     pub(super) repeats: u32,
     pub(super) collect_energy_split: bool,
@@ -61,6 +65,9 @@ pub(super) struct RunPlan {
     /// The cached strip decomposition for registered programs (see
     /// [`StripPlan`]); inline programs plan on the fly in the engine.
     pub(super) strip_plan: Option<Arc<StripPlan>>,
+    /// The prepared device this fresh plan's runs clone, shared with every
+    /// other fresh run of its program in the batch ([`share_prepared`]).
+    pub(super) prepared: Option<Arc<Mutex<PreparedDevice>>>,
 }
 
 /// Shared state of one in-flight batch, shipped to pool workers.
@@ -69,6 +76,63 @@ pub(super) struct BatchState {
     pub(super) host: HostConfig,
     pub(super) faults: FaultConfig,
     pub(super) plans: Vec<RunPlan>,
+    pub(super) counts: Arc<DeviceCounts>,
+}
+
+/// A pristine device with one registered program prepared on it, built by
+/// the first of the program's fresh runs in a batch, cloned by the others
+/// and taken by the last. Building a fresh device and preparing a program
+/// on it depends only on the configuration, the fault plan and the program
+/// (prepare reserves no timeline and draws no fault), so every clone is
+/// exactly the device its run would have built.
+#[derive(Debug)]
+pub(super) struct PreparedDevice {
+    /// Runs that have not asked for their device yet.
+    remaining: u64,
+    /// Whether a run has built the device, or tried to.
+    tried: bool,
+    /// `None` before the first build, after a failed one (each run then
+    /// builds its own device and returns its own error), and once the last
+    /// run took it.
+    device: Option<SsdDevice>,
+}
+
+/// How fresh runs got their prepared devices, counted over a session's
+/// lifetime (see [`PlanCacheStats`](crate::PlanCacheStats)).
+#[derive(Debug, Default)]
+pub(super) struct DeviceCounts {
+    pub(super) built: AtomicU64,
+    pub(super) cloned: AtomicU64,
+}
+
+/// Gives the fresh plans of every registered program that runs fresh more
+/// than once in `plans` (counting repeats) one [`PreparedDevice`] to share.
+/// A program that runs once, and every inline program, builds its own.
+pub(super) fn share_prepared(plans: &mut [RunPlan]) {
+    let mut runs: Vec<(ProgramId, u64)> = Vec::new();
+    for plan in plans.iter().filter(|p| p.mode == PlanMode::Fresh) {
+        if let Some(id) = plan.registered {
+            match runs.iter_mut().find(|(program, _)| *program == id) {
+                Some((_, n)) => *n += u64::from(plan.repeats),
+                None => runs.push((id, u64::from(plan.repeats))),
+            }
+        }
+    }
+    for (id, n) in runs {
+        if n < 2 {
+            continue;
+        }
+        let shared = Arc::new(Mutex::new(PreparedDevice {
+            remaining: n,
+            tried: false,
+            device: None,
+        }));
+        for plan in plans.iter_mut() {
+            if plan.mode == PlanMode::Fresh && plan.registered == Some(id) {
+                plan.prepared = Some(Arc::clone(&shared));
+            }
+        }
+    }
 }
 
 /// One named warm device of the pool: its lazily-built simulated device and
@@ -150,6 +214,7 @@ pub(super) fn execute_fresh(
     host: &HostConfig,
     faults: FaultConfig,
     plan: &RunPlan,
+    counts: &DeviceCounts,
 ) -> Result<RunOutcome> {
     let engine = RuntimeEngine::with_host(ssd, host);
     let pristine = DeviceSnapshot::default();
@@ -162,8 +227,7 @@ pub(super) fn execute_fresh(
         // A fresh device per repeat keeps every run independent and the
         // whole batch bit-identical to serial execution. Each repeat's
         // device restarts the session's fault plan from its seed.
-        let mut device = SsdDevice::with_faults(ssd, faults)?;
-        engine.prepare(&mut device, &plan.program)?;
+        let mut device = prepared_device(&engine, ssd, faults, plan, counts)?;
         let run = engine.run_with_plan(
             &mut device,
             &plan.program,
@@ -175,6 +239,51 @@ pub(super) fn execute_fresh(
     }
     let report = report.expect("repeats is clamped to at least one");
     Ok(build_outcome(report, plan, delta, Duration::ZERO))
+}
+
+/// A pristine device with `plan`'s program prepared on it: from the plan's
+/// shared [`PreparedDevice`], or built here. The first run to reach a shared
+/// device builds it and keeps a copy there, the last one takes that copy, so
+/// the batch holds it no longer than its runs need it.
+fn prepared_device(
+    engine: &RuntimeEngine,
+    ssd: &SsdConfig,
+    faults: FaultConfig,
+    plan: &RunPlan,
+    counts: &DeviceCounts,
+) -> Result<SsdDevice> {
+    let build = || -> Result<SsdDevice> {
+        let mut device = SsdDevice::with_faults(ssd, faults)?;
+        engine.prepare(&mut device, &plan.program)?;
+        counts.built.fetch_add(1, Ordering::Relaxed);
+        Ok(device)
+    };
+    let Some(shared) = &plan.prepared else {
+        return build();
+    };
+    // Held while the first run builds, so the others wait for its device.
+    let mut slot = shared.lock().unwrap_or_else(|e| e.into_inner());
+    slot.remaining = slot.remaining.saturating_sub(1);
+    if !std::mem::replace(&mut slot.tried, true) {
+        let built = build();
+        if let Ok(device) = &built {
+            slot.device = (slot.remaining > 0).then(|| device.clone());
+        }
+        return built;
+    }
+    match slot.device.take() {
+        Some(device) => {
+            counts.cloned.fetch_add(1, Ordering::Relaxed);
+            if slot.remaining > 0 {
+                slot.device = Some(device.clone());
+            }
+            Ok(device)
+        }
+        None => {
+            drop(slot);
+            build()
+        }
+    }
 }
 
 /// Executes a warm plan on one device lane. The request **arrives** at the

@@ -32,7 +32,7 @@ use conduit_types::{
 };
 
 use crate::energy::EnergyMeter;
-use crate::estimates::{EstimateTable, StripEstimates};
+use crate::estimates::{CostEstimate, EstimateTable, StripEstimates};
 use crate::state::{DeviceSnapshot, DeviceState, HOST_CACHE_PAGES};
 use crate::stats::CostBreakdown;
 
@@ -109,7 +109,7 @@ pub struct SsdDevice {
 /// the precomputed [`EstimateTable`], all pure functions of the
 /// [`SsdConfig`]. Nothing in here ever mutates after construction, so a
 /// `DeviceModels` is freely shareable (`Send + Sync`) and answers the
-/// state-independent estimate queries the engine looks up once per strip.
+/// state-independent estimate queries the engine looks up once per shape.
 #[derive(Debug)]
 pub struct DeviceModels {
     cfg: SsdConfig,
@@ -158,12 +158,25 @@ impl DeviceModels {
         elem_bits: u32,
         lanes: u32,
     ) -> Option<Duration> {
+        self.compute_cost(resource, op, elem_bits, lanes)
+            .map(|e| e.latency)
+    }
+
+    /// Un-contended compute latency and energy of `op` on `resource`: the
+    /// table entry at a tabled shape, the exact model evaluation otherwise.
+    #[inline]
+    fn compute_cost(
+        &self,
+        resource: Resource,
+        op: OpType,
+        elem_bits: u32,
+        lanes: u32,
+    ) -> Option<CostEstimate> {
         match self.estimates.compute(resource, op, elem_bits, lanes) {
-            Some(entry) => entry.map(|e| e.latency),
+            Some(entry) => entry,
             None => EstimateTable::evaluate(
                 &self.cfg, &self.ifp, &self.pud, &self.isp, resource, op, elem_bits, lanes,
-            )
-            .map(|e| e.latency),
+            ),
         }
     }
 
@@ -622,7 +635,9 @@ impl SsdDevice {
         })
     }
 
-    /// Executes an operation on an ISP compute core.
+    /// Executes an operation on an ISP compute core. Its latency and energy
+    /// are the [`EstimateTable`] entry for the shape, which the table built
+    /// from the ISP model itself (the exact evaluation for untabled shapes).
     pub fn execute_isp(
         &mut self,
         op: OpType,
@@ -630,7 +645,10 @@ impl SsdDevice {
         lanes: u32,
         earliest: SimTime,
     ) -> OpCompletion {
-        let cost = self.models.isp.op_cost(op, elem_bits, lanes);
+        let cost = self
+            .models
+            .compute_cost(Resource::Isp, op, elem_bits, lanes)
+            .expect("the controller cores execute every operation");
         let (_, end, _) = self.state.compute_cores.reserve(earliest, cost.latency);
         self.state.energy.charge(EnergySource::Isp, cost.energy);
         OpCompletion {

@@ -18,10 +18,10 @@
 //!
 //! Lookups for either shape are O(1) array loads; any other shape falls back
 //! to the exact model evaluation, so results are bit-identical to the
-//! untabled path in all cases. [`EstimateTable::estimate_batch`] hoists the
-//! per-(resource, location) lookups for a whole strip of homogeneous
-//! instructions into one [`StripEstimates`] value so the run loop touches the
-//! tables once per strip instead of once per instruction.
+//! untabled path in all cases. [`EstimateTable::estimate_batch`] gathers the
+//! per-(resource, location) lookups for one instruction shape into one
+//! [`StripEstimates`] value, which the run loop resolves once per shape per
+//! run. ISP execution reads its latency and energy from the same table.
 
 use conduit_ctrl::IspModel;
 use conduit_dram::{DramTiming, PudModel};

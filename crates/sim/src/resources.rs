@@ -15,10 +15,11 @@
 //!
 //! A pool answers its hot queries without walking its units. It keeps a
 //! min-tree (tournament tree) over the units' busy-until times, with the
-//! leaves padded to a power of two by [`SimTime::MAX`], and each unit's
-//! total busy time in nanoseconds. Every reservation updates its unit's leaf
-//! and the path to the root; a checkpoint restore rebuilds both. Neither is
-//! serialized, and pool equality compares the units only.
+//! leaves padded to a power of two by [`SimTime::MAX`], each unit's total
+//! busy time in nanoseconds, and one past the highest unit that has been
+//! busy. Every reservation updates its unit's entries and the path to the
+//! root; a checkpoint restore rebuilds all of it. None of it is serialized,
+//! and pool equality compares the units only.
 //!
 //! * [`ResourcePool::reserve`] serves work arriving at `earliest` on the
 //!   unit that minimizes `max(busy_until, earliest)`, breaking ties towards
@@ -28,8 +29,10 @@
 //! * [`ResourcePool::queue_delay`] reads the root.
 //! * [`ResourcePool::free_units_up_to`] visits only subtrees that hold a free
 //!   unit and stops at its cap.
-//! * [`ResourcePool::utilization`] is still an in-order sum over the units,
-//!   one division per unit.
+//! * [`ResourcePool::utilization`] is an in-order sum over the units up to
+//!   the highest one that has ever been busy, one division per unit. A unit
+//!   that has never been busy adds exactly `+0.0` to a non-negative partial
+//!   sum, so stopping there changes no bit of the answer.
 
 use conduit_types::bytes::{put_u64, Reader};
 use conduit_types::{ConduitError, Duration, Result, SimTime};
@@ -209,6 +212,9 @@ pub struct ResourcePool {
     /// Each unit's total busy time in nanoseconds (the numerator of its
     /// utilization), refreshed whenever that unit is reserved.
     busy_ns: Vec<f64>,
+    /// One past the highest unit with nonzero busy time: every unit from
+    /// here on adds `+0.0` to [`ResourcePool::utilization`]'s sum.
+    busy_prefix: usize,
 }
 
 impl PartialEq for ResourcePool {
@@ -232,6 +238,7 @@ impl ResourcePool {
             units: vec![SharedResource::new(); count],
             free_at: vec![SimTime::MAX; 2 * count.next_power_of_two()],
             busy_ns: vec![0.0; count],
+            busy_prefix: 0,
         };
         pool.rebuild_index();
         pool
@@ -301,7 +308,9 @@ impl ResourcePool {
             return 0.0;
         }
         let elapsed_ns = elapsed.as_ns();
-        self.busy_ns
+        // At least one term: an empty `f64` sum is -0.0, the full sum of an
+        // idle pool is +0.0.
+        self.busy_ns[..self.busy_prefix.max(1)]
             .iter()
             .map(|&busy| (busy / elapsed_ns).min(1.0))
             .sum::<f64>()
@@ -426,6 +435,9 @@ impl ResourcePool {
         let unit = &mut self.units[idx];
         let interval = unit.reserve(earliest, service);
         self.busy_ns[idx] = unit.total_busy.as_ns();
+        if !unit.total_busy.is_zero() {
+            self.busy_prefix = self.busy_prefix.max(idx + 1);
+        }
         let mut node = leaves + idx;
         self.free_at[node] = unit.busy_until;
         while node > 1 {
@@ -446,6 +458,11 @@ impl ResourcePool {
         for node in (1..leaves).rev() {
             self.free_at[node] = self.free_at[2 * node].min(self.free_at[2 * node + 1]);
         }
+        self.busy_prefix = self
+            .units
+            .iter()
+            .rposition(|unit| !unit.total_busy.is_zero())
+            .map_or(0, |i| i + 1);
     }
 
     /// Counts free leaves under `node`, stopping at `cap`.
@@ -771,6 +788,57 @@ mod tests {
         for size in [1, 3, 5, 64, 128] {
             for seed in [1, 2] {
                 drive_against_model(size, seed);
+            }
+            busy_prefix_edges(size);
+        }
+    }
+
+    /// The utilization sum stops past the highest busy unit. Checks the
+    /// edges of that prefix against the full scan: an idle pool read after
+    /// time zero, a pool busy only on its last unit, and dense and sparse
+    /// restores that grow, shrink and empty the prefix.
+    fn busy_prefix_edges(size: usize) {
+        let probes = [
+            SimTime::ZERO,
+            SimTime::from_ps(1),
+            SimTime::from_ps(2_000),
+            SimTime::from_ps(9_000),
+        ];
+        let busy_on = |unit: Option<usize>| {
+            let mut pool = ResourcePool::new(size);
+            let mut model = ScanPool {
+                units: vec![SharedResource::new(); size],
+            };
+            if let Some(unit) = unit {
+                pool.reserve_unit(unit, SimTime::ZERO, us(0.003));
+                model.reserve_unit(unit, SimTime::ZERO, us(0.003));
+            }
+            (pool, model)
+        };
+        let idle = busy_on(None);
+        let first = busy_on(Some(0));
+        let last = busy_on(Some(size - 1));
+        for (name, (pool, model)) in [("idle", &idle), ("first", &first), ("last", &last)] {
+            assert_matches(pool, model, &probes, &format!("size {size}: {name} pool"));
+        }
+        // Each checkpoint restored over each other pool: onto the idle pool
+        // the prefix grows, from the last unit to the first it shrinks, and
+        // an idle checkpoint empties it.
+        for (source, model) in [&idle, &first, &last] {
+            for (target, _) in [&idle, &first, &last] {
+                let ctx = format!("size {size}: restore");
+                let mut dense = Vec::new();
+                source.encode_into(&mut dense);
+                let mut from_dense = target.clone();
+                from_dense.restore_from(&mut Reader::new(&dense)).unwrap();
+                assert_matches(&from_dense, model, &probes, &ctx);
+                let mut sparse = Vec::new();
+                source.encode_sparse_into(&mut sparse);
+                let mut from_sparse = target.clone();
+                from_sparse
+                    .restore_sparse_from(&mut Reader::new(&sparse))
+                    .unwrap();
+                assert_matches(&from_sparse, model, &probes, &ctx);
             }
         }
     }

@@ -419,6 +419,16 @@ impl DeviceState {
             for _ in 0..order_len {
                 order.push_back(LogicalPageId::new(r.u64()?));
             }
+            // Eviction pops the queue while the set is over capacity, so a
+            // set page the queue does not hold could never leave and an
+            // over-full set would spin forever. Queue entries outside the set
+            // are legal: eviction leaves them behind.
+            let queued: PageSet<LogicalPageId> = order.iter().copied().collect();
+            if let Some(page) = resident.iter().filter(|p| !queued.contains(p)).min() {
+                return Err(ConduitError::corrupt_checkpoint(format!(
+                    "page {page} is in a residency set but not in its eviction queue"
+                )));
+            }
         }
         state.energy = EnergyMeter::decode_from(&mut r)?;
         if version >= DEVICE_STATE_FORMAT_VERSION_V2 {
@@ -754,6 +764,42 @@ mod tests {
         let mut other = cfg.clone();
         other.flash.channels *= 2;
         assert!(DeviceState::from_bytes(&other, &state.to_bytes()).is_err());
+    }
+
+    #[test]
+    fn residency_set_pages_missing_from_their_queue_are_corrupt() {
+        // One page more than each set's capacity and an empty eviction
+        // queue: the next eviction from that set would never find a victim.
+        let cfg = SsdConfig::small_for_tests();
+        let pristine = DeviceState::new(&cfg).unwrap();
+        let capacities = [
+            pristine.dram_capacity_pages,
+            pristine.ctrl_capacity_pages,
+            HOST_CACHE_PAGES,
+        ];
+        for (set, capacity) in capacities.into_iter().enumerate() {
+            let mut state = DeviceState::new(&cfg).unwrap();
+            let resident = match set {
+                0 => &mut state.dram_resident,
+                1 => &mut state.ctrl_resident,
+                _ => &mut state.host_resident,
+            };
+            resident.extend((0..=capacity as u64).map(LogicalPageId::new));
+            assert!(
+                matches!(
+                    DeviceState::from_bytes(&cfg, &state.to_bytes()),
+                    Err(ConduitError::CorruptCheckpoint { .. })
+                ),
+                "set {set}: {} pages and an empty queue must not decode",
+                capacity + 1
+            );
+        }
+        // Queue entries outside the set are what eviction leaves behind.
+        let mut stale = DeviceState::new(&cfg).unwrap();
+        stale.host_order.extend((0..3).map(LogicalPageId::new));
+        stale.host_resident.insert(LogicalPageId::new(1));
+        let back = DeviceState::from_bytes(&cfg, &stale.to_bytes()).unwrap();
+        assert_eq!(back.host_order, stale.host_order);
     }
 
     #[test]
