@@ -4,8 +4,8 @@
 //! One multi-tenant [`conduit_traffic::TrafficMix`] — steady latency-bound
 //! tenants, a weighted pair sharing a deficit-round-robin lane, an
 //! SLO-capped hog and a bursty on/off source — is unrolled into a CTR1
-//! trace once, round-tripped through the serialized trace format (the
-//! weighted tenants force the version-2 scheduling block), and replayed
+//! trace once, round-tripped through the serialized trace format (which
+//! carries each tenant's weight and SLO targets), and replayed
 //! through a [`conduit_fleet::Fleet`] at every shard count in
 //! `{1, 2, 4, 8}`.
 //!
@@ -149,7 +149,7 @@ pub fn fleet_sweep_report(quick: bool) -> String {
 
     // The offered load is fixed once: every shard count replays the exact
     // same CTR1 byte stream (round-tripped through the serialized format,
-    // which the weighted tenants promote to version 2).
+    // which carries the tenants' weights and SLO targets).
     let bytes = mix
         .generate(horizon)
         .expect("sweep mixes are always valid")

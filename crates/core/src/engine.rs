@@ -174,7 +174,7 @@ impl RunScratch {
 /// The runtime offloading engine: the host models and the offloader's own
 /// bookkeeping. Stateless across runs — the device is borrowed per call
 /// ([`RuntimeEngine::prepare`], [`RuntimeEngine::run`]); the only mutable
-/// state is a pool of reusable [`RunScratch`] arenas, which never affects
+/// state is a pool of reusable run-scratch arenas, which never affects
 /// results.
 #[derive(Debug)]
 pub struct RuntimeEngine {
@@ -571,7 +571,7 @@ impl RuntimeEngine {
                             // SSD's write cache; the host keeps its own copy,
                             // so later host-side reads of this page stay
                             // local.
-                            let link = device.host_transfer(PAGE_BYTES, false, comp.ready);
+                            let link = device.host_transfer(PAGE_BYTES, comp.ready);
                             energy.data_movement += link.energy;
                             breakdown.accumulate(link.breakdown);
                             written = link.ready;

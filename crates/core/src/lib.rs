@@ -82,8 +82,7 @@ pub use report::{gmean, EnergySummary, OffloadMix, OverheadReport, RunReport, Ti
 pub use session::{
     DeviceHandle, PlanCacheStats, ProgramId, ProgramRegistry, RunArtifacts, RunOutcome, RunRequest,
     RunSummary, Session, SessionBuilder, DEFAULT_DRR_QUANTUM, DEFAULT_PERCENTILES,
-    DEVICE_CHECKPOINT_FORMAT_VERSION, DEVICE_CHECKPOINT_FORMAT_VERSION_V1,
-    DEVICE_CHECKPOINT_FORMAT_VERSION_V2, DEVICE_CHECKPOINT_MAGIC, REGISTRY_FORMAT_VERSION,
+    DEVICE_CHECKPOINT_FORMAT_VERSION, DEVICE_CHECKPOINT_MAGIC, REGISTRY_FORMAT_VERSION,
     REGISTRY_MAGIC,
 };
 pub use transform::{InstructionTransformer, NativeIsa, TranslationEntry};

@@ -31,8 +31,10 @@ use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// The scheduling class of a submitted job. See the [module
-/// documentation](self) for the scheduling policy.
+/// The scheduling class of a submitted job: the workers reserved for lane
+/// jobs ([`ThreadPool::lane_slots`]) serve them first, the other workers
+/// serve bulk jobs first, and a worker whose own class is idle takes work
+/// from the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobClass {
     /// Latency-sensitive per-device lane tasks; served first by the
@@ -67,7 +69,7 @@ struct Shared {
 }
 
 /// A fixed-size pool of worker threads executing boxed jobs in two
-/// scheduling classes (see the [module documentation](self)).
+/// scheduling classes (see [`JobClass`]).
 ///
 /// # Examples
 ///

@@ -116,10 +116,7 @@ mod lanes;
 mod registry;
 mod summary;
 
-pub use checkpoint::{
-    DEVICE_CHECKPOINT_FORMAT_VERSION, DEVICE_CHECKPOINT_FORMAT_VERSION_V1,
-    DEVICE_CHECKPOINT_FORMAT_VERSION_V2, DEVICE_CHECKPOINT_MAGIC,
-};
+pub use checkpoint::{DEVICE_CHECKPOINT_FORMAT_VERSION, DEVICE_CHECKPOINT_MAGIC};
 pub use lanes::{DeviceHandle, DEFAULT_DRR_QUANTUM};
 pub use registry::{ProgramId, ProgramRegistry, REGISTRY_FORMAT_VERSION, REGISTRY_MAGIC};
 pub use summary::{RunArtifacts, RunOutcome, RunSummary};
@@ -516,7 +513,7 @@ impl SessionBuilder {
 /// [`Session::device_snapshot`] and resettable via
 /// [`Session::reset_device`], and whole devices can be checkpointed across
 /// processes with [`Session::export_device`] /
-/// [`Session::import_device`]. See the [module documentation](self) for an
+/// [`Session::import_device`]. See the [crate documentation](crate) for an
 /// end-to-end example.
 #[derive(Debug)]
 pub struct Session {
@@ -916,7 +913,7 @@ impl Session {
     /// lane serves in plain request-order FIFO unless its requests carry
     /// mixed weights, in which case it serves by deficit round robin over
     /// per-flow sub-queues ([`RunRequest::weighted`]). Lane tasks run in
-    /// the pool's reserved **lane class** (see [`crate::pool`]), so a ready
+    /// the pool's reserved **lane class** ([`crate::JobClass::Lane`]), so a ready
     /// lane never waits behind the queued fresh backlog on a small pool.
     ///
     /// Every fresh run simulates on a fresh device and every lane serves
@@ -1195,6 +1192,71 @@ mod tests {
         assert!(s.register(bad).is_err());
     }
 
+    /// A one-instruction program of `op` on `lanes` lanes of
+    /// `elem_bits`-bit elements.
+    fn single(op: OpType, elem_bits: u32, lanes: u32) -> VectorProgram {
+        let srcs = (0..op.arity() as u64)
+            .map(|i| Operand::page(4 * i))
+            .collect();
+        let mut prog = VectorProgram::new("single");
+        prog.push(
+            conduit_types::VectorInst::with_srcs(0, op, srcs)
+                .elem_bits(elem_bits)
+                .lanes(lanes),
+        );
+        prog
+    }
+
+    /// Asserts that `program` is an invalid program at registration, at an
+    /// inline submit under every policy, and when decoded from bytes.
+    fn assert_rejected_everywhere(program: &VectorProgram) {
+        let invalid = |err: ConduitError| matches!(err, ConduitError::InvalidProgram { .. });
+        let mut s = session();
+        assert!(invalid(s.register(program.clone()).unwrap_err()));
+        assert!(s.registry().is_empty());
+        for policy in Policy::ALL {
+            let request = RunRequest::inline(program.clone(), policy);
+            assert!(invalid(s.submit(&request).unwrap_err()), "{policy:?}");
+        }
+        assert!(invalid(
+            VectorProgram::from_bytes(&program.to_bytes()).unwrap_err()
+        ));
+    }
+
+    #[test]
+    fn element_widths_out_of_range_are_invalid_programs() {
+        // Every cost row divides by the element width, and PuD needs at
+        // least one element per DRAM row.
+        for bits in [0, 65, 65_537, u32::MAX] {
+            for op in [OpType::Add, OpType::Xor] {
+                assert_rejected_everywhere(&single(op, bits, 4096));
+            }
+        }
+    }
+
+    #[test]
+    fn widest_elements_on_the_widest_vector_are_an_invalid_program() {
+        // About 2^49 pages: rejected before anything sizes per-page state
+        // for the vector.
+        assert_rejected_everywhere(&single(OpType::Div, u32::MAX, u32::MAX));
+    }
+
+    #[test]
+    fn element_widths_at_the_bounds_run_under_every_op_and_policy() {
+        let mut s = session();
+        for bits in [1, conduit_types::inst::MAX_ELEM_BITS] {
+            for lanes in [1, 4096] {
+                for op in OpType::ALL {
+                    let id = s.register(single(op, bits, lanes)).unwrap();
+                    for policy in Policy::ALL {
+                        let outcome = s.submit(&RunRequest::new(id, policy));
+                        assert!(outcome.is_ok(), "{op:?} {bits}x{lanes} {policy:?}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn repeats_are_deterministic() {
         let mut s = session();
@@ -1283,34 +1345,31 @@ mod tests {
     }
 
     #[test]
-    fn legacy_byte_streams_with_duplicates_keep_positional_ids() {
-        // Registries serialized before content addressing could legally
-        // contain duplicate programs; decoding must keep every program at
-        // its serialized position so persisted ProgramIds stay valid.
+    fn byte_streams_storing_a_program_twice_are_rejected() {
+        // A content-addressed registry never serializes one program twice,
+        // so such a stream is corrupt: decoding fails, and importing it
+        // leaves the session's registry empty.
         let dup = program("dup");
         let other = program("other");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&REGISTRY_MAGIC);
         bytes.extend_from_slice(&REGISTRY_FORMAT_VERSION.to_le_bytes());
         bytes.extend_from_slice(&3u32.to_le_bytes());
-        for p in [&dup, &dup, &other] {
+        for p in [&dup, &other, &dup] {
             let body = p.to_bytes();
             bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
             bytes.extend_from_slice(&body);
         }
-        let registry = ProgramRegistry::from_bytes(&bytes).unwrap();
-        assert_eq!(registry.len(), 3);
-        let decoded: Vec<&VectorProgram> = registry.iter().map(|(_, p)| p).collect();
-        assert_eq!(decoded[0], &dup);
-        assert_eq!(decoded[1], &dup);
-        assert_eq!(decoded[2], &other);
-        // Importing the same stream into a session dedupes, with the id
-        // mapping making the collapse explicit.
+        assert!(matches!(
+            ProgramRegistry::from_bytes(&bytes),
+            Err(ConduitError::InvalidProgram { .. })
+        ));
         let mut s = session();
-        let ids = s.import_registry(&bytes).unwrap();
-        assert_eq!(ids[0], ids[1]);
-        assert_ne!(ids[0], ids[2]);
-        assert_eq!(s.registry().len(), 2);
+        assert!(matches!(
+            s.import_registry(&bytes),
+            Err(ConduitError::InvalidProgram { .. })
+        ));
+        assert!(s.registry().is_empty());
     }
 
     #[test]

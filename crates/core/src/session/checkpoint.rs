@@ -12,28 +12,19 @@ use super::{DeviceHandle, Session};
 /// embedded [`conduit_sim::DeviceState`] image).
 pub const DEVICE_CHECKPOINT_MAGIC: [u8; 4] = *b"CDK1";
 
-/// Current device-checkpoint format version. Version 3 wraps the version-3
+/// Device-checkpoint format version, the only one [`Session::import_device`]
+/// accepts. A version-3 checkpoint wraps the version-3
 /// [`conduit_sim::DeviceState`] image (sparse resource timelines, the
 /// fault-injection plan cursor, retired-block accounting and device health),
-/// so a degraded device survives export/import bit-identically. Like
-/// version 2 it embeds the exporting session's combined configuration
-/// fingerprint ([`SsdConfig::fingerprint`](conduit_types::SsdConfig::fingerprint) +
+/// so a degraded device survives export/import bit-identically. It embeds
+/// the exporting session's combined configuration fingerprint
+/// ([`SsdConfig::fingerprint`](conduit_types::SsdConfig::fingerprint) +
 /// [`conduit_types::HostConfig::fingerprint`] — host rooflines shape a warm
 /// stream's clocks too), so importing a checkpoint into a session with
 /// *any* configuration difference — even one with the same geometry, where
 /// the shape checks cannot tell — is a hard
 /// [`ConduitError::CorruptCheckpoint`] instead of a silent timing mismatch.
 pub const DEVICE_CHECKPOINT_FORMAT_VERSION: u16 = 3;
-
-/// Format version of legacy fingerprinted checkpoints wrapping a version-2
-/// device-state image (no fault state, dense resource timelines). Still
-/// importable; no longer written.
-pub const DEVICE_CHECKPOINT_FORMAT_VERSION_V2: u16 = 2;
-
-/// Format version of legacy checkpoints without a configuration
-/// fingerprint. Still importable ([`Session::import_device`] falls back to
-/// the structural shape check); no longer written.
-pub const DEVICE_CHECKPOINT_FORMAT_VERSION_V1: u16 = 1;
 
 impl Session {
     /// Serializes a pooled device — its stream clock plus the complete
@@ -91,16 +82,16 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`ConduitError::CorruptCheckpoint`] for a bad magic/version,
-    /// truncation, or a checkpoint that does not match this session's SSD
-    /// configuration. Version-2 checkpoints embed the exporting session's
-    /// combined SSD + host configuration fingerprint
+    /// Returns [`ConduitError::CorruptCheckpoint`] for a bad magic, any
+    /// version other than [`DEVICE_CHECKPOINT_FORMAT_VERSION`], truncation,
+    /// or a checkpoint that does not match this session's configuration.
+    /// The checkpoint embeds the exporting session's combined SSD + host
+    /// configuration fingerprint
     /// ([`SsdConfig::fingerprint`](conduit_types::SsdConfig::fingerprint),
     /// [`conduit_types::HostConfig::fingerprint`]), so **any**
     /// configuration difference — including same-shape timing or energy
-    /// changes the structural checks cannot see — is a hard error; legacy
-    /// version-1 checkpoints fall back to the structural shape check. On
-    /// error the pool is left unchanged.
+    /// changes the structural checks cannot see — is a hard error. On error
+    /// the pool is left unchanged.
     pub fn import_device(&mut self, name: &str, bytes: &[u8]) -> Result<DeviceHandle> {
         if bytes.len() < 6 || bytes[..4] != DEVICE_CHECKPOINT_MAGIC {
             return Err(ConduitError::corrupt_checkpoint(
@@ -110,31 +101,22 @@ impl Session {
         let tail = &bytes[4..];
         let mut r = Reader::new(tail);
         let version = r.u16()?;
-        match version {
-            DEVICE_CHECKPOINT_FORMAT_VERSION | DEVICE_CHECKPOINT_FORMAT_VERSION_V2 => {
-                let fingerprint = r.u64()?;
-                let expected = self.config_fingerprint();
-                if fingerprint != expected {
-                    return Err(ConduitError::corrupt_checkpoint(format!(
-                        "device checkpoint was exported under a different \
-                         SSD/host configuration (fingerprint \
-                         {fingerprint:#018x}, this session's is \
-                         {expected:#018x}); replaying it here would silently \
-                         change the stream's timings"
-                    )));
-                }
-            }
-            // Legacy checkpoints predate the fingerprint; the structural
-            // shape check in DeviceState::from_bytes still applies.
-            DEVICE_CHECKPOINT_FORMAT_VERSION_V1 => {}
-            _ => {
-                return Err(ConduitError::corrupt_checkpoint(format!(
-                    "unsupported device-checkpoint format version {version} \
-                     (expected {DEVICE_CHECKPOINT_FORMAT_VERSION}, \
-                     {DEVICE_CHECKPOINT_FORMAT_VERSION_V2} or \
-                     {DEVICE_CHECKPOINT_FORMAT_VERSION_V1})"
-                )));
-            }
+        if version != DEVICE_CHECKPOINT_FORMAT_VERSION {
+            return Err(ConduitError::corrupt_checkpoint(format!(
+                "unsupported device-checkpoint format version {version} \
+                 (expected {DEVICE_CHECKPOINT_FORMAT_VERSION})"
+            )));
+        }
+        let fingerprint = r.u64()?;
+        let expected = self.config_fingerprint();
+        if fingerprint != expected {
+            return Err(ConduitError::corrupt_checkpoint(format!(
+                "device checkpoint was exported under a different \
+                 SSD/host configuration (fingerprint \
+                 {fingerprint:#018x}, this session's is \
+                 {expected:#018x}); replaying it here would silently \
+                 change the stream's timings"
+            )));
         }
         let clock = SimTime::from_ps(r.counter()?);
         let consumed = tail.len() - r.remaining();

@@ -95,20 +95,6 @@ impl ProgramRegistry {
         id
     }
 
-    /// Stores `program` unconditionally at the next id. Used when decoding
-    /// a serialized registry: version-1 byte streams written before content
-    /// addressing may legally contain duplicates, and callers that
-    /// persisted [`ProgramId`]s alongside the bytes rely on ids staying
-    /// positional — deduplication happens at the [`Session`](crate::Session)
-    /// boundary ([`Session::import_registry`](crate::Session::import_registry)),
-    /// which returns the id mapping.
-    fn insert_positional(&mut self, program: Arc<VectorProgram>) {
-        let hash = content_hash(&program.to_bytes());
-        let id = ProgramId(self.programs.len() as u32);
-        self.programs.push(program);
-        self.by_hash.entry(hash).or_default().push(id);
-    }
-
     /// The program behind a handle, if registered.
     pub fn get(&self, id: ProgramId) -> Option<&Arc<VectorProgram>> {
         self.programs.get(id.index())
@@ -149,15 +135,16 @@ impl ProgramRegistry {
     }
 
     /// Decodes a registry serialized by [`ProgramRegistry::to_bytes`].
-    /// Programs keep their serialized positions (ids are stable even for
-    /// pre-content-addressing streams that contain duplicates); merging
-    /// with deduplication is [`Session::import_registry`](crate::Session::import_registry)'s job.
+    /// Programs keep their serialized positions, so ids persisted alongside
+    /// the bytes stay valid; merging into a registry that already holds
+    /// programs is [`Session::import_registry`](crate::Session::import_registry)'s job.
     ///
     /// # Errors
     ///
     /// Returns [`ConduitError::InvalidProgram`] for a bad magic/version,
-    /// truncation, trailing bytes, or any embedded program that fails to
-    /// decode.
+    /// truncation, trailing bytes, any embedded program that fails to
+    /// decode, or a program stored twice (a content-addressed registry
+    /// never writes one).
     pub fn from_bytes(bytes: &[u8]) -> Result<ProgramRegistry> {
         let corrupt =
             |reason: &str| ConduitError::invalid_program(format!("serialized registry: {reason}"));
@@ -177,7 +164,10 @@ impl ProgramRegistry {
             for _ in 0..count {
                 let len = r.u32()? as usize;
                 let program = VectorProgram::from_bytes(r.take(len)?)?;
-                registry.insert_positional(Arc::new(program));
+                let next = registry.len();
+                if registry.insert_deduped(Arc::new(program)).index() != next {
+                    return Err(corrupt("program stored twice"));
+                }
             }
             if !r.finished() {
                 return Err(corrupt("trailing bytes"));

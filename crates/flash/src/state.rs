@@ -415,33 +415,6 @@ impl FlashState {
         best.map(|(b, _)| b)
     }
 
-    /// Appends this array's mutable state (per-block erase counts, bad
-    /// flags, write pointers and 2-bit page states) to `out` in the compact
-    /// little-endian checkpoint layout, one entry per block of the geometry
-    /// (untouched blocks as pristine). The geometry is *not* stored — it is
-    /// a pure function of the [`FlashConfig`] the decoder is given.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let ppb = self.pages_per_block as usize;
-        let per_plane = self.geometry.blocks_per_plane() as usize;
-        let pristine_pages = vec![PAGE_FREE; ppb];
-        put_u64(out, self.total_blocks());
-        for slab in &self.planes {
-            for block in 0..per_plane {
-                let rec = slab.blocks.get(block).copied().unwrap_or_default();
-                put_u64(out, rec.erase_count);
-                out.push(u8::from(rec.bad));
-                put_u32(out, rec.write_pointer);
-                // Page states packed four to a byte (Free=0, Valid=1, Invalid=2).
-                let codes = if block < slab.blocks.len() {
-                    &slab.pages[block * ppb..(block + 1) * ppb]
-                } else {
-                    &pristine_pages[..]
-                };
-                Self::pack_pages(codes, out);
-            }
-        }
-    }
-
     fn pack_pages(codes: &[u8], out: &mut Vec<u8>) {
         let mut acc = 0u8;
         let mut filled = 0u8;
@@ -459,15 +432,17 @@ impl FlashState {
         }
     }
 
-    /// Appends a **delta-against-pristine** image of the array: only
-    /// touched blocks (programmed, erased or retired at least once) are
-    /// stored, keyed by block index, and within each block only the first
-    /// `write_pointer` page states are packed — pages at or beyond the
-    /// write pointer are `Free` by the sequential-programming invariant. A
-    /// cold device therefore encodes to a handful of bytes regardless of
-    /// array size, while a fully-written device costs the same as the dense
-    /// [`FlashState::encode_into`] layout plus one index per block.
-    pub fn encode_sparse_into(&self, out: &mut Vec<u8>) {
+    /// Appends a **delta-against-pristine** image of the array's mutable
+    /// state to `out`: only touched blocks (programmed, erased or retired at
+    /// least once) are stored, keyed by block index, each as its erase
+    /// count, bad flag and write pointer followed by its first
+    /// `write_pointer` page states packed four to a byte (Free=0, Valid=1,
+    /// Invalid=2) — pages at or beyond the write pointer are `Free` by the
+    /// sequential-programming invariant. A cold device therefore encodes to
+    /// a handful of bytes regardless of array size. The geometry is *not*
+    /// stored: it is a pure function of the [`FlashConfig`] the decoder is
+    /// given.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         put_u64(out, self.total_blocks());
         put_u64(out, self.touched_blocks().count() as u64);
         let ppb = self.pages_per_block as usize;
@@ -537,8 +512,8 @@ impl FlashState {
         }
     }
 
-    /// Decodes a state serialized by [`FlashState::encode_sparse_into`] for
-    /// the given configuration. Blocks absent from the stream restore as
+    /// Decodes a state serialized by [`FlashState::encode_into`] for the
+    /// given configuration. Blocks absent from the stream restore as
     /// pristine.
     ///
     /// # Errors
@@ -547,7 +522,7 @@ impl FlashState {
     /// unknown page-state code, a block count that does not match the
     /// geometry, out-of-range or non-increasing block indices, or a write
     /// pointer beyond the block size.
-    pub fn decode_sparse_from(cfg: &FlashConfig, r: &mut Reader<'_>) -> Result<Self> {
+    pub fn decode_from(cfg: &FlashConfig, r: &mut Reader<'_>) -> Result<Self> {
         let mut state = FlashState::new(cfg);
         let total = r.u64()?;
         if total != state.total_blocks() {
@@ -627,49 +602,6 @@ impl FlashState {
             )));
         }
         Ok(code)
-    }
-
-    /// Decodes a state serialized by [`FlashState::encode_into`] for the
-    /// given configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConduitError::CorruptCheckpoint`] on truncation, an unknown
-    /// page-state code, a block count that does not match the geometry
-    /// `cfg` describes, or a non-`Free` page at or beyond a block's write
-    /// pointer (flash programs sequentially, so such a state is impossible
-    /// on a real device — and the sparse encoding relies on the invariant
-    /// to omit those pages, so accepting it here would silently drop the
-    /// page on the next re-export).
-    pub fn decode_from(cfg: &FlashConfig, r: &mut Reader<'_>) -> Result<Self> {
-        let mut state = FlashState::new(cfg);
-        let count = r.u64()?;
-        if count != state.total_blocks() {
-            return Err(ConduitError::corrupt_checkpoint(format!(
-                "flash checkpoint has {count} blocks but the configuration describes {}",
-                state.total_blocks()
-            )));
-        }
-        let pages_per_block = cfg.pages_per_block as usize;
-        let packed_len = pages_per_block.div_ceil(4);
-        let mut codes = Vec::with_capacity(pages_per_block);
-        for b in 0..count {
-            let rec = Self::decode_record(r, pages_per_block)?;
-            let packed = r.take(packed_len)?;
-            codes.clear();
-            for i in 0..pages_per_block {
-                let code = Self::unpack_code(packed, i)?;
-                if i >= rec.write_pointer as usize && code != PAGE_FREE {
-                    return Err(ConduitError::corrupt_checkpoint(
-                        "programmed page at or beyond the block's write pointer",
-                    ));
-                }
-                codes.push(code);
-            }
-            state.restore_block(b, rec, &codes);
-        }
-        state.rebuild_aggregates();
-        Ok(state)
     }
 
     /// Wear statistics across blocks: `(min, max, mean)` erase counts.
@@ -849,60 +781,18 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_roundtrips_an_aged_array() {
-        let cfg = SsdConfig::small_for_tests().flash;
-        let mut s = FlashState::new(&cfg);
-        let a0 = s.geometry().addr_of(0);
-        let a1 = s.geometry().addr_of(1);
-        s.program(a0).unwrap();
-        s.program(a1).unwrap();
-        s.invalidate(a0).unwrap();
-        s.erase_block(s.geometry().total_blocks() - 1).unwrap();
-        s.mark_bad(s.geometry().total_blocks() - 2);
-
-        let mut buf = Vec::new();
-        s.encode_into(&mut buf);
-        let mut r = Reader::new(&buf);
-        let back = FlashState::decode_from(&cfg, &mut r).unwrap();
-        assert!(r.finished());
-        assert_eq!(back, s);
-
-        // A mismatched geometry is rejected rather than silently truncated.
-        let mut small = cfg.clone();
-        small.blocks_per_plane /= 2;
-        assert!(FlashState::decode_from(&small, &mut Reader::new(&buf)).is_err());
-        // Truncation is rejected.
-        assert!(FlashState::decode_from(&cfg, &mut Reader::new(&buf[..buf.len() - 1])).is_err());
-    }
-
-    #[test]
-    fn dense_decode_rejects_programmed_pages_beyond_the_write_pointer() {
-        let cfg = SsdConfig::small_for_tests().flash;
-        let s = FlashState::new(&cfg);
-        let mut buf = Vec::new();
-        s.encode_into(&mut buf);
-        // Dense layout: u64 block count, then per block
-        // [u64 erases][u8 bad][u32 write_pointer][packed pages]. Mark block
-        // 0's first page Valid while its write pointer stays 0 — a state a
-        // sequentially-programmed device can never reach. Accepting it
-        // would silently drop the page on the next sparse re-export.
-        buf[8 + 8 + 1 + 4] = 0b01;
-        assert!(FlashState::decode_from(&cfg, &mut Reader::new(&buf)).is_err());
-    }
-
-    #[test]
     fn sparse_checkpoint_roundtrips_and_skips_pristine_blocks() {
         let cfg = SsdConfig::small_for_tests().flash;
         let mut s = FlashState::new(&cfg);
         // A pristine array encodes to just the two headers.
         let mut cold = Vec::new();
-        s.encode_sparse_into(&mut cold);
+        s.encode_into(&mut cold);
         assert_eq!(cold.len(), 16, "a cold array stores no blocks");
-        let back = FlashState::decode_sparse_from(&cfg, &mut Reader::new(&cold)).unwrap();
+        let back = FlashState::decode_from(&cfg, &mut Reader::new(&cold)).unwrap();
         assert_eq!(back, s);
 
-        // Touch a handful of blocks; everything round-trips and the sparse
-        // image stays much smaller than the dense one.
+        // Touch a handful of blocks; everything round-trips and the image
+        // holds only those blocks.
         let a0 = s.geometry().addr_of(0);
         let a1 = s.geometry().addr_of(1);
         s.program(a0).unwrap();
@@ -912,38 +802,32 @@ mod tests {
         s.mark_bad(s.geometry().total_blocks() - 2);
 
         let mut sparse = Vec::new();
-        s.encode_sparse_into(&mut sparse);
-        let mut dense = Vec::new();
-        s.encode_into(&mut dense);
-        assert!(
-            sparse.len() * 4 < dense.len(),
-            "sparse image ({} B) should be far below dense ({} B) on a mostly-cold array",
-            sparse.len(),
-            dense.len()
-        );
+        s.encode_into(&mut sparse);
+        // Three touched blocks of 21 header bytes each (index, erase count,
+        // bad flag, write pointer); only block 0 has written pages (two,
+        // packed into one byte).
+        assert_eq!(sparse.len(), 16 + 3 * 21 + 1);
         let mut r = Reader::new(&sparse);
-        let back = FlashState::decode_sparse_from(&cfg, &mut r).unwrap();
+        let back = FlashState::decode_from(&cfg, &mut r).unwrap();
         assert!(r.finished());
         assert_eq!(back, s);
         // Re-encoding the decoded state is deterministic.
         let mut again = Vec::new();
-        back.encode_sparse_into(&mut again);
+        back.encode_into(&mut again);
         assert_eq!(again, sparse);
 
         // Corruption is rejected: truncation, geometry mismatch, an
         // out-of-range block index, and unsorted indices.
-        assert!(FlashState::decode_sparse_from(
-            &cfg,
-            &mut Reader::new(&sparse[..sparse.len() - 1])
-        )
-        .is_err());
+        assert!(
+            FlashState::decode_from(&cfg, &mut Reader::new(&sparse[..sparse.len() - 1])).is_err()
+        );
         let mut small = cfg.clone();
         small.blocks_per_plane /= 2;
-        assert!(FlashState::decode_sparse_from(&small, &mut Reader::new(&sparse)).is_err());
+        assert!(FlashState::decode_from(&small, &mut Reader::new(&sparse)).is_err());
         let mut bad_index = sparse.clone();
         // First touched-block index sits right after the two u64 headers.
         bad_index[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(FlashState::decode_sparse_from(&cfg, &mut Reader::new(&bad_index)).is_err());
+        assert!(FlashState::decode_from(&cfg, &mut Reader::new(&bad_index)).is_err());
     }
 
     #[test]
@@ -1061,16 +945,6 @@ mod tests {
             put_u32(out, self.write_pointers[b]);
         }
 
-        fn encode_dense(&self) -> Vec<u8> {
-            let mut out = Vec::new();
-            put_u64(&mut out, self.erases.len() as u64);
-            for b in 0..self.erases.len() {
-                self.encode_block(b, &mut out);
-                Self::pack(self.block_pages(b), &mut out);
-            }
-            out
-        }
-
         fn encode_sparse(&self) -> Vec<u8> {
             let touched: Vec<usize> = (0..self.erases.len())
                 .filter(|&b| self.erases[b] > 0 || self.bad[b] || self.write_pointers[b] > 0)
@@ -1126,19 +1000,14 @@ mod tests {
         assert_eq!(s.most_invalid_block(), model.most_invalid(), "step {step}");
         assert_eq!(s.wear_stats(), model.wear(), "step {step}");
 
-        let mut dense = Vec::new();
-        s.encode_into(&mut dense);
-        assert_eq!(dense, model.encode_dense(), "step {step}: dense encoding");
         let mut sparse = Vec::new();
-        s.encode_sparse_into(&mut sparse);
+        s.encode_into(&mut sparse);
         assert_eq!(
             sparse,
             model.encode_sparse(),
             "step {step}: sparse encoding"
         );
-        let back = FlashState::decode_from(cfg, &mut Reader::new(&dense)).unwrap();
-        assert_eq!(&back, s, "step {step}: dense round trip");
-        let back = FlashState::decode_sparse_from(cfg, &mut Reader::new(&sparse)).unwrap();
+        let back = FlashState::decode_from(cfg, &mut Reader::new(&sparse)).unwrap();
         assert_eq!(&back, s, "step {step}: sparse round trip");
         if step.is_multiple_of(97) {
             for p in 0..geo.total_pages() {

@@ -566,32 +566,17 @@ impl Ftl {
         best.map(|(block, _)| block)
     }
 
-    /// Appends the FTL's complete mutable state — flash array, L2P table,
-    /// allocator cursors, coherence directory, GC/wear counters and activity
-    /// stats — to `out` in the compact checkpoint layout. The encoding is
+    /// Appends the FTL's complete mutable state to `out` in the compact
+    /// checkpoint layout: the flash array as a delta-against-pristine image
+    /// ([`FlashState::encode_into`]: never-written blocks are skipped, so a
+    /// cold device's FTL image stays small), then the L2P table, allocator
+    /// cursors, coherence directory, GC/wear counters, activity stats and
+    /// the fault-injection state (configuration, plan cursor, health,
+    /// retired-block count and fault counters). The encoding is
     /// deterministic (map entries are sorted), so identical FTL states
     /// always produce identical bytes.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         self.state.encode_into(out);
-        self.encode_tail_into(out);
-        self.encode_fault_tail_into(out);
-    }
-
-    /// Like [`Ftl::encode_into`], but the flash array uses the
-    /// **delta-against-pristine** layout
-    /// ([`FlashState::encode_sparse_into`]): never-written blocks are
-    /// skipped, so a cold device's FTL image stays small. Decode with
-    /// [`Ftl::decode_delta_from`].
-    pub fn encode_delta_into(&self, out: &mut Vec<u8>) {
-        self.state.encode_sparse_into(out);
-        self.encode_tail_into(out);
-        self.encode_fault_tail_into(out);
-    }
-
-    /// Everything after the flash image, shared by both layouts: L2P table,
-    /// allocator cursors, coherence directory, GC/wear counters and
-    /// activity stats.
-    fn encode_tail_into(&self, out: &mut Vec<u8>) {
         self.l2p.encode_into(out);
         self.alloc.encode_into(out);
         self.coherence.encode_into(out);
@@ -602,12 +587,6 @@ impl Ftl {
         put_u64(out, self.stats.gc_relocations);
         put_u64(out, self.stats.gc_erases);
         put_u64(out, self.stats.wear_relocations);
-    }
-
-    /// The fault-injection state appended by the current (version-3)
-    /// layouts: configuration, plan cursor, health, retired-block count and
-    /// fault counters. Legacy (v1/v2) streams omit it and restore inert.
-    fn encode_fault_tail_into(&self, out: &mut Vec<u8>) {
         self.faults.encode_into(out);
         put_u64(out, self.plan.draws());
         out.push(self.health.encode());
@@ -617,21 +596,6 @@ impl Ftl {
         put_u64(out, self.fault_stats.read_retries);
         put_u64(out, self.fault_stats.die_failures);
         put_u64(out, self.fault_stats.remapped_pages);
-    }
-
-    /// Decodes the fault tail written by
-    /// [`Ftl::encode_fault_tail_into`] into `self`.
-    fn decode_fault_tail_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        self.faults = FaultConfig::decode_from(r)?;
-        self.plan = FaultPlan::restore(self.faults.seed, r.counter()?);
-        self.health = DeviceHealth::decode(r.u8()?)?;
-        self.retired_blocks = r.counter()?;
-        self.fault_stats.program_failures = r.counter()?;
-        self.fault_stats.erase_failures = r.counter()?;
-        self.fault_stats.read_retries = r.counter()?;
-        self.fault_stats.die_failures = r.counter()?;
-        self.fault_stats.remapped_pages = r.counter()?;
-        Ok(())
     }
 
     /// Decodes an FTL serialized by [`Ftl::encode_into`] for the given
@@ -646,56 +610,6 @@ impl Ftl {
     pub fn decode_from(cfg: &SsdConfig, r: &mut Reader<'_>) -> Result<Self> {
         let mut ftl = Ftl::new(cfg)?;
         ftl.state = FlashState::decode_from(&cfg.flash, r)?;
-        let mut ftl = ftl.decode_tail_from(r)?;
-        ftl.decode_fault_tail_from(r)?;
-        Ok(ftl)
-    }
-
-    /// Decodes a **legacy** dense FTL image that predates the fault tail
-    /// (device-state checkpoints of format version 1). Fault state restores
-    /// inert and healthy.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Ftl::decode_from`].
-    pub fn decode_legacy_from(cfg: &SsdConfig, r: &mut Reader<'_>) -> Result<Self> {
-        let mut ftl = Ftl::new(cfg)?;
-        ftl.state = FlashState::decode_from(&cfg.flash, r)?;
-        ftl.decode_tail_from(r)
-    }
-
-    /// Decodes an FTL serialized by [`Ftl::encode_delta_into`] (sparse
-    /// flash image) for the given configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Ftl::decode_from`].
-    pub fn decode_delta_from(cfg: &SsdConfig, r: &mut Reader<'_>) -> Result<Self> {
-        let mut ftl = Ftl::new(cfg)?;
-        ftl.state = FlashState::decode_sparse_from(&cfg.flash, r)?;
-        let mut ftl = ftl.decode_tail_from(r)?;
-        ftl.decode_fault_tail_from(r)?;
-        Ok(ftl)
-    }
-
-    /// Decodes a **legacy** sparse FTL image that predates the fault tail
-    /// (device-state checkpoints of format version 2). Fault state restores
-    /// inert and healthy.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Ftl::decode_from`].
-    pub fn decode_delta_legacy_from(cfg: &SsdConfig, r: &mut Reader<'_>) -> Result<Self> {
-        let mut ftl = Ftl::new(cfg)?;
-        ftl.state = FlashState::decode_sparse_from(&cfg.flash, r)?;
-        ftl.decode_tail_from(r)
-    }
-
-    /// Decodes everything after the flash image and rebuilds the derived
-    /// reverse map; consumes `self` (a fresh FTL whose `state` has already
-    /// been replaced by the decoded flash image).
-    fn decode_tail_from(self, r: &mut Reader<'_>) -> Result<Self> {
-        let mut ftl = self;
         ftl.l2p = L2pTable::decode_from(ftl.l2p.cache_capacity(), r)?;
         ftl.alloc = PageAllocator::decode_from(&ftl.state, r)?;
         ftl.coherence = CoherenceDirectory::decode_from(r)?;
@@ -732,6 +646,15 @@ impl Ftl {
             }
         }
         ftl.reverse = reverse;
+        ftl.faults = FaultConfig::decode_from(r)?;
+        ftl.plan = FaultPlan::restore(ftl.faults.seed, r.counter()?);
+        ftl.health = DeviceHealth::decode(r.u8()?)?;
+        ftl.retired_blocks = r.counter()?;
+        ftl.fault_stats.program_failures = r.counter()?;
+        ftl.fault_stats.erase_failures = r.counter()?;
+        ftl.fault_stats.read_retries = r.counter()?;
+        ftl.fault_stats.die_failures = r.counter()?;
+        ftl.fault_stats.remapped_pages = r.counter()?;
         Ok(ftl)
     }
 

@@ -397,16 +397,13 @@ impl SsdDevice {
             }
             (DataLocation::Dram, DataLocation::Host)
             | (DataLocation::CtrlSram, DataLocation::Host) => {
-                self.host_transfer(self.models.cfg.flash.page_bytes, true, completion.ready)
+                self.host_transfer(self.models.cfg.flash.page_bytes, completion.ready)
             }
             (DataLocation::Flash, _) => {
                 let to_internal = self.flash_read_page(page, completion.ready)?;
                 if dest == DataLocation::Host {
-                    let link = self.host_transfer(
-                        self.models.cfg.flash.page_bytes,
-                        true,
-                        to_internal.ready,
-                    );
+                    let link =
+                        self.host_transfer(self.models.cfg.flash.page_bytes, to_internal.ready);
                     to_internal.join(link)
                 } else {
                     to_internal
@@ -414,7 +411,7 @@ impl SsdDevice {
             }
             (DataLocation::Host, _) => {
                 // Host-resident data flowing back into the SSD.
-                self.host_transfer(self.models.cfg.flash.page_bytes, false, completion.ready)
+                self.host_transfer(self.models.cfg.flash.page_bytes, completion.ready)
             }
             _ => OpCompletion::immediate(completion.ready),
         };
@@ -475,15 +472,16 @@ impl SsdDevice {
             | (DataLocation::CtrlSram, DataLocation::Flash) => {
                 self.flash_program_bytes(bytes, earliest)
             }
-            (DataLocation::Host, _) => self.host_transfer(bytes, false, earliest),
-            (_, DataLocation::Host) => self.host_transfer(bytes, true, earliest),
+            (DataLocation::Host, _) | (_, DataLocation::Host) => {
+                self.host_transfer(bytes, earliest)
+            }
             _ => OpCompletion::immediate(earliest),
         }
     }
 
-    /// Transfers `bytes` over the host link (NVMe command overhead + PCIe).
-    pub fn host_transfer(&mut self, bytes: u64, to_host: bool, earliest: SimTime) -> OpCompletion {
-        let _ = to_host;
+    /// Transfers `bytes` over the host link (NVMe command overhead + PCIe),
+    /// in either direction: the link is modelled as symmetric.
+    pub fn host_transfer(&mut self, bytes: u64, earliest: SimTime) -> OpCompletion {
         let service =
             self.models.cfg.link.nvme_cmd_latency + self.models.cfg.link.transfer_time(bytes);
         let (_, end) = self.state.pcie.reserve(earliest, service);
@@ -539,8 +537,9 @@ impl SsdDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`ConduitError::UnsupportedOperation`] if the resource cannot
-    /// execute `op`.
+    /// Returns
+    /// [`ConduitError::UnsupportedOperation`](conduit_types::ConduitError::UnsupportedOperation)
+    /// if the resource cannot execute `op`.
     pub fn execute(
         &mut self,
         resource: Resource,
@@ -561,8 +560,9 @@ impl SsdDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`ConduitError::UnsupportedOperation`] for ops outside the IFP
-    /// set.
+    /// Returns
+    /// [`ConduitError::UnsupportedOperation`](conduit_types::ConduitError::UnsupportedOperation)
+    /// for ops outside the IFP set.
     pub fn execute_ifp(
         &mut self,
         op: OpType,
@@ -601,8 +601,9 @@ impl SsdDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`ConduitError::UnsupportedOperation`] for ops outside the PuD
-    /// set.
+    /// Returns
+    /// [`ConduitError::UnsupportedOperation`](conduit_types::ConduitError::UnsupportedOperation)
+    /// for ops outside the PuD set.
     pub fn execute_pud(
         &mut self,
         op: OpType,
@@ -1133,11 +1134,11 @@ mod tests {
     #[test]
     fn host_transfer_uses_the_link_and_counts_energy() {
         let mut dev = device();
-        let c = dev.host_transfer(1 << 20, true, SimTime::ZERO);
+        let c = dev.host_transfer(1 << 20, SimTime::ZERO);
         assert!(c.breakdown.host_data_movement > Duration::from_us(100.0));
         assert!(dev.energy_meter().data_movement() > Energy::ZERO);
         // Back-to-back transfers serialize on the link.
-        let c2 = dev.host_transfer(1 << 20, true, SimTime::ZERO);
+        let c2 = dev.host_transfer(1 << 20, SimTime::ZERO);
         assert!(c2.ready > c.ready);
     }
 

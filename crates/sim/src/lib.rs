@@ -48,8 +48,6 @@ pub use estimates::{CostEstimate, EstimateTable, StripEstimates, LOC_COUNT, RESO
 pub use host::{HostCpuModel, HostGpuModel};
 pub use resources::{ResourcePool, SharedResource};
 pub use state::{
-    DeviceDelta, DeviceSnapshot, DeviceState, DEVICE_STATE_FORMAT_VERSION,
-    DEVICE_STATE_FORMAT_VERSION_V1, DEVICE_STATE_FORMAT_VERSION_V2, DEVICE_STATE_MAGIC,
-    DEVICE_STATE_MAGIC_V1, DEVICE_STATE_MAGIC_V2,
+    DeviceDelta, DeviceSnapshot, DeviceState, DEVICE_STATE_FORMAT_VERSION, DEVICE_STATE_MAGIC,
 };
 pub use stats::{CostBreakdown, LaneStats, LatencyStats};

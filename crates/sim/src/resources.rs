@@ -123,15 +123,15 @@ impl SharedResource {
 
     /// Appends the timeline's state (busy-until, total busy time, completed
     /// count) to `out`.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_timeline(&self, out: &mut Vec<u8>) {
         put_u64(out, self.busy_until.as_ps());
         put_u64(out, self.total_busy.as_ps());
         put_u64(out, self.completed);
     }
 
-    /// Restores the timeline state serialized by
-    /// [`SharedResource::encode_into`].
-    pub(crate) fn restore_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
+    /// Restores the timeline state written by
+    /// [`SharedResource::encode_timeline`].
+    fn restore_timeline(&mut self, r: &mut Reader<'_>) -> Result<()> {
         self.busy_until = SimTime::from_ps(r.counter()?);
         self.total_busy = Duration::from_ps(r.counter()?);
         self.completed = r.counter()?;
@@ -140,30 +140,30 @@ impl SharedResource {
 
     /// Whether the timeline carries no state worth serializing (never
     /// reserved and back at time zero).
-    pub(crate) fn is_untouched(&self) -> bool {
+    fn is_untouched(&self) -> bool {
         self.busy_until == SimTime::ZERO && self.total_busy.is_zero() && self.completed == 0
     }
 
-    /// Sparse variant of [`SharedResource::encode_into`]: an untouched
-    /// timeline costs a single flag byte instead of 24 zero bytes.
-    pub(crate) fn encode_sparse_into(&self, out: &mut Vec<u8>) {
+    /// Appends the timeline to `out` as a flag byte, followed by its
+    /// busy-until, total busy time and completed count only when it has
+    /// been used: an untouched timeline costs one byte instead of 24 zeros.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         if self.is_untouched() {
             out.push(0);
         } else {
             out.push(1);
-            self.encode_into(out);
+            self.encode_timeline(out);
         }
     }
 
-    /// Restores the state serialized by
-    /// [`SharedResource::encode_sparse_into`].
-    pub(crate) fn restore_sparse_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
+    /// Restores the state serialized by [`SharedResource::encode_into`].
+    pub(crate) fn restore_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
         match r.u8()? {
             0 => {
                 *self = SharedResource::new();
                 Ok(())
             }
-            1 => self.restore_from(r),
+            1 => self.restore_timeline(r),
             flag => Err(ConduitError::corrupt_checkpoint(format!(
                 "resource timeline flag must be 0 or 1, found {flag}"
             ))),
@@ -327,16 +327,19 @@ impl ResourcePool {
         self.units.iter().map(|u| u.completed()).sum()
     }
 
-    /// Appends every unit's timeline state to `out` behind a unit count.
-    ///
-    /// This dense layout is what v1/v2 checkpoints stored; current encoders
-    /// use [`ResourcePool::encode_sparse_into`], so production code only
-    /// ever decodes it.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Appends the pool to `out`: the unit count, the number of touched
+    /// units, then `(index, timeline)` pairs for the touched units only, in
+    /// strictly increasing index order, so an idle pool costs 16 bytes
+    /// regardless of its size.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         put_u64(out, self.units.len() as u64);
-        for unit in &self.units {
-            unit.encode_into(out);
+        let touched = self.units.iter().filter(|u| !u.is_untouched()).count();
+        put_u64(out, touched as u64);
+        for (i, unit) in self.units.iter().enumerate() {
+            if !unit.is_untouched() {
+                put_u64(out, i as u64);
+                unit.encode_timeline(out);
+            }
         }
     }
 
@@ -345,43 +348,17 @@ impl ResourcePool {
     /// # Errors
     ///
     /// Returns [`ConduitError::CorruptCheckpoint`] if the stored unit count
-    /// does not match this (configuration-derived) pool's size.
-    pub(crate) fn restore_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        self.read_unit_count(r)?;
-        let restored = self
-            .units
-            .iter_mut()
-            .try_for_each(|unit| unit.restore_from(r));
-        self.rebuild_index();
-        restored
-    }
-
-    /// Sparse variant of [`ResourcePool::encode_into`]: only touched units
-    /// are stored (unit count, touched count, then `(index, timeline)` pairs
-    /// with strictly increasing indices), so an idle pool costs 16 bytes
-    /// regardless of its size.
-    pub(crate) fn encode_sparse_into(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.units.len() as u64);
-        let touched = self.units.iter().filter(|u| !u.is_untouched()).count();
-        put_u64(out, touched as u64);
-        for (i, unit) in self.units.iter().enumerate() {
-            if !unit.is_untouched() {
-                put_u64(out, i as u64);
-                unit.encode_into(out);
-            }
-        }
-    }
-
-    /// Restores the pool serialized by [`ResourcePool::encode_sparse_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConduitError::CorruptCheckpoint`] if the stored unit count
     /// does not match the configuration, if more units are marked touched
     /// than exist, or if the touched indices are not strictly increasing and
     /// in range.
-    pub(crate) fn restore_sparse_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        let count = self.read_unit_count(r)?;
+    pub(crate) fn restore_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
+        let count = r.u64()? as usize;
+        if count != self.units.len() {
+            return Err(ConduitError::corrupt_checkpoint(format!(
+                "pool checkpoint has {count} units but the configuration describes {}",
+                self.units.len()
+            )));
+        }
         let touched = r.u64()? as usize;
         if touched > count {
             return Err(ConduitError::corrupt_checkpoint(format!(
@@ -398,23 +375,10 @@ impl ResourcePool {
                 )));
             }
             prev = Some(idx);
-            self.units[idx as usize].restore_from(r)
+            self.units[idx as usize].restore_timeline(r)
         });
         self.rebuild_index();
         restored
-    }
-
-    /// Reads a checkpoint's unit count and checks it against this
-    /// (configuration-derived) pool's size.
-    fn read_unit_count(&self, r: &mut Reader<'_>) -> Result<usize> {
-        let count = r.u64()? as usize;
-        if count != self.units.len() {
-            return Err(ConduitError::corrupt_checkpoint(format!(
-                "pool checkpoint has {count} units but the configuration describes {}",
-                self.units.len()
-            )));
-        }
-        Ok(count)
     }
 
     /// Number of leaves in the min-tree (the unit count rounded up to a
@@ -618,26 +582,26 @@ mod tests {
         // Idle: one flag byte instead of 24 zeros.
         let idle = SharedResource::new();
         let mut buf = Vec::new();
-        idle.encode_sparse_into(&mut buf);
+        idle.encode_into(&mut buf);
         assert_eq!(buf, vec![0]);
         let mut back = SharedResource::new();
         back.reserve(SimTime::ZERO, us(3.0)); // stale state must be cleared
-        back.restore_sparse_from(&mut Reader::new(&buf)).unwrap();
+        back.restore_from(&mut Reader::new(&buf)).unwrap();
         assert_eq!(back, idle);
 
-        // Busy: flag byte plus the dense triple.
+        // Busy: flag byte plus the timeline triple.
         let mut busy = SharedResource::new();
         busy.reserve(SimTime::ZERO, us(7.0));
         let mut buf = Vec::new();
-        busy.encode_sparse_into(&mut buf);
+        busy.encode_into(&mut buf);
         assert_eq!(buf.len(), 1 + 24);
         let mut back = SharedResource::new();
-        back.restore_sparse_from(&mut Reader::new(&buf)).unwrap();
+        back.restore_from(&mut Reader::new(&buf)).unwrap();
         assert_eq!(back, busy);
 
         // Garbage flag is rejected.
         let mut r = Reader::new(&[7u8]);
-        assert!(SharedResource::new().restore_sparse_from(&mut r).is_err());
+        assert!(SharedResource::new().restore_from(&mut r).is_err());
     }
 
     #[test]
@@ -646,29 +610,25 @@ mod tests {
         p.reserve_unit(3, SimTime::ZERO, us(5.0));
         p.reserve_unit(11, SimTime::ZERO, us(2.0));
         let mut sparse = Vec::new();
-        p.encode_sparse_into(&mut sparse);
+        p.encode_into(&mut sparse);
         // 16 + 16 header, two touched units at 8 + 24 each.
         assert_eq!(sparse.len(), 16 + 2 * 32);
-        let mut dense = Vec::new();
-        p.encode_into(&mut dense);
-        assert!(sparse.len() < dense.len());
 
         let mut back = ResourcePool::new(16);
         back.reserve_unit(0, SimTime::ZERO, us(9.0)); // must be reset on restore
-        back.restore_sparse_from(&mut Reader::new(&sparse)).unwrap();
+        back.restore_from(&mut Reader::new(&sparse)).unwrap();
         assert_eq!(back, p);
 
         // A fully idle pool costs only the 16-byte header.
         let idle = ResourcePool::new(64);
         let mut buf = Vec::new();
-        idle.encode_sparse_into(&mut buf);
+        idle.encode_into(&mut buf);
         assert_eq!(buf.len(), 16);
     }
 
     #[test]
     fn sparse_pool_restore_rejects_malformed_indices() {
-        let probe =
-            |bytes: &[u8]| ResourcePool::new(4).restore_sparse_from(&mut Reader::new(bytes));
+        let probe = |bytes: &[u8]| ResourcePool::new(4).restore_from(&mut Reader::new(bytes));
         let mut wrong_count = Vec::new();
         put_u64(&mut wrong_count, 5);
         put_u64(&mut wrong_count, 0);
@@ -795,8 +755,8 @@ mod tests {
 
     /// The utilization sum stops past the highest busy unit. Checks the
     /// edges of that prefix against the full scan: an idle pool read after
-    /// time zero, a pool busy only on its last unit, and dense and sparse
-    /// restores that grow, shrink and empty the prefix.
+    /// time zero, a pool busy only on its last unit, and restores that grow,
+    /// shrink and empty the prefix.
     fn busy_prefix_edges(size: usize) {
         let probes = [
             SimTime::ZERO,
@@ -827,26 +787,19 @@ mod tests {
         for (source, model) in [&idle, &first, &last] {
             for (target, _) in [&idle, &first, &last] {
                 let ctx = format!("size {size}: restore");
-                let mut dense = Vec::new();
-                source.encode_into(&mut dense);
-                let mut from_dense = target.clone();
-                from_dense.restore_from(&mut Reader::new(&dense)).unwrap();
-                assert_matches(&from_dense, model, &probes, &ctx);
-                let mut sparse = Vec::new();
-                source.encode_sparse_into(&mut sparse);
-                let mut from_sparse = target.clone();
-                from_sparse
-                    .restore_sparse_from(&mut Reader::new(&sparse))
-                    .unwrap();
-                assert_matches(&from_sparse, model, &probes, &ctx);
+                let mut bytes = Vec::new();
+                source.encode_into(&mut bytes);
+                let mut restored = target.clone();
+                restored.restore_from(&mut Reader::new(&bytes)).unwrap();
+                assert_matches(&restored, model, &probes, &ctx);
             }
         }
     }
 
     /// Drives an indexed pool through seeded reservations next to the
     /// reference model, checking every query after every step. Every few
-    /// steps a dense and a sparse restored copy of the pool join it and
-    /// continue alongside.
+    /// steps two restored copies of the pool join it and continue
+    /// alongside.
     fn drive_against_model(size: usize, seed: u64) {
         const STEPS: usize = 240;
         const RESTORE_EVERY: usize = 9;
@@ -902,28 +855,20 @@ mod tests {
         }
     }
 
-    /// Dense and sparse checkpoints of `pool`, each restored into a pool
+    /// Two copies of `pool` restored from its checkpoint, each into a pool
     /// first dirtied by other reservations (so any index entry a restore
     /// failed to rebuild would show).
     fn restored_copies(pool: &ResourcePool, rng: &mut FaultPlan) -> [ResourcePool; 2] {
-        let mut dirtied = || {
+        let mut bytes = Vec::new();
+        pool.encode_into(&mut bytes);
+        [(); 2].map(|()| {
             let mut p = ResourcePool::new(pool.len());
             for _ in 0..1 + rng.next_u64() % 5 {
                 let at = SimTime::from_ps(1_000 * (rng.next_u64() % 32));
                 p.reserve(at, Duration::from_ps(1_000 * (1 + rng.next_u64() % 9)));
             }
+            p.restore_from(&mut Reader::new(&bytes)).unwrap();
             p
-        };
-        let mut dense = Vec::new();
-        pool.encode_into(&mut dense);
-        let mut from_dense = dirtied();
-        from_dense.restore_from(&mut Reader::new(&dense)).unwrap();
-        let mut sparse = Vec::new();
-        pool.encode_sparse_into(&mut sparse);
-        let mut from_sparse = dirtied();
-        from_sparse
-            .restore_sparse_from(&mut Reader::new(&sparse))
-            .unwrap();
-        [from_dense, from_sparse]
+        })
     }
 }

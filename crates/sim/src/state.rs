@@ -29,32 +29,17 @@ use crate::energy::EnergyMeter;
 use crate::resources::{ResourcePool, SharedResource};
 use crate::stats::LaneStats;
 
-/// Magic bytes identifying a serialized [`DeviceState`] checkpoint in the
-/// current format: delta-against-pristine flash (never-written blocks are
-/// skipped), **sparse resource timelines** (idle channels/dies/banks cost a
-/// flag byte instead of a zero triple), the fault-injection state (plan
-/// cursor, retired blocks, health) and both the cumulative and the windowed
-/// request-lane statistics ([`LaneStats`]).
+/// Magic bytes identifying a serialized [`DeviceState`] checkpoint:
+/// delta-against-pristine flash (never-written blocks are skipped), sparse
+/// resource timelines (idle channels/dies/banks cost a flag byte instead of
+/// a zero triple), the fault-injection state (plan cursor, retired blocks,
+/// health) and both the cumulative and the windowed request-lane
+/// statistics ([`LaneStats`]).
 pub const DEVICE_STATE_MAGIC: [u8; 4] = *b"CDS3";
 
-/// Current device-state checkpoint format version.
+/// Device-state checkpoint format version, the only one
+/// [`DeviceState::from_bytes`] accepts.
 pub const DEVICE_STATE_FORMAT_VERSION: u16 = 3;
-
-/// Magic bytes of the legacy version-2 format (delta flash image and lane
-/// statistics, but dense resource timelines and no fault state). Still
-/// readable by [`DeviceState::from_bytes`]; no longer written.
-pub const DEVICE_STATE_MAGIC_V2: [u8; 4] = *b"CDS2";
-
-/// Format version of the legacy [`DEVICE_STATE_MAGIC_V2`] encoding.
-pub const DEVICE_STATE_FORMAT_VERSION_V2: u16 = 2;
-
-/// Magic bytes of the legacy version-1 format (dense flash image, no lane
-/// statistics). Still readable by [`DeviceState::from_bytes`]; no longer
-/// written.
-pub const DEVICE_STATE_MAGIC_V1: [u8; 4] = *b"CDS1";
-
-/// Format version of the legacy [`DEVICE_STATE_MAGIC_V1`] encoding.
-pub const DEVICE_STATE_FORMAT_VERSION_V1: u16 = 1;
 
 /// Number of pages the host keeps resident before it must re-stream data
 /// from the SSD (see the field documentation on [`DeviceState`]).
@@ -278,17 +263,17 @@ impl DeviceState {
         let mut out = Vec::new();
         out.extend_from_slice(&DEVICE_STATE_MAGIC);
         put_u16(&mut out, DEVICE_STATE_FORMAT_VERSION);
-        self.ftl.encode_delta_into(&mut out);
+        self.ftl.encode_into(&mut out);
         put_u64(&mut out, self.channels.len() as u64);
         for channel in &self.channels {
-            channel.encode_sparse_into(&mut out);
+            channel.encode_into(&mut out);
         }
-        self.dies.encode_sparse_into(&mut out);
-        self.dram_banks.encode_sparse_into(&mut out);
-        self.compute_cores.encode_sparse_into(&mut out);
-        self.dram_bus.encode_sparse_into(&mut out);
-        self.offloader_core.encode_sparse_into(&mut out);
-        self.pcie.encode_sparse_into(&mut out);
+        self.dies.encode_into(&mut out);
+        self.dram_banks.encode_into(&mut out);
+        self.compute_cores.encode_into(&mut out);
+        self.dram_bus.encode_into(&mut out);
+        self.offloader_core.encode_into(&mut out);
+        self.pcie.encode_into(&mut out);
         // Residency is a set plus an eviction queue, serialized separately:
         // the queue may legitimately hold stale entries (eviction removes
         // from the set first) and is therefore not a reliable source for
@@ -325,11 +310,7 @@ impl DeviceState {
     /// state that was exported: replaying the same request stream on it
     /// produces bit-identical results.
     ///
-    /// The current `"CDS3"` encoding (sparse resource timelines, fault
-    /// state, windowed lane statistics) and both legacy encodings are
-    /// accepted: `"CDS2"` (delta flash, dense resources, no fault state) and
-    /// `"CDS1"` (dense flash, no lane statistics). Legacy checkpoints
-    /// restore with an inert fault plan, a healthy device and a zero window.
+    /// Only the `"CDS3"` version-3 encoding is accepted.
     ///
     /// # Errors
     ///
@@ -337,41 +318,19 @@ impl DeviceState {
     /// version, truncated or trailing bytes, or a checkpoint whose shape
     /// does not match `cfg` (block counts, pool sizes, channel counts).
     pub fn from_bytes(cfg: &SsdConfig, bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 6 {
+        if bytes.len() < 6 || bytes[..4] != DEVICE_STATE_MAGIC {
             return Err(ConduitError::corrupt_checkpoint("bad device-state magic"));
         }
         let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        let known_magic = [
-            DEVICE_STATE_MAGIC,
-            DEVICE_STATE_MAGIC_V2,
-            DEVICE_STATE_MAGIC_V1,
-        ]
-        .iter()
-        .any(|m| bytes[..4] == *m);
-        match (&bytes[..4], version) {
-            (magic, DEVICE_STATE_FORMAT_VERSION) if *magic == DEVICE_STATE_MAGIC => {}
-            (magic, DEVICE_STATE_FORMAT_VERSION_V2) if *magic == DEVICE_STATE_MAGIC_V2 => {}
-            (magic, DEVICE_STATE_FORMAT_VERSION_V1) if *magic == DEVICE_STATE_MAGIC_V1 => {}
-            (_, version) if known_magic => {
-                return Err(ConduitError::corrupt_checkpoint(format!(
-                    "unsupported device-state format version {version} \
-                     (expected {DEVICE_STATE_FORMAT_VERSION}, \
-                     {DEVICE_STATE_FORMAT_VERSION_V2} or \
-                     {DEVICE_STATE_FORMAT_VERSION_V1})"
-                )));
-            }
-            _ => {
-                return Err(ConduitError::corrupt_checkpoint("bad device-state magic"));
-            }
+        if version != DEVICE_STATE_FORMAT_VERSION {
+            return Err(ConduitError::corrupt_checkpoint(format!(
+                "unsupported device-state format version {version} \
+                 (expected {DEVICE_STATE_FORMAT_VERSION})"
+            )));
         }
         let mut r = Reader::new(&bytes[6..]);
         let mut state = DeviceState::new(cfg)?;
-        state.ftl = match version {
-            DEVICE_STATE_FORMAT_VERSION => Ftl::decode_delta_from(cfg, &mut r)?,
-            DEVICE_STATE_FORMAT_VERSION_V2 => Ftl::decode_delta_legacy_from(cfg, &mut r)?,
-            _ => Ftl::decode_legacy_from(cfg, &mut r)?,
-        };
-        let sparse = version >= DEVICE_STATE_FORMAT_VERSION;
+        state.ftl = Ftl::decode_from(cfg, &mut r)?;
         let channels = r.u64()? as usize;
         if channels != state.channels.len() {
             return Err(ConduitError::corrupt_checkpoint(format!(
@@ -380,27 +339,14 @@ impl DeviceState {
             )));
         }
         for channel in &mut state.channels {
-            if sparse {
-                channel.restore_sparse_from(&mut r)?;
-            } else {
-                channel.restore_from(&mut r)?;
-            }
+            channel.restore_from(&mut r)?;
         }
-        if sparse {
-            state.dies.restore_sparse_from(&mut r)?;
-            state.dram_banks.restore_sparse_from(&mut r)?;
-            state.compute_cores.restore_sparse_from(&mut r)?;
-            state.dram_bus.restore_sparse_from(&mut r)?;
-            state.offloader_core.restore_sparse_from(&mut r)?;
-            state.pcie.restore_sparse_from(&mut r)?;
-        } else {
-            state.dies.restore_from(&mut r)?;
-            state.dram_banks.restore_from(&mut r)?;
-            state.compute_cores.restore_from(&mut r)?;
-            state.dram_bus.restore_from(&mut r)?;
-            state.offloader_core.restore_from(&mut r)?;
-            state.pcie.restore_from(&mut r)?;
-        }
+        state.dies.restore_from(&mut r)?;
+        state.dram_banks.restore_from(&mut r)?;
+        state.compute_cores.restore_from(&mut r)?;
+        state.dram_bus.restore_from(&mut r)?;
+        state.offloader_core.restore_from(&mut r)?;
+        state.pcie.restore_from(&mut r)?;
         for (resident, order) in [
             (&mut state.dram_resident, &mut state.dram_order),
             (&mut state.ctrl_resident, &mut state.ctrl_order),
@@ -431,16 +377,8 @@ impl DeviceState {
             }
         }
         state.energy = EnergyMeter::decode_from(&mut r)?;
-        if version >= DEVICE_STATE_FORMAT_VERSION_V2 {
-            state.lane = LaneStats {
-                requests: r.counter()?,
-                busy: Duration::from_ps(r.counter()?),
-                idle: Duration::from_ps(r.counter()?),
-                queued: Duration::from_ps(r.counter()?),
-            };
-        }
-        if version >= DEVICE_STATE_FORMAT_VERSION {
-            state.lane_window = LaneStats {
+        for lane in [&mut state.lane, &mut state.lane_window] {
+            *lane = LaneStats {
                 requests: r.counter()?,
                 busy: Duration::from_ps(r.counter()?),
                 idle: Duration::from_ps(r.counter()?),
@@ -764,6 +702,35 @@ mod tests {
         let mut other = cfg.clone();
         other.flash.channels *= 2;
         assert!(DeviceState::from_bytes(&other, &state.to_bytes()).is_err());
+    }
+
+    #[test]
+    fn retired_device_state_versions_are_corrupt() {
+        // Only CDS3 version 3 decodes: an image relabelled with the retired
+        // CDS1 or CDS2 magic and version, or with any other version, is a
+        // typed error before any field is parsed.
+        let cfg = SsdConfig::small_for_tests();
+        let bytes = DeviceState::new(&cfg).unwrap().to_bytes();
+        for (magic, version) in [
+            (*b"CDS1", 1u16),
+            (*b"CDS2", 2),
+            (*b"CDS1", 3),
+            (*b"CDS3", 1),
+            (*b"CDS3", 2),
+            (*b"CDS3", 4),
+        ] {
+            let mut relabelled = bytes.clone();
+            relabelled[..4].copy_from_slice(&magic);
+            relabelled[4..6].copy_from_slice(&version.to_le_bytes());
+            assert!(
+                matches!(
+                    DeviceState::from_bytes(&cfg, &relabelled),
+                    Err(ConduitError::CorruptCheckpoint { .. })
+                ),
+                "{} version {version} must not decode",
+                String::from_utf8_lossy(&magic)
+            );
+        }
     }
 
     #[test]

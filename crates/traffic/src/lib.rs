@@ -38,6 +38,4 @@ pub use mix::{
     SloTarget, TenantSpec, TrafficMix, MAX_GENERATED_PER_TENANT, MAX_NAME_LEN, MAX_WEIGHT,
 };
 pub use process::{ArrivalProcess, ArrivalSpec};
-pub use trace::{
-    Trace, TraceRecord, TraceRun, MAX_TENANTS, TRACE_MAGIC, TRACE_VERSION, TRACE_VERSION_V2,
-};
+pub use trace::{Trace, TraceRecord, TraceRun, MAX_TENANTS, TRACE_MAGIC, TRACE_VERSION};

@@ -14,7 +14,7 @@ use conduit_types::{ConduitError, Duration, Result, SimTime};
 use conduit_workloads::{Scale, Workload};
 
 use crate::process::ArrivalSpec;
-use crate::trace::{Trace, TraceRecord};
+use crate::trace::{Trace, TraceRecord, MAX_TENANTS};
 
 /// Longest tenant/device name the trace format accepts.
 pub const MAX_NAME_LEN: usize = 256;
@@ -41,13 +41,6 @@ pub struct SloTarget {
     /// Largest acceptable busy-fraction of the tenant's device lane over
     /// the last admission window (`0.0 < target <= 1.0`).
     pub max_lane_occupancy: Option<f64>,
-}
-
-impl SloTarget {
-    /// Whether every target is unconstrained (admission always passes).
-    pub fn is_unconstrained(&self) -> bool {
-        self.max_p99.is_none() && self.max_lane_occupancy.is_none()
-    }
 }
 
 /// One tenant of a traffic mix: a workload program bound to a device, a
@@ -115,12 +108,6 @@ impl TenantSpec {
         self.slo = slo;
         self
     }
-
-    /// Whether weight and SLOs are at their defaults (the tenant encodes in
-    /// the version-1 trace format).
-    pub(crate) fn scheduling_is_default(&self) -> bool {
-        self.weight == 1 && self.slo.is_unconstrained()
-    }
 }
 
 /// A complete tenant mix plus the workload scale its programs are generated
@@ -161,9 +148,16 @@ impl TrafficMix {
     ///
     /// # Errors
     ///
-    /// Returns [`ConduitError::InvalidConfig`] if any tenant is invalid (empty or
-    /// oversized names, zero-gap arrival spec).
+    /// Returns [`ConduitError::InvalidConfig`] if the mix has more than
+    /// [`MAX_TENANTS`] tenants (the most a trace can carry) or any tenant is
+    /// invalid (empty or oversized names, zero-gap arrival spec).
     pub fn generate(&self, horizon: Duration) -> Result<Trace> {
+        if self.tenants.len() > MAX_TENANTS {
+            return Err(ConduitError::invalid_config(format!(
+                "mix has {} tenants (limit {MAX_TENANTS})",
+                self.tenants.len()
+            )));
+        }
         for tenant in &self.tenants {
             validate_tenant(tenant)?;
         }
@@ -236,11 +230,11 @@ pub(crate) fn validate_tenant(tenant: &TenantSpec) -> Result<()> {
     Ok(())
 }
 
-/// Flag bits of the version-2 per-tenant scheduling block.
+/// Flag bits of the per-tenant scheduling block.
 const SLO_HAS_MAX_P99: u8 = 1 << 0;
 const SLO_HAS_MAX_OCCUPANCY: u8 = 1 << 1;
 
-/// Appends the version-2 scheduling block (weight + optional SLO targets).
+/// Appends a tenant's scheduling block (weight + optional SLO targets).
 pub(crate) fn put_scheduling(out: &mut Vec<u8>, tenant: &TenantSpec) {
     put_u32(out, tenant.weight);
     let mut flags = 0u8;
@@ -573,6 +567,23 @@ mod tests {
             let mix = TrafficMix::new(Scale::test()).tenant(bad);
             assert!(mix.generate(Duration::from_us(1.0)).is_err());
         }
+    }
+
+    #[test]
+    fn tenant_count_is_capped_at_what_a_trace_can_carry() {
+        let mix = |count: usize| {
+            (0..count).fold(TrafficMix::new(Scale::test()), |mix, i| {
+                mix.tenant(tenant(&format!("t{i}"), "dev"))
+            })
+        };
+        let horizon = Duration::from_us(3.0);
+        assert!(matches!(
+            mix(MAX_TENANTS + 1).generate(horizon),
+            Err(ConduitError::InvalidConfig { .. })
+        ));
+        let trace = mix(MAX_TENANTS).generate(horizon).unwrap();
+        assert_eq!(trace.records.len(), 2 * MAX_TENANTS);
+        assert_eq!(Trace::from_bytes(&trace.to_bytes()).unwrap(), trace);
     }
 
     #[test]

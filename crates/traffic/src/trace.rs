@@ -8,18 +8,16 @@
 //! magic "CTR1" | version u16 | scale (data u32, steps u32)
 //! tenant count u16
 //!   per tenant: name | device | workload u8 | policy u8 | arrival spec
-//!               [v2: weight u32 | slo flags u8 | optional slo targets]
+//!               | weight u32 | slo flags u8 | optional slo targets
 //! record count u64
 //!   per record: varint delta-from-previous-arrival | varint tenant index
 //! fnv1a checksum u64 over everything above
 //! ```
 //!
-//! Version 2 adds the per-tenant **scheduling block** — weighted-fair
-//! weight plus optional SLO targets ([`crate::SloTarget`]). Encoding is
-//! canonical: [`Trace::to_bytes`] writes the lowest version that can carry
-//! the value, so a mix whose tenants all use the defaults (weight 1, no
-//! SLOs) still produces byte-identical version-1 traces, and the frozen
-//! version-1 golden keeps decoding.
+//! Every tenant carries its **scheduling block** — weighted-fair weight
+//! plus optional SLO targets ([`crate::SloTarget`]) — even at the defaults
+//! (weight 1, no SLOs). [`TRACE_VERSION`] is the only version written or
+//! read; a trace of any other version is rejected.
 //!
 //! All integers are little-endian; names are `u16`-length-prefixed UTF-8.
 //! Arrivals are sorted, so delta encoding makes records small (a varint
@@ -38,21 +36,16 @@ use conduit_workloads::Scale;
 
 use crate::mix::{
     policy_code, policy_from_code, put_scheduling, put_spec, put_str, read_scheduling, read_spec,
-    read_str, validate_tenant, SloTarget, TenantSpec, TrafficMix,
+    read_str, validate_tenant, TenantSpec, TrafficMix,
 };
 use crate::mix::{workload_code, workload_from_code};
 
 /// Magic bytes opening every serialized trace.
 pub const TRACE_MAGIC: [u8; 4] = *b"CTR1";
 
-/// The original trace format version: no per-tenant scheduling block.
-/// Still written whenever every tenant uses default scheduling, so legacy
-/// traces stay byte-identical.
-pub const TRACE_VERSION: u16 = 1;
-
-/// Trace format version carrying the per-tenant scheduling block (weight +
-/// SLO targets). Written only when some tenant departs from the defaults.
-pub const TRACE_VERSION_V2: u16 = 2;
+/// The trace format version: every tenant carries a scheduling block
+/// (weight + SLO targets).
+pub const TRACE_VERSION: u16 = 2;
 
 /// Upper bound on tenants in a serialized trace.
 pub const MAX_TENANTS: usize = 1024;
@@ -101,24 +94,11 @@ pub struct TraceRun {
 }
 
 impl Trace {
-    /// Serializes the trace to the CTR1 wire format. The version is
-    /// canonical: version 1 whenever every tenant uses default scheduling
-    /// (weight 1, no SLOs), version 2 — with the per-tenant scheduling
-    /// block — otherwise.
+    /// Serializes the trace to the CTR1 wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let version = if self
-            .mix
-            .tenants
-            .iter()
-            .all(TenantSpec::scheduling_is_default)
-        {
-            TRACE_VERSION
-        } else {
-            TRACE_VERSION_V2
-        };
         let mut out = Vec::new();
         out.extend_from_slice(&TRACE_MAGIC);
-        put_u16(&mut out, version);
+        put_u16(&mut out, TRACE_VERSION);
         put_u32(&mut out, self.mix.scale.data);
         put_u32(&mut out, self.mix.scale.steps);
         put_u16(&mut out, self.mix.tenants.len() as u16);
@@ -128,9 +108,7 @@ impl Trace {
             out.push(workload_code(tenant.workload));
             out.push(policy_code(tenant.policy));
             put_spec(&mut out, &tenant.arrivals);
-            if version == TRACE_VERSION_V2 {
-                put_scheduling(&mut out, tenant);
-            }
+            put_scheduling(&mut out, tenant);
         }
         put_u64(&mut out, self.records.len() as u64);
         let mut prev = SimTime::ZERO;
@@ -173,9 +151,9 @@ impl Trace {
             return Err(ConduitError::corrupt_checkpoint("bad trace magic"));
         }
         let version = r.u16()?;
-        if version != TRACE_VERSION && version != TRACE_VERSION_V2 {
+        if version != TRACE_VERSION {
             return Err(ConduitError::corrupt_checkpoint(format!(
-                "unsupported trace version {version} (expected {TRACE_VERSION} or {TRACE_VERSION_V2})"
+                "unsupported trace version {version} (expected {TRACE_VERSION})"
             )));
         }
         let data = r.u32()?;
@@ -198,11 +176,7 @@ impl Trace {
             let workload = workload_from_code(r.u8()?)?;
             let policy = policy_from_code(r.u8()?)?;
             let arrivals = read_spec(&mut r)?;
-            let (weight, slo) = if version == TRACE_VERSION_V2 {
-                read_scheduling(&mut r)?
-            } else {
-                (1, SloTarget::default())
-            };
+            let (weight, slo) = read_scheduling(&mut r)?;
             tenants.push(TenantSpec {
                 name,
                 device,
@@ -368,7 +342,6 @@ mod tests {
         let trace = sample_trace();
         assert!(!trace.records.is_empty());
         let bytes = trace.to_bytes();
-        // Default scheduling stays on the frozen version-1 encoding.
         assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), TRACE_VERSION);
         let decoded = Trace::from_bytes(&bytes).unwrap();
         assert_eq!(decoded, trace);
@@ -386,7 +359,7 @@ mod tests {
         };
         let trace = mix.generate(Duration::from_us(40.0)).unwrap();
         let bytes = trace.to_bytes();
-        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), TRACE_VERSION_V2);
+        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), TRACE_VERSION);
         let decoded = Trace::from_bytes(&bytes).unwrap();
         assert_eq!(decoded, trace);
         assert_eq!(decoded.to_bytes(), bytes, "re-encode must be identical");
@@ -434,6 +407,24 @@ mod tests {
     }
 
     #[test]
+    fn retired_version_one_traces_are_rejected() {
+        // A trace relabelled as version 1 (a layout without scheduling
+        // blocks) and resealed with a fresh checksum, since a plain version
+        // flip fails the checksum first, is a version error, never misread.
+        let mut bytes = sample_trace().to_bytes();
+        bytes.truncate(bytes.len() - 8);
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let checksum = fnv1a(&bytes);
+        put_u64(&mut bytes, checksum);
+        let err = Trace::from_bytes(&bytes).unwrap_err();
+        assert!(
+            matches!(err, ConduitError::CorruptCheckpoint { .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("version 1"), "{err}");
+    }
+
+    #[test]
     fn rejects_oversized_record_count() {
         // Corrupt the record count to a huge value and re-seal the
         // checksum: the structural count-vs-remaining check must fire.
@@ -454,6 +445,7 @@ mod tests {
             forged.push(workload_code(tenant.workload));
             forged.push(policy_code(tenant.policy));
             put_spec(&mut forged, &tenant.arrivals);
+            put_scheduling(&mut forged, tenant);
         }
         put_u64(&mut forged, 1 << 40);
         let checksum = fnv1a(&forged);

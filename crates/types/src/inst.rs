@@ -24,6 +24,10 @@ pub const DEFAULT_LANES: u32 = 4096;
 /// default, workloads override it).
 pub const DEFAULT_ELEM_BITS: u32 = 32;
 
+/// The widest lane element, in bits: [`VectorProgram::validate`] accepts
+/// element widths in `1..=MAX_ELEM_BITS`.
+pub const MAX_ELEM_BITS: u32 = 64;
+
 /// Identifier of a vector instruction within a [`VectorProgram`].
 ///
 /// Instruction ids are dense indices assigned in program order, which lets
@@ -145,7 +149,8 @@ pub struct VectorInst {
     pub op: OpType,
     /// Number of SIMD lanes.
     pub lanes: u32,
-    /// Width of each lane in bits (8, 16, 32 or 64).
+    /// Width of each lane in bits (8, 16, 32 or 64; validated to
+    /// `1..=`[`MAX_ELEM_BITS`]).
     pub elem_bits: u32,
     /// Source operands (length matches `op.arity()` for well-formed
     /// instructions; validated by [`VectorProgram::validate`]).
@@ -289,6 +294,13 @@ pub enum ProgramError {
         /// Actual operand count.
         found: usize,
     },
+    /// An instruction's element width is outside `1..=`[`MAX_ELEM_BITS`].
+    ElemBitsOutOfRange {
+        /// The offending instruction.
+        inst: InstId,
+        /// The element width it declares.
+        elem_bits: u32,
+    },
 }
 
 impl fmt::Display for ProgramError {
@@ -310,6 +322,10 @@ impl fmt::Display for ProgramError {
             } => write!(
                 f,
                 "instruction {inst} has {found} operands, expected {expected}"
+            ),
+            ProgramError::ElemBitsOutOfRange { inst, elem_bits } => write!(
+                f,
+                "instruction {inst} has {elem_bits}-bit elements, expected 1..={MAX_ELEM_BITS}"
             ),
         }
     }
@@ -421,7 +437,7 @@ impl VectorProgram {
     }
 
     /// Checks structural well-formedness: dense ids, no forward references,
-    /// correct operand arity.
+    /// correct operand arity, element widths in `1..=`[`MAX_ELEM_BITS`].
     ///
     /// # Errors
     ///
@@ -432,6 +448,12 @@ impl VectorProgram {
                 return Err(ProgramError::IdMismatch {
                     position: pos,
                     found: inst.id,
+                });
+            }
+            if !(1..=MAX_ELEM_BITS).contains(&inst.elem_bits) {
+                return Err(ProgramError::ElemBitsOutOfRange {
+                    inst: inst.id,
+                    elem_bits: inst.elem_bits,
                 });
             }
             let expected = inst.op.arity();
@@ -570,6 +592,33 @@ mod tests {
             prog.validate(),
             Err(ProgramError::ArityMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn validate_detects_element_widths_out_of_range() {
+        for bits in [0, MAX_ELEM_BITS + 1, 65_537, u32::MAX] {
+            let mut prog = VectorProgram::new("bad");
+            prog.push_binary(OpType::Add, Operand::page(0), Operand::page(4));
+            prog.push(
+                VectorInst::binary(1, OpType::Xor, Operand::page(0), Operand::page(4))
+                    .elem_bits(bits),
+            );
+            assert_eq!(
+                prog.validate(),
+                Err(ProgramError::ElemBitsOutOfRange {
+                    inst: InstId::new(1),
+                    elem_bits: bits
+                })
+            );
+        }
+        for bits in [1, 8, MAX_ELEM_BITS] {
+            let mut prog = VectorProgram::new("ok");
+            prog.push(
+                VectorInst::binary(0, OpType::Xor, Operand::page(0), Operand::page(4))
+                    .elem_bits(bits),
+            );
+            assert!(prog.validate().is_ok(), "{bits}-bit elements");
+        }
     }
 
     #[test]

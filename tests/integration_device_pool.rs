@@ -12,13 +12,9 @@
 //!    uninterrupted run exactly.
 //! 3. **Format stability**: a committed golden checkpoint
 //!    (`tests/golden/device_checkpoint_v3.bin`) pins the byte-exact
-//!    encoding of a canonical aged device, and the frozen
-//!    `tests/golden/device_checkpoint_v1.bin` /
-//!    `tests/golden/device_checkpoint_v2.bin` files assert that legacy
-//!    version-1 checkpoints (dense flash image, no configuration
-//!    fingerprint, no lane statistics) and version-2 checkpoints (delta
-//!    flash image and lane statistics, but dense resource timelines and no
-//!    fault state) still decode. If an intentional format change breaks
+//!    encoding of a canonical aged device, and the same bytes relabelled
+//!    with any other checkpoint version are rejected with a typed error. If
+//!    an intentional format change breaks
 //!    `golden_file_pins_the_checkpoint_format`, bump
 //!    `DEVICE_STATE_FORMAT_VERSION` / `DEVICE_CHECKPOINT_FORMAT_VERSION`
 //!    and regenerate with:
@@ -47,14 +43,6 @@ fn golden_dir() -> std::path::PathBuf {
 
 fn golden_path() -> std::path::PathBuf {
     golden_dir().join("device_checkpoint_v3.bin")
-}
-
-fn legacy_v2_golden_path() -> std::path::PathBuf {
-    golden_dir().join("device_checkpoint_v2.bin")
-}
-
-fn legacy_golden_path() -> std::path::PathBuf {
-    golden_dir().join("device_checkpoint_v1.bin")
 }
 
 /// A program whose store forces out-of-place writes on every run.
@@ -463,78 +451,38 @@ fn golden_file_still_imports_and_serves_traffic() {
     assert!(session.device_snapshot(device).device_ops > snap.device_ops);
 }
 
-/// The frozen version-1 golden file (dense flash image, no configuration
-/// fingerprint, no lane statistics) must keep decoding: old processes'
-/// checkpoints survive the format bump.
+/// Only the current checkpoint version imports. The committed golden
+/// relabelled as any other version (the retired versions 1 and 2 among
+/// them) is a typed error, and the failed import leaves the pool as it was.
 #[test]
-fn legacy_v1_golden_still_imports_and_round_trips() {
-    let committed = std::fs::read(legacy_golden_path()).expect("legacy golden file is committed");
+fn retired_checkpoint_versions_are_rejected() {
+    let committed = std::fs::read(golden_path()).expect("golden file is committed");
+    assert_eq!(
+        u16::from_le_bytes([committed[4], committed[5]]),
+        conduit::DEVICE_CHECKPOINT_FORMAT_VERSION
+    );
     let mut session = pool_session(|b| b);
     let writer = session.register(writer_program()).unwrap();
-    let device = session.import_device("legacy", &committed).unwrap();
-    let snap = session.device_snapshot(device);
-    assert!(snap.device_ops > 0, "the legacy device is aged: {snap:?}");
-    assert!(snap.coherence_writes > 0);
-    assert_eq!(
-        snap.lane_requests, 0,
-        "v1 checkpoints predate lane statistics; they restore as zero"
-    );
-
-    // Old-version decode round-trips through the current format: re-export
-    // writes version-3 bytes whose re-import restores the identical state.
-    let upgraded = session.export_device(device).unwrap();
-    assert_ne!(upgraded, committed, "re-export upgrades to the v3 format");
-    let mut other = pool_session(|b| b);
-    let revived = other.import_device("legacy", &upgraded).unwrap();
-    assert_eq!(other.device_snapshot(revived), snap);
-    assert_eq!(other.device_clock(revived), session.device_clock(device));
-
-    // And the upgraded device still serves traffic.
+    let tenant = session.create_device("tenant");
     session
-        .submit(&RunRequest::new(writer, Policy::Conduit).on_device(device))
+        .submit(&RunRequest::new(writer, Policy::Conduit).on_device(tenant))
         .unwrap();
-    assert!(session.device_snapshot(device).device_ops > snap.device_ops);
-}
-
-/// The frozen version-2 golden file (delta flash image and lane
-/// statistics, but dense resource timelines and no fault state) must keep
-/// decoding after the version-3 sparse-resource/fault-tail bump.
-#[test]
-fn legacy_v2_golden_still_imports_and_round_trips() {
-    let committed =
-        std::fs::read(legacy_v2_golden_path()).expect("legacy v2 golden file is committed");
-    let mut session = pool_session(|b| b);
-    let writer = session.register(writer_program()).unwrap();
-    let device = session.import_device("legacy-v2", &committed).unwrap();
-    let snap = session.device_snapshot(device);
-    assert!(
-        snap.device_ops > 0,
-        "the v2 golden device is aged: {snap:?}"
-    );
-    assert!(snap.coherence_writes > 0);
-    assert!(
-        snap.lane_requests > 0,
-        "v2 checkpoints already carry lane statistics"
-    );
-    assert_eq!(
-        snap.retired_blocks, 0,
-        "v2 checkpoints predate fault state; they restore fault-free"
-    );
-
-    // Old-version decode round-trips through the current format: re-export
-    // writes version-3 bytes whose re-import restores the identical state.
-    let upgraded = session.export_device(device).unwrap();
-    assert_ne!(upgraded, committed, "re-export upgrades to the v3 format");
-    let mut other = pool_session(|b| b);
-    let revived = other.import_device("legacy-v2", &upgraded).unwrap();
-    assert_eq!(other.device_snapshot(revived), snap);
-    assert_eq!(other.device_clock(revived), session.device_clock(device));
-
-    // And the upgraded device still serves traffic.
-    session
-        .submit(&RunRequest::new(writer, Policy::Conduit).on_device(device))
-        .unwrap();
-    assert!(session.device_snapshot(device).device_ops > snap.device_ops);
+    let before = session.device_snapshot(tenant);
+    let devices = session.devices().count();
+    for version in [0u16, 1, 2, 4, u16::MAX] {
+        let mut relabelled = committed.clone();
+        relabelled[4..6].copy_from_slice(&version.to_le_bytes());
+        for name in ["golden", "tenant"] {
+            let err = session.import_device(name, &relabelled).unwrap_err();
+            assert!(
+                matches!(err, conduit_types::ConduitError::CorruptCheckpoint { .. }),
+                "version {version} into {name}: {err:?}"
+            );
+        }
+        assert!(session.find_device("golden").is_none());
+        assert_eq!(session.devices().count(), devices);
+        assert_eq!(session.device_snapshot(tenant), before);
+    }
 }
 
 /// The delta-against-pristine encoding: a cold (never-used) device's
@@ -552,11 +500,11 @@ fn cold_device_checkpoints_are_small() {
     }
     let cold_bytes = session.export_device(cold).unwrap();
     let warm_bytes = session.export_device(warm).unwrap();
-    // The small test geometry alone has hundreds of blocks; the dense v1
-    // image packed every one of them (~20 KB at this scale; megabytes at
-    // paper scale). The sparse encoding stores none of them for a cold
-    // device — what remains is the fixed-size timeline/energy bookkeeping,
-    // which does not grow with the flash array.
+    // The small test geometry alone has hundreds of blocks; an image of
+    // every one of them would take ~20 KB at this scale (megabytes at paper
+    // scale). The sparse encoding stores none of them for a cold device —
+    // what remains is the fixed-size timeline/energy bookkeeping, which
+    // does not grow with the flash array.
     assert!(
         cold_bytes.len() < 4096,
         "cold checkpoint should be dominated by fixed bookkeeping, got {} bytes",

@@ -1,10 +1,10 @@
 //! Integration tests of the traffic subsystem: CTR1 trace stability,
 //! corruption rejection, and replay determinism across worker-pool sizes.
 //!
-//! The committed golden file (`tests/golden/trace_v1.bin`) pins the CTR1
-//! wire format. If an intentional format change breaks
-//! `golden_trace_pins_the_wire_format`, bump
-//! [`conduit_repro::traffic::TRACE_VERSION`] and regenerate:
+//! The committed golden file (`tests/golden/trace_v2.bin`) pins the CTR1
+//! wire format at [`conduit_repro::traffic::TRACE_VERSION`]. If an
+//! intentional format change breaks `golden_trace_pins_the_wire_format`,
+//! bump `TRACE_VERSION`, rename the golden file after it and regenerate:
 //!
 //! ```text
 //! CONDUIT_REGEN_GOLDEN=1 cargo test --test integration_traffic
@@ -66,7 +66,7 @@ fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join("trace_v1.bin")
+        .join("trace_v2.bin")
 }
 
 /// Replays a trace on a session with the given worker count and returns the
@@ -100,7 +100,7 @@ fn golden_trace_pins_the_wire_format() {
     });
     assert_eq!(
         bytes, committed,
-        "CTR1 bytes drifted from tests/golden/trace_v1.bin — if the format \
+        "CTR1 bytes drifted from tests/golden/trace_v2.bin — if the format \
          change is intentional, bump TRACE_VERSION and regenerate with \
          CONDUIT_REGEN_GOLDEN=1"
     );
