@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p conduit-bench --bin repro -- <target> [--quick]
+//! cargo run --release -p conduit-bench --bin repro -- <target> [--quick|--smoke] [--serial]
 //! ```
 //!
 //! where `<target>` is an entry of the `TARGETS` table below (run with an
@@ -37,25 +37,23 @@
 //!   fleet-wide p50/p99/p999, per-shard device/occupancy spread and
 //!   admission-control shed counts (merged rows are bit-identical across
 //!   shard counts),
-//! * `sim-throughput` measures simulator throughput and writes
-//!   `BENCH_sim_throughput.json` next to the current directory,
-//! * `perf-gate` gates on the deterministic **simulated-work counter**
-//!   (device operations per vector instruction) against the committed
-//!   `BENCH_sim_throughput.json` baseline and **fails (exit 1)** if the
-//!   counter deviates more than `--threshold` (default 15%) in *either*
-//!   direction — more work per instruction is a perf regression, less
-//!   usually means device operations silently stopped being issued. The
-//!   counter is machine-independent, so the gate is immune to CI machine
-//!   variance; wall-clock throughput is printed for information only.
-//!   `--baseline <path>` overrides the baseline.
+//! * `perf-gate` runs every workload once under Conduit at paper scale and
+//!   **fails (exit 1)** if the deterministic **simulated-work counter**
+//!   (device operations per vector instruction) lies more than 15% above or
+//!   below `BASELINE_OPS_PER_INSTRUCTION` in `conduit_bench::throughput`.
+//!   More work per instruction is a perf regression; less usually means
+//!   device operations silently stopped being issued. The counter is
+//!   machine-independent, so the gate is immune to CI machine variance. It
+//!   takes no flags.
+//!
+//! A missing target, an unknown flag, a second positional argument or a flag
+//! given to `perf-gate` prints the usage line and exits 2.
 
 use conduit_bench::arrivals::arrival_sweep_report;
 use conduit_bench::faults::fault_sweep_report;
 use conduit_bench::fleet::fleet_sweep_report;
 use conduit_bench::interference::interference_report;
-use conduit_bench::throughput::{
-    baseline_instructions_per_sec, baseline_ops_per_instruction, baseline_scale, ThroughputReport,
-};
+use conduit_bench::throughput::{check, WorkCount, BASELINE_OPS_PER_INSTRUCTION, TOLERANCE};
 use conduit_bench::warm::warm_pool_report;
 use conduit_bench::{section, Harness};
 
@@ -83,7 +81,6 @@ const TARGETS: &[(&str, &str)] = &[
         "fleet-sweep",
         "sharded fleet at fixed load, shard count swept",
     ),
-    ("sim-throughput", "measure simulator throughput baseline"),
     ("perf-gate", "gate on device ops/instruction vs baseline"),
     ("all", "every figure and table above"),
 ];
@@ -91,7 +88,7 @@ const TARGETS: &[(&str, &str)] = &[
 fn print_usage() {
     let names: Vec<&str> = TARGETS.iter().map(|(name, _)| *name).collect();
     eprintln!(
-        "usage: repro <{}> [--quick|--smoke] [--serial] [--baseline <path>] [--threshold <fraction>]",
+        "usage: repro <{}> [--quick|--smoke] [--serial]",
         names.join("|")
     );
 }
@@ -103,137 +100,64 @@ fn print_targets() {
     }
 }
 
-/// The value following a `--flag` option, if present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Names what is wrong with the command line, prints the usage line and
+/// exits 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("repro: {problem}");
+    print_usage();
+    std::process::exit(2);
 }
 
-fn perf_gate(args: &[String], quick: bool) -> ! {
-    let baseline_path =
-        flag_value(args, "--baseline").unwrap_or_else(|| "BENCH_sim_throughput.json".to_string());
-    let threshold: f64 = match flag_value(args, "--threshold") {
-        None => 0.15,
-        Some(t) => match t.parse() {
-            Ok(v) if (0.0..1.0).contains(&v) => v,
-            _ => {
-                eprintln!(
-                    "perf-gate: --threshold takes a fraction in [0, 1), e.g. 0.15; got `{t}`"
-                );
-                std::process::exit(2);
-            }
-        },
-    };
-
-    let baseline_doc = match std::fs::read_to_string(&baseline_path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("perf-gate: could not read baseline {baseline_path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let Some(baseline_ops) = baseline_ops_per_instruction(&baseline_doc) else {
-        eprintln!(
-            "perf-gate: {baseline_path} has no ops_per_instruction field; regenerate the \
-             baseline with `repro sim-throughput` (the gate moved from wall-clock throughput \
-             to deterministic simulated-work counters)"
-        );
-        std::process::exit(2);
-    };
-    let baseline_wall = baseline_instructions_per_sec(&baseline_doc);
-    // Refuse apples-to-oranges comparisons: the measurement scale must
-    // match the baseline's. Documents from before the scale field existed
-    // are paper-scale.
-    let baseline_scale = baseline_scale(&baseline_doc).unwrap_or("paper");
-    let measured_scale = if quick { "quick" } else { "paper" };
-    if baseline_scale != measured_scale {
-        eprintln!(
-            "perf-gate: baseline {baseline_path} was measured at {baseline_scale} scale but \
-             this run is {measured_scale} scale; rerun {}",
-            if quick {
-                "without --quick (or regenerate the baseline with `repro sim-throughput --quick`)"
-            } else {
-                "with --quick (or regenerate the baseline with `repro sim-throughput`)"
-            }
-        );
-        std::process::exit(2);
-    }
-
-    // Counters only: the gate never reads the sweep timings, so skip the
-    // serial+parallel figure sweeps the figure-smoke CI step already runs.
-    let report = ThroughputReport::measure_counters_only(quick);
-    print!("{}", report.summary());
-    if let Some(wall) = baseline_wall {
-        // Informational only: wall clock depends on the machine.
-        println!(
-            "perf-gate: wall-clock {:.0} inst/s vs baseline {wall:.0} inst/s (informational)",
-            report.instructions_per_sec
-        );
-    }
-    let measured = report.ops_per_instruction;
-    let ceiling = baseline_ops * (1.0 + threshold);
-    let floor = baseline_ops * (1.0 - threshold);
+fn perf_gate() -> ! {
+    let count = WorkCount::paper();
+    let measured = count.ops_per_instruction();
+    let baseline = BASELINE_OPS_PER_INSTRUCTION;
     println!(
-        "perf-gate: measured {measured:.4} device ops/instruction vs baseline {baseline_ops:.4} \
-         (allowed [{floor:.4}, {ceiling:.4}] at {:.0}% tolerance)",
-        threshold * 100.0
+        "perf-gate: {} device ops over {} instructions",
+        count.device_ops, count.instructions
     );
-    if measured > ceiling {
-        eprintln!(
-            "perf-gate: FAIL — the simulator performs {:.1}% more work per instruction than \
-             the committed baseline",
-            (measured / baseline_ops - 1.0) * 100.0
-        );
-        std::process::exit(1);
+    println!(
+        "perf-gate: measured {measured:.6} device ops/instruction vs baseline {baseline:.6} \
+         (allowed [{:.6}, {:.6}] at {:.0}% tolerance)",
+        baseline * (1.0 - TOLERANCE),
+        baseline * (1.0 + TOLERANCE),
+        TOLERANCE * 100.0
+    );
+    match check(measured) {
+        Ok(()) => {
+            println!("perf-gate: OK");
+            std::process::exit(0);
+        }
+        Err(why) => {
+            eprintln!("perf-gate: FAIL — {why}");
+            std::process::exit(1);
+        }
     }
-    // The counter is deterministic, so a *drop* is just as suspicious as a
-    // rise: it usually means device operations (coherence flushes, GC,
-    // transfers) silently stopped being issued, which would skew every
-    // figure while "improving" throughput. Intentional optimizations must
-    // regenerate the baseline to acknowledge the new counter.
-    if measured < floor {
-        eprintln!(
-            "perf-gate: FAIL — the simulator performs {:.1}% less work per instruction than \
-             the committed baseline; if intentional, regenerate the baseline with \
-             `repro sim-throughput`",
-            (1.0 - measured / baseline_ops) * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!("perf-gate: OK");
-    std::process::exit(0);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "--smoke");
-    let serial = args.iter().any(|a| a == "--serial");
-    let mut positional = args.iter().filter(|a| !a.starts_with("--"));
-    let target = positional.next().cloned();
-
-    let Some(target) = target else {
-        print_usage();
-        std::process::exit(2);
-    };
-
-    if target == "sim-throughput" {
-        let report = ThroughputReport::measure(quick);
-        print!("{}", report.summary());
-        let path = "BENCH_sim_throughput.json";
-        match std::fs::write(path, report.to_json()) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                std::process::exit(1);
-            }
+    let mut quick = false;
+    let mut serial = false;
+    let mut target: Option<String> = None;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--quick" | "--smoke" => quick = true,
+            "--serial" => serial = true,
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag `{flag}`")),
+            _ if target.is_some() => usage_error(&format!("unexpected argument `{arg}`")),
+            _ => target = Some(arg),
         }
-        return;
     }
 
+    let Some(target) = target else {
+        usage_error("no target given");
+    };
+
     if target == "perf-gate" {
-        perf_gate(&args, quick);
+        if quick || serial {
+            usage_error("perf-gate takes no flags");
+        }
+        perf_gate();
     }
 
     let report: Option<fn(bool) -> String> = match target.as_str() {

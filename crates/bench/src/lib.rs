@@ -1,8 +1,7 @@
 //! # conduit-bench
 //!
 //! Benchmark harness that regenerates every table and figure of the Conduit
-//! evaluation (see DESIGN.md for the experiment index and EXPERIMENTS.md for
-//! recorded paper-vs-measured results).
+//! evaluation.
 //!
 //! The [`Harness`] drives a [`conduit::Session`]: every workload is
 //! vectorized once and registered in the session's program registry, each
@@ -10,7 +9,9 @@
 //! cached, and the `figN`/`tableN` methods format the same rows/series the
 //! paper plots. The `repro` binary
 //! (`cargo run -p conduit-bench --bin repro -- <figure>`) prints them, and
-//! the benches under `benches/` measure the simulator itself (see [`micro`]).
+//! its `perf-gate` target checks the simulated-work counter in
+//! [`throughput`]. Host throughput is measured by the repository benchmark
+//! (`perfbench/`), not by this crate.
 //!
 //! Because every figure run uses a **fresh** [`conduit_sim::SsdDevice`],
 //! runs of different (workload, policy) pairs are completely independent;
@@ -31,7 +32,6 @@ pub mod arrivals;
 pub mod faults;
 pub mod fleet;
 pub mod interference;
-pub mod micro;
 pub mod throughput;
 pub mod warm;
 
@@ -65,7 +65,7 @@ impl Harness {
         Harness::new(SsdConfig::default(), Scale::new(4, 1))
     }
 
-    /// A reduced-scale harness for smoke tests and micro benches.
+    /// A reduced-scale harness for smoke tests.
     pub fn quick() -> Self {
         Harness::new(SsdConfig::small_for_tests(), Scale::test())
     }
@@ -680,6 +680,20 @@ mod tests {
         // A second prefetch of the same pair must be a no-op (cached).
         h.prefetch(&[pair]);
         assert_eq!(first, h.report(pair.0, pair.1));
+    }
+
+    #[test]
+    fn figure_sweep_prepares_one_device_per_workload() {
+        for parallel in [false, true] {
+            let mut h = Harness::quick().with_parallel(parallel);
+            h.prefetch_all();
+            let stats = h.session().plan_cache_stats();
+            // Each of the 66 pairs plans its key once and runs fresh. The
+            // first run of each of the 6 workloads builds and prepares the
+            // device its other 10 policy runs clone.
+            assert_eq!((stats.misses, stats.hits, stats.inline), (66, 0, 0));
+            assert_eq!((stats.prepared_builds, stats.prepared_clones), (6, 60));
+        }
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //! runtime features (operand locations, dependence and queueing delays) from
 //! the rest of the context.
 //!
-//! The struct exposes ablation switches so the benchmark harness can measure
-//! how much each term contributes (DESIGN.md lists these as ablation
-//! candidates).
+//! The struct exposes ablation switches that drop or recombine single terms;
+//! `examples/cost_function_ablation.rs` prints how much each contributes.
 
 use conduit_sim::StripEstimates;
 use conduit_types::{Duration, OpType, Resource};

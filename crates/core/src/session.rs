@@ -1286,6 +1286,38 @@ mod tests {
     }
 
     #[test]
+    fn plan_cache_counts_hits_misses_and_inline_runs() {
+        let mut s = session();
+        let id = s.register(program("cached")).unwrap();
+        let dev = s.create_device("warm");
+        let ablated = CostFunction {
+            include_queue_delay: false,
+            ..CostFunction::conduit()
+        };
+        // One planner run per (program, policy, cost-function) key; every
+        // later request for the key hits, whatever its repeats or device.
+        let requests = [
+            RunRequest::new(id, Policy::Conduit),
+            RunRequest::new(id, Policy::Conduit).repeat(3),
+            RunRequest::new(id, Policy::Conduit).on_device(dev),
+            RunRequest::new(id, Policy::HostCpu),
+            RunRequest::new(id, Policy::Conduit).cost_function(ablated),
+        ];
+        for request in &requests {
+            s.submit(request).unwrap();
+        }
+        s.submit_batch(&requests).unwrap();
+        // Inline programs bypass the cache.
+        for _ in 0..2 {
+            s.submit(&RunRequest::inline(program("inline"), Policy::Conduit))
+                .unwrap();
+        }
+        let stats = s.plan_cache_stats();
+        assert_eq!((stats.misses, stats.hits, stats.inline), (3, 7, 2));
+        assert_eq!(stats.hit_rate(), 0.7);
+    }
+
+    #[test]
     fn registry_roundtrips_through_bytes() {
         let mut s = session();
         let id = s.register(program("persist")).unwrap();

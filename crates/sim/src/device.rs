@@ -989,15 +989,18 @@ impl SsdDevice {
         }
     }
 
+    /// Drops `page` from the residency set at `from` and from its eviction
+    /// queue. A queue entry left behind would never be popped while the set
+    /// stays under capacity, and the page's next insertion would queue it
+    /// again, so the queue would grow with every commit.
     fn evict_residency(&mut self, page: LogicalPageId, from: DataLocation) {
-        match from {
-            DataLocation::Dram => {
-                self.state.dram_resident.remove(&page);
-            }
-            DataLocation::CtrlSram => {
-                self.state.ctrl_resident.remove(&page);
-            }
-            _ => {}
+        let (resident, order) = match from {
+            DataLocation::Dram => (&mut self.state.dram_resident, &mut self.state.dram_order),
+            DataLocation::CtrlSram => (&mut self.state.ctrl_resident, &mut self.state.ctrl_order),
+            _ => return,
+        };
+        if resident.remove(&page) {
+            order.retain(|&queued| queued != page);
         }
     }
 }

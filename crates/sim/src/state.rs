@@ -275,10 +275,12 @@ impl DeviceState {
         self.offloader_core.encode_into(&mut out);
         self.pcie.encode_into(&mut out);
         // Residency is a set plus an eviction queue, serialized separately:
-        // the queue may legitimately hold stale entries (eviction removes
-        // from the set first) and is therefore not a reliable source for
-        // rebuilding the set. Sets are written sorted so the encoding is
-        // deterministic; queues keep their exact order.
+        // the queue may legitimately hold stale entries (an SSD-side write
+        // drops a page from the host set but not from its queue, and older
+        // checkpoints kept committed pages in the DRAM and SRAM queues) and
+        // is therefore not a reliable source for rebuilding the set. Sets
+        // are written sorted so the encoding is deterministic; queues keep
+        // their exact order.
         for (resident, order) in [
             (&self.dram_resident, &self.dram_order),
             (&self.ctrl_resident, &self.ctrl_order),
@@ -368,7 +370,7 @@ impl DeviceState {
             // Eviction pops the queue while the set is over capacity, so a
             // set page the queue does not hold could never leave and an
             // over-full set would spin forever. Queue entries outside the set
-            // are legal: eviction leaves them behind.
+            // are legal (see `to_bytes`).
             let queued: PageSet<LogicalPageId> = order.iter().copied().collect();
             if let Some(page) = resident.iter().filter(|p| !queued.contains(p)).min() {
                 return Err(ConduitError::corrupt_checkpoint(format!(

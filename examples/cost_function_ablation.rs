@@ -1,15 +1,17 @@
-//! Ablation of Conduit's cost function (the design choices called out in
-//! DESIGN.md): drop the data-movement term, the queueing term, or the
-//! dependence term, and replace the `max` combination with a sum.
+//! Ablation of Conduit's cost function: drop the data-movement term, the
+//! queueing term, or the dependence term, or replace Eqn. 1's `max` of the
+//! two delays with their sum, and print heat-3d's simulated end-to-end time
+//! under each variant.
+//!
+//! Run with: `cargo run --release --example cost_function_ablation`
 
 use conduit::{CostFunction, Policy, RunRequest, Session};
-use conduit_bench::micro;
-use conduit_types::SsdConfig;
+use conduit_types::{ConduitError, SsdConfig};
 use conduit_workloads::{Scale, Workload};
 
-fn variants() -> Vec<(&'static str, CostFunction)> {
+fn main() -> Result<(), ConduitError> {
     let full = CostFunction::conduit();
-    vec![
+    let variants = [
         ("full", full),
         (
             "no_data_movement",
@@ -39,29 +41,16 @@ fn variants() -> Vec<(&'static str, CostFunction)> {
                 ..full
             },
         ),
-    ]
-}
+    ];
 
-fn main() {
     // Vectorize once, register once; every ablated run reuses the program.
     let mut session = Session::builder(SsdConfig::small_for_tests()).build();
-    let id = session
-        .register(Workload::Heat3d.program(Scale::test()).unwrap())
-        .unwrap();
+    let id = session.register(Workload::Heat3d.program(Scale::test())?)?;
 
-    // Print the ablated end-to-end times once (the ablation "table").
     println!("# Cost-function ablation on heat-3d (lower is better)");
-    for (name, cf) in variants() {
-        let outcome = session
-            .submit(&RunRequest::new(id, Policy::Conduit).cost_function(cf))
-            .unwrap();
+    for (name, cf) in variants {
+        let outcome = session.submit(&RunRequest::new(id, Policy::Conduit).cost_function(cf))?;
         println!("{name}\t{}", outcome.summary.total_time);
     }
-
-    for (name, cf) in variants() {
-        let request = RunRequest::new(id, Policy::Conduit).cost_function(cf);
-        micro::bench(&format!("cost_function_ablation_heat3d/{name}"), || {
-            session.submit(&request).unwrap().summary.total_time
-        });
-    }
+    Ok(())
 }

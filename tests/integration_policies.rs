@@ -7,10 +7,22 @@ use conduit_types::SsdConfig;
 use conduit_workloads::{Scale, Workload};
 
 fn run_all(workload: Workload, policies: &[Policy]) -> Vec<RunSummary> {
-    let mut session = Session::builder(SsdConfig::small_for_tests()).build();
-    let id = session
-        .register(workload.program(Scale::test()).unwrap())
-        .unwrap();
+    run_at(
+        SsdConfig::small_for_tests(),
+        Scale::test(),
+        workload,
+        policies,
+    )
+}
+
+fn run_at(
+    cfg: SsdConfig,
+    scale: Scale,
+    workload: Workload,
+    policies: &[Policy],
+) -> Vec<RunSummary> {
+    let mut session = Session::builder(cfg).build();
+    let id = session.register(workload.program(scale).unwrap()).unwrap();
     let requests: Vec<RunRequest> = policies.iter().map(|&p| RunRequest::new(id, p)).collect();
     session
         .submit_batch(&requests)
@@ -22,25 +34,23 @@ fn run_all(workload: Workload, policies: &[Policy]) -> Vec<RunSummary> {
 
 #[test]
 fn ideal_upper_bounds_every_policy_on_every_workload() {
-    for workload in Workload::ALL {
-        let reports = run_all(
-            workload,
-            &[
-                Policy::Ideal,
-                Policy::Conduit,
-                Policy::DmOffloading,
-                Policy::IspOnly,
-            ],
-        );
-        let ideal = &reports[0];
-        for other in &reports[1..] {
-            assert!(
-                ideal.total_time <= other.total_time,
-                "{workload}: Ideal ({}) slower than {} ({})",
-                ideal.total_time,
-                other.policy,
-                other.total_time
-            );
+    for (cfg, scale, label) in [
+        (SsdConfig::small_for_tests(), Scale::test(), "test scale"),
+        (SsdConfig::default(), Scale::new(4, 1), "paper scale"),
+    ] {
+        for workload in Workload::ALL {
+            let reports = run_at(cfg.clone(), scale, workload, &Policy::ALL);
+            let (ideal, others) = reports.split_last().unwrap();
+            assert_eq!(ideal.policy, Policy::Ideal);
+            for other in others {
+                assert!(
+                    ideal.total_time <= other.total_time,
+                    "{workload} at {label}: Ideal ({}) slower than {} ({})",
+                    ideal.total_time,
+                    other.policy,
+                    other.total_time
+                );
+            }
         }
     }
 }

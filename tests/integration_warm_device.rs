@@ -151,6 +151,33 @@ fn warm_replay_of_the_same_stream_is_bit_identical() {
 }
 
 #[test]
+fn alternating_tenants_do_not_grow_the_device_checkpoint() {
+    // Each PuD-SSD run leaves page 12 dirty in SSD DRAM, and the host run
+    // after it commits that page to flash, evicting its DRAM copy. The
+    // residency set stays far below capacity, so nothing else ever drains
+    // its eviction queue: a page that leaves the set must leave the queue
+    // too, or every round pair adds entries and the checkpoint grows
+    // without bound. The tiny flash array makes garbage collection recycle
+    // the same few blocks, so the flash image settles as well.
+    let mut session = Session::builder(tiny_cfg()).build();
+    let id = session.register(writer_program()).unwrap();
+    let dev = session.create_device("alternating");
+    let round_pairs = |n: usize| {
+        for _ in 0..n {
+            for policy in [Policy::PudSsd, Policy::HostCpu] {
+                session
+                    .submit(&RunRequest::new(id, policy).on_device(dev))
+                    .unwrap();
+            }
+        }
+        session.export_device(dev).unwrap().len()
+    };
+    let settled = round_pairs(8);
+    let later = round_pairs(32);
+    assert_eq!(later, settled, "checkpoint grew over 32 more round pairs");
+}
+
+#[test]
 fn mixed_batch_matches_serial_submission_in_request_order() {
     let requests = |id, dev| {
         vec![
