@@ -13,8 +13,9 @@
 //!
 //! * `--quick` uses the reduced test scale (useful for smoke runs;
 //!   `--smoke` is an alias, used by the CI warm-pool step),
-//! * `--serial` disables the parallel (workload, policy) fan-out (the
-//!   default runs one simulation per CPU core; results are bit-identical),
+//! * `--serial` disables the parallel (workload, policy) fan-out of the
+//!   figure and table targets (the default runs one simulation per CPU
+//!   core; results are bit-identical),
 //! * `warm-pool` runs a multi-tenant request mix on four **named warm
 //!   devices** (per-device FIFO lanes, parallel across devices) and prints
 //!   each request's queueing/service split plus every device's cumulative
@@ -46,8 +47,9 @@
 //!   machine-independent, so the gate is immune to CI machine variance. It
 //!   takes no flags.
 //!
-//! A missing target, an unknown flag, a second positional argument or a flag
-//! given to `perf-gate` prints the usage line and exits 2.
+//! A missing target, an unknown flag, a second positional argument, a flag
+//! given to `perf-gate` or `--serial` given to a serving target (`warm-pool`
+//! through `fleet-sweep`) prints the usage line and exits 2.
 
 use conduit_bench::arrivals::arrival_sweep_report;
 use conduit_bench::faults::fault_sweep_report;
@@ -169,6 +171,9 @@ fn main() {
         _ => None,
     };
     if let Some(report) = report {
+        if serial {
+            usage_error(&format!("{target} takes no --serial flag"));
+        }
         print!("{}", section(&target, &report(quick)));
         return;
     }

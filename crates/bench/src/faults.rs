@@ -28,7 +28,7 @@ use conduit_types::{
 const RATES: [f64; 5] = [0.0, 1e-3, 1e-2, 5e-2, 0.3];
 
 /// Every sweep point replays the same seed: the curve is a function of the
-/// rate alone, reproducible across runs and pool sizes.
+/// rate alone, reproducible across runs and worker counts.
 const SWEEP_SEED: u64 = 0xC0DE_FA17;
 
 /// Spare blocks per device: small enough that the top rate exhausts it.

@@ -44,6 +44,22 @@ fn perf_gate_takes_no_flags() {
 }
 
 #[test]
+fn serving_targets_take_no_serial_flag() {
+    for target in [
+        "warm-pool",
+        "arrival-sweep",
+        "fault-sweep",
+        "interference",
+        "fleet-sweep",
+    ] {
+        assert_usage_error(
+            &[target, "--smoke", "--serial"],
+            &format!("{target} takes no --serial flag"),
+        );
+    }
+}
+
+#[test]
 fn perf_gate_passes_at_the_committed_baseline() {
     let out = repro(&["perf-gate"]);
     let stdout = String::from_utf8_lossy(&out.stdout);

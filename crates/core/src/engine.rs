@@ -49,8 +49,6 @@ pub struct RunOptions {
     /// The cost function (with ablation switches) used by the Conduit
     /// policy.
     pub cost_function: CostFunction,
-    /// Whether to charge the offloader's per-instruction overheads (§4.5).
-    pub charge_overheads: bool,
     /// Whether to record the full instruction → resource timeline
     /// (Figure 10). Disable for very large programs to save memory.
     pub record_timeline: bool,
@@ -70,7 +68,6 @@ impl RunOptions {
         RunOptions {
             policy,
             cost_function: CostFunction::conduit(),
-            charge_overheads: true,
             record_timeline: true,
             start: SimTime::ZERO,
         }
@@ -87,12 +84,6 @@ impl RunOptions {
     /// Builder-style: replaces the cost function (for ablations).
     pub fn cost_function(mut self, cf: CostFunction) -> Self {
         self.cost_function = cf;
-        self
-    }
-
-    /// Builder-style: disables the offloader overhead charges.
-    pub fn without_overheads(mut self) -> Self {
-        self.charge_overheads = false;
         self
     }
 
@@ -187,21 +178,6 @@ pub struct RuntimeEngine {
     /// A pool (not a single slot) so concurrent runs on one engine never
     /// serialize on the scratch.
     scratch: Mutex<Vec<RunScratch>>,
-}
-
-impl Clone for RuntimeEngine {
-    /// Clones the models; the clone starts with an empty scratch pool
-    /// (arenas are a reuse cache, not state).
-    fn clone(&self) -> Self {
-        RuntimeEngine {
-            overhead: self.overhead.clone(),
-            transformer: self.transformer.clone(),
-            host_cpu: self.host_cpu.clone(),
-            host_gpu: self.host_gpu.clone(),
-            l2p_miss_period: self.l2p_miss_period,
-            scratch: Mutex::new(Vec::new()),
-        }
-    }
 }
 
 impl RuntimeEngine {
@@ -421,7 +397,7 @@ impl RuntimeEngine {
             // One offloader-core reservation for the whole strip: each
             // instruction's exclusive window starts where the previous one
             // ended, chaining the offload clock through the strip.
-            let window = if options.charge_overheads && policy.pays_offloader_overhead() {
+            let window = if policy.pays_offloader_overhead() {
                 Some(device.offloader_busy_strip(exclusive, offload_clock, strip.len as u64))
             } else {
                 None
@@ -768,27 +744,6 @@ mod tests {
                 other.total_time
             );
         }
-    }
-
-    #[test]
-    fn overheads_can_be_disabled() {
-        let prog = program();
-        let (e1, mut dev1) = engine();
-        e1.prepare(&mut dev1, &prog).unwrap();
-        let with = e1
-            .run(&mut dev1, &prog, &RunOptions::new(Policy::Conduit))
-            .unwrap();
-        let (e2, mut dev2) = engine();
-        e2.prepare(&mut dev2, &prog).unwrap();
-        let without = e2
-            .run(
-                &mut dev2,
-                &prog,
-                &RunOptions::new(Policy::Conduit).without_overheads(),
-            )
-            .unwrap();
-        assert_eq!(without.overhead.count, 0);
-        assert!(without.total_time <= with.total_time);
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //!   policy, repeat count and collection flags, getting back a cheap
 //!   [`RunSummary`] (times, energy split, histogram-backed latency
 //!   percentiles, offload mix) plus opt-in [`RunArtifacts`] (the full
-//!   timeline). [`Session::submit_batch`] fans requests out across a
-//!   two-class thread pool (reserved lane slots for per-device FIFO lanes,
-//!   bulk slots for the fresh fan-out) with results bit-identical to serial
-//!   runs; named **warm devices** ([`Session::create_device`],
+//!   timeline). [`Session::submit_batch`] runs one task per device lane,
+//!   then one per fresh request, on the calling thread plus scoped helper
+//!   threads, with results bit-identical for every worker count; named
+//!   **warm devices** ([`Session::create_device`],
 //!   [`RunRequest::on_device`]) age their FTL/coherence/GC/wear state
 //!   across their request streams ([`Session::device_snapshot`],
 //!   [`RunSummary::device_delta`]), with open-loop arrivals via
@@ -67,7 +67,6 @@ mod cost;
 mod engine;
 mod overhead;
 mod policy;
-mod pool;
 mod report;
 mod session;
 mod transform;
@@ -77,7 +76,6 @@ pub use cost::{CostFeatures, CostFunction};
 pub use engine::{RunOptions, RuntimeEngine};
 pub use overhead::{OverheadModel, StorageOverhead};
 pub use policy::{Policy, PolicyContext};
-pub use pool::{JobClass, ThreadPool};
 pub use report::{gmean, EnergySummary, OffloadMix, OverheadReport, RunReport, TimelineEntry};
 pub use session::{
     DeviceHandle, PlanCacheStats, ProgramId, ProgramRegistry, RunArtifacts, RunOutcome, RunRequest,

@@ -76,20 +76,6 @@ impl Policy {
         Policy::Ideal,
     ];
 
-    /// The NDP policies compared in Figure 5 (the motivation study, i.e.
-    /// everything except Conduit itself).
-    pub const MOTIVATION: [Policy; 9] = [
-        Policy::HostCpu,
-        Policy::HostGpu,
-        Policy::IspOnly,
-        Policy::PudSsd,
-        Policy::FlashCosmos,
-        Policy::AresFlash,
-        Policy::BwOffloading,
-        Policy::DmOffloading,
-        Policy::Ideal,
-    ];
-
     /// Short display name matching the paper's figure legends.
     pub fn name(self) -> &'static str {
         match self {

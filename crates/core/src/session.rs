@@ -6,9 +6,9 @@
 //! execute it under many policies, configurations and request streams. This
 //! module is that server surface:
 //!
-//! * a [`Session`] owns the device/host configuration, a persistent
-//!   **program registry**, a lazily-started work-stealing thread pool, and a
-//!   **pool of named warm devices**;
+//! * a [`Session`] owns the device/host configuration, the runtime engine,
+//!   a persistent **program registry** and a **pool of named warm
+//!   devices**;
 //! * programs are registered once ([`Session::register`] →
 //!   [`ProgramId`]) and can be persisted across processes via the compact
 //!   registry serialization ([`Session::export_registry`] /
@@ -20,11 +20,11 @@
 //!   offload mix, histogram-backed latency percentiles — constant memory)
 //!   and opt-in [`RunArtifacts`] (the full per-instruction timeline);
 //! * **fresh** runs (the default) each simulate on a pristine device, so
-//!   [`Session::submit_batch`] fans them out across the pool with results
-//!   **bit-identical** to running them serially. When one batch, or one
-//!   request's repeats, runs a registered program fresh more than once, the
-//!   first run builds and prepares the device and the others clone it: each
-//!   gets exactly the device it would have built. That prepared device
+//!   [`Session::submit_batch`] fans them out across worker threads with
+//!   results **bit-identical** to running them serially. When one batch, or
+//!   one request's repeats, runs a registered program fresh more than once,
+//!   the first run builds and prepares the device and the others clone it:
+//!   each gets exactly the device it would have built. That prepared device
 //!   belongs to the batch: the program's last run takes it, and whatever is
 //!   left is dropped when the batch returns;
 //! * **warm** runs target a named device from the session's pool
@@ -34,10 +34,9 @@
 //!   debt, wear) ages across its request stream. In a batch, each device is
 //!   a **FIFO lane** — serial within the device, parallel across devices
 //!   and alongside the fresh fan-out — and outcomes stay bit-identical to a
-//!   fully serial submission of the same batch. On the thread pool, lane
-//!   tasks run in the pool's reserved **lane class**
-//!   ([`crate::pool::JobClass`]), so a ready lane task never waits behind
-//!   the queued fresh backlog;
+//!   fully serial submission of the same batch. Lane tasks come ahead of the
+//!   fresh requests in the batch's task order, so a lane never waits behind
+//!   the fresh backlog;
 //! * requests can arrive **open-loop**: [`RunRequest::arriving_at`] places
 //!   a request's arrival on the batch timeline, the device's stream clock
 //!   advances to `max(previous finish, arrival)`, and
@@ -96,20 +95,18 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::channel;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use conduit_sim::{DeviceSnapshot, SsdDevice};
 use conduit_types::{
-    ConduitError, Duration, FaultConfig, HostConfig, Result, SimTime, SsdConfig, VectorProgram,
+    ConduitError, FaultConfig, HostConfig, Result, SimTime, SsdConfig, VectorProgram,
 };
 
 use crate::batch::StripPlan;
 use crate::cost::CostFunction;
 use crate::engine::{RunOptions, RuntimeEngine};
 use crate::policy::Policy;
-use crate::pool::ThreadPool;
 
 mod checkpoint;
 mod lanes;
@@ -122,8 +119,8 @@ pub use registry::{ProgramId, ProgramRegistry, REGISTRY_FORMAT_VERSION, REGISTRY
 pub use summary::{RunArtifacts, RunOutcome, RunSummary};
 
 use lanes::{
-    execute_fresh, execute_on_lane, run_lane, share_prepared, BatchState, DeviceCounts, DeviceSlot,
-    PlanMode, RunPlan,
+    execute_fresh, execute_on_lane, run_lane, share_prepared, DeviceCounts, DeviceSlot, PlanMode,
+    RunPlan,
 };
 
 /// The percentile set collected when a request does not override it.
@@ -144,10 +141,10 @@ enum ProgramSource {
 /// device, when it arrives, and what to collect. Cheap to clone; built
 /// builder-style.
 ///
-/// Subsumes the engine-level [`RunOptions`]: policy, cost-function ablation
-/// and overhead charging map straight through, while the collection flags
-/// control how much the result carries — summaries are always cheap,
-/// timelines ([`RunArtifacts`]) are opt-in.
+/// Subsumes the engine-level [`RunOptions`]: policy and cost-function
+/// ablation map straight through, while the collection flags control how
+/// much the result carries — summaries are always cheap, timelines
+/// ([`RunArtifacts`]) are opt-in.
 ///
 /// # Examples
 ///
@@ -174,7 +171,6 @@ pub struct RunRequest {
     source: ProgramSource,
     policy: Policy,
     cost_function: CostFunction,
-    charge_overheads: bool,
     repeats: u32,
     collect_timeline: bool,
     collect_energy_split: bool,
@@ -217,7 +213,6 @@ impl RunRequest {
             source,
             policy,
             cost_function: CostFunction::conduit(),
-            charge_overheads: true,
             repeats: 1,
             collect_timeline: false,
             collect_energy_split: true,
@@ -232,12 +227,6 @@ impl RunRequest {
     /// Builder-style: replaces the cost function (for ablations).
     pub fn cost_function(mut self, cf: CostFunction) -> Self {
         self.cost_function = cf;
-        self
-    }
-
-    /// Builder-style: disables the offloader overhead charges (§4.5).
-    pub fn without_overheads(mut self) -> Self {
-        self.charge_overheads = false;
         self
     }
 
@@ -291,7 +280,7 @@ impl RunRequest {
     /// plain FIFO it has always been — bit-identical to pre-flow scheduling.
     /// As soon as weights differ, the lane serves its sub-queues by **deficit
     /// round robin**: each round every backlogged flow's credit grows by
-    /// `quantum × weight` ([`SessionBuilder::drr_quantum`]) and a flow serves
+    /// `quantum × weight` ([`DEFAULT_DRR_QUANTUM`]) and a flow serves
     /// requests while its credit lasts, with the *actual* simulated service
     /// time charged against it. Over a saturated stretch each flow's lane
     /// busy-time share converges to its weight share.
@@ -376,9 +365,6 @@ impl RunRequest {
     /// The engine-level options this request maps to.
     fn run_options(&self) -> RunOptions {
         let mut options = RunOptions::new(self.policy).cost_function(self.cost_function);
-        if !self.charge_overheads {
-            options = options.without_overheads();
-        }
         if !self.collect_timeline {
             options = options.without_timeline();
         }
@@ -394,7 +380,6 @@ pub struct SessionBuilder {
     faults: FaultConfig,
     workers: Option<usize>,
     parallel: bool,
-    drr_quantum: Duration,
 }
 
 impl SessionBuilder {
@@ -408,7 +393,6 @@ impl SessionBuilder {
             faults: FaultConfig::default(),
             workers: None,
             parallel: true,
-            drr_quantum: DEFAULT_DRR_QUANTUM,
         }
     }
 
@@ -428,32 +412,24 @@ impl SessionBuilder {
         self
     }
 
-    /// Overrides the batch worker-thread count (default: one per available
-    /// CPU core; clamped to at least one).
+    /// Overrides the number of threads a batch runs on, the calling thread
+    /// included (default: one per available CPU core; clamped to at least
+    /// one).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
     }
 
-    /// Disables the batch fan-out: [`Session::submit_batch`] runs requests
-    /// one at a time on the calling thread. Results are bit-identical either
-    /// way; the serial path exists for comparison and debugging.
+    /// Runs batches on one worker: [`Session::submit_batch`] works through
+    /// its tasks on the calling thread and spawns no thread. Results are
+    /// bit-identical for every worker count.
     pub fn serial(mut self) -> Self {
         self.parallel = false;
         self
     }
 
-    /// Overrides the deficit-round-robin quantum of weighted device lanes
-    /// (default [`DEFAULT_DRR_QUANTUM`]; clamped to at least one
-    /// picosecond). Only mixed-weight lanes consult it — see
-    /// [`RunRequest::weighted`].
-    pub fn drr_quantum(mut self, quantum: Duration) -> Self {
-        self.drr_quantum = Duration::from_ps(quantum.as_ps().max(1));
-        self
-    }
-
-    /// Builds the session. The thread pool starts lazily on the first
-    /// parallel batch, so summary-only sessions never spawn threads.
+    /// Builds the session and its runtime engine. Threads are spawned only
+    /// while a batch runs, so summary-only sessions never spawn any.
     pub fn build(self) -> Session {
         let workers = if self.parallel {
             self.workers.unwrap_or_else(|| {
@@ -465,27 +441,24 @@ impl SessionBuilder {
             1
         };
         Session {
+            engine: RuntimeEngine::with_host(&self.ssd, &self.host),
             ssd: self.ssd,
             host: self.host,
             faults: self.faults,
             workers,
-            drr_quantum: self.drr_quantum,
             registry: ProgramRegistry::new(),
-            pool: OnceLock::new(),
             devices: Vec::new(),
-            engine: OnceLock::new(),
             plan_cache: Mutex::new(HashMap::new()),
             plan_cache_hits: AtomicU64::new(0),
             plan_cache_misses: AtomicU64::new(0),
             plan_cache_inline: AtomicU64::new(0),
-            device_counts: Arc::new(DeviceCounts::default()),
+            device_counts: DeviceCounts::default(),
         }
     }
 }
 
-/// A long-lived execution service: device/host configuration, the program
-/// registry, a work-stealing pool for batch fan-out, and a **pool of named
-/// warm devices**.
+/// A long-lived execution service: device/host configuration, the runtime
+/// engine, the program registry, and a **pool of named warm devices**.
 ///
 /// Fresh runs execute on a pristine simulated device, so they are
 /// independent, deterministic, and identical whether submitted one at a
@@ -499,8 +472,9 @@ impl SessionBuilder {
 /// In [`Session::submit_batch`], every device forms a **FIFO lane**:
 /// requests targeting the same device run serially in request order (they
 /// share that device's mutable state), while different devices' lanes — and
-/// the fresh-request fan-out — proceed in parallel on the thread pool.
-/// Outcomes are bit-identical to submitting the same batch serially.
+/// the fresh-request fan-out — proceed in parallel on the batch's worker
+/// threads. Outcomes are bit-identical to submitting the same batch
+/// serially.
 ///
 /// Each device carries an explicit **stream clock**. By default requests are
 /// closed-loop — request *i* issues at request *i−1*'s finish time — while
@@ -522,17 +496,13 @@ pub struct Session {
     /// Default fault-injection plan for fresh runs and new devices.
     faults: FaultConfig,
     workers: usize,
-    /// Per-round credit unit of mixed-weight (deficit-round-robin) lanes.
-    drr_quantum: Duration,
     registry: ProgramRegistry,
-    pool: OnceLock<ThreadPool>,
     /// The warm-device pool, minted by [`Session::create_device`] /
-    /// [`Session::import_device`]. Behind `Arc` so batch lane tasks can
-    /// run on the thread pool without borrowing the session.
-    devices: Vec<Arc<DeviceSlot>>,
-    /// The engine is stateless and a pure function of the configs; built
-    /// once on first use.
-    engine: OnceLock<RuntimeEngine>,
+    /// [`Session::import_device`].
+    devices: Vec<DeviceSlot>,
+    /// The engine is stateless and a pure function of the configs; every
+    /// run of the session, on any batch thread, shares it.
+    engine: RuntimeEngine,
     /// Strip plans for registered programs, keyed by (program, policy,
     /// cost-function) so each program is planned once per configuration,
     /// not once per run. The registry is append-only and content-addressed,
@@ -547,8 +517,8 @@ pub struct Session {
     /// [`RunRequest::inline`] programs plan on the fly in the engine).
     plan_cache_inline: AtomicU64,
     /// How fresh runs got their prepared devices: built, or cloned from
-    /// their batch's shared one. Behind `Arc` so pool workers count too.
-    device_counts: Arc<DeviceCounts>,
+    /// their batch's shared one.
+    device_counts: DeviceCounts,
 }
 
 /// A point-in-time snapshot of a session's strip-plan cache counters
@@ -681,7 +651,7 @@ impl Session {
             return existing;
         }
         let handle = DeviceHandle(self.devices.len() as u32);
-        self.devices.push(Arc::new(DeviceSlot::new(name, faults)));
+        self.devices.push(DeviceSlot::new(name, faults));
         handle
     }
 
@@ -711,7 +681,7 @@ impl Session {
         &self.slot(device).name
     }
 
-    fn slot(&self, device: DeviceHandle) -> &Arc<DeviceSlot> {
+    fn slot(&self, device: DeviceHandle) -> &DeviceSlot {
         self.devices
             .get(device.index())
             .expect("DeviceHandle was minted by a different session")
@@ -841,11 +811,6 @@ impl Session {
         })
     }
 
-    fn engine(&self) -> &RuntimeEngine {
-        self.engine
-            .get_or_init(|| RuntimeEngine::with_host(&self.ssd, &self.host))
-    }
-
     /// A point-in-time snapshot of the strip-plan cache counters: cache
     /// hits, planner runs (misses), inline-program runs that bypass the
     /// cache, and how fresh runs got their prepared devices. Counters only
@@ -875,8 +840,8 @@ impl Session {
             PlanMode::Fresh => {
                 share_prepared(std::slice::from_mut(&mut plan));
                 execute_fresh(
+                    &self.engine,
                     &self.ssd,
-                    &self.host,
                     self.faults,
                     &plan,
                     &self.device_counts,
@@ -886,7 +851,7 @@ impl Session {
                 // A lone submit is a batch of one: the lane window covers
                 // exactly this request.
                 self.reset_lane_window_of(slot);
-                execute_on_lane(self.engine(), &self.ssd, &self.devices[slot], &plan, None)
+                execute_on_lane(&self.engine, &self.ssd, &self.devices[slot], &plan, None)
             }
         }
     }
@@ -906,20 +871,21 @@ impl Session {
     }
 
     /// Executes a batch of independent requests and returns the outcomes in
-    /// request order. Fresh requests fan out across the session's thread
-    /// pool as bulk-class jobs; warm requests are grouped into **per-device
-    /// lanes** — serial within a device (they share its state and stream
-    /// clock), parallel across devices and alongside the fresh fan-out. A
-    /// lane serves in plain request-order FIFO unless its requests carry
-    /// mixed weights, in which case it serves by deficit round robin over
-    /// per-flow sub-queues ([`RunRequest::weighted`]). Lane tasks run in
-    /// the pool's reserved **lane class** ([`crate::JobClass::Lane`]), so a ready
-    /// lane never waits behind the queued fresh backlog on a small pool.
+    /// request order. Warm requests are grouped into **per-device lanes** —
+    /// serial within a device (they share its state and stream clock),
+    /// parallel across devices and alongside the fresh requests. A lane
+    /// serves in plain request-order FIFO unless its requests carry mixed
+    /// weights, in which case it serves by deficit round robin over
+    /// per-flow sub-queues ([`RunRequest::weighted`]).
     ///
-    /// Every fresh run simulates on a fresh device and every lane serves
-    /// its device's requests in a deterministic, simulated-time-driven
-    /// order, so the outcomes are **bit-identical** to running the whole
-    /// batch serially — only the wall-clock time changes
+    /// The batch is one task per lane followed by one task per fresh
+    /// request. The calling thread and up to [`Session::workers`]` − 1`
+    /// scoped helper threads take tasks in that order, so a lane never
+    /// waits behind the fresh backlog; with one worker the calling thread
+    /// runs every task itself. Every fresh run simulates on a fresh device
+    /// and every lane serves its device's requests in a deterministic,
+    /// simulated-time-driven order, so the outcomes are **bit-identical**
+    /// for every worker count — only the wall-clock time changes
     /// (`tests/integration_determinism.rs` and
     /// `tests/integration_device_pool.rs` assert this). A registered
     /// program that runs fresh more than once in the batch (counting
@@ -929,39 +895,38 @@ impl Session {
     /// # Errors
     ///
     /// Resolves every request's program and device up front (failing fast
-    /// on unknown handles) and propagates the first simulation error by
-    /// request order.
+    /// on unknown handles), then runs every task and returns the first
+    /// simulation error by request order.
+    ///
+    /// # Panics
+    ///
+    /// A panic inside a run reaches the caller, whatever the worker count.
     pub fn submit_batch(&self, requests: &[RunRequest]) -> Result<Vec<RunOutcome>> {
         let mut plans: Vec<RunPlan> = requests
             .iter()
             .map(|r| self.plan(r))
             .collect::<Result<_>>()?;
         share_prepared(&mut plans);
-        let fresh: Vec<usize> = (0..plans.len())
-            .filter(|&i| plans[i].mode == PlanMode::Fresh)
-            .collect();
         // Per-device FIFO lanes, keyed by slot, requests in request order.
         let mut lanes: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut fresh: Vec<usize> = Vec::new();
         for (i, plan) in plans.iter().enumerate() {
-            if let PlanMode::Device(slot) = plan.mode {
-                match lanes.iter_mut().find(|(s, _)| *s == slot) {
+            match plan.mode {
+                PlanMode::Fresh => fresh.push(i),
+                PlanMode::Device(slot) => match lanes.iter_mut().find(|(s, _)| *s == slot) {
                     Some((_, indices)) => indices.push(i),
                     None => lanes.push((slot, vec![i])),
-                }
+                },
             }
         }
-        // Each participating device's lane window restarts with the batch —
-        // done on the calling thread, before any worker runs, so the window
-        // boundary is deterministic regardless of pool interleaving.
-        for &(slot, _) in &lanes {
-            self.reset_lane_window_of(slot);
-        }
-        // Every request in a batch "arrives" at its device's current stream
-        // clock; later lane positions accumulate queueing time. Captured up
-        // front so the serial and parallel paths agree bit-identically.
-        let arrivals: Vec<SimTime> = lanes
+        // Each participating device's lane window restarts with the batch,
+        // and every request in a batch "arrives" at its device's stream
+        // clock at submission (later lane positions accumulate queueing
+        // time). Both happen here, before any task runs.
+        let bases: Vec<SimTime> = lanes
             .iter()
             .map(|&(slot, _)| {
+                self.reset_lane_window_of(slot);
                 self.devices[slot]
                     .lane
                     .lock()
@@ -969,132 +934,79 @@ impl Session {
                     .clock
             })
             .collect();
-        let arrival_of = |slot: usize| {
-            lanes
-                .iter()
-                .position(|&(s, _)| s == slot)
-                .map(|i| arrivals[i])
-                .expect("every device slot in the batch has an arrival clock")
-        };
 
-        let parallelism = self.workers.min(fresh.len()) + lanes.len();
-        if self.workers <= 1 || parallelism <= 1 {
-            // Execute *every* plan before propagating the first error (by
-            // request order) — the parallel path below cannot short-circuit
-            // one lane on another's failure, so the serial fallback must
-            // not either, or the devices would age differently depending on
-            // the worker count. Fresh runs and distinct lanes never share
-            // state, so walking fresh runs first and then each lane (in its
-            // own scheduling order — see [`run_lane`]) produces the same
-            // outcomes as any interleaving.
-            let mut slots: Vec<Option<Result<RunOutcome>>> =
-                (0..plans.len()).map(|_| None).collect();
-            for &i in &fresh {
-                slots[i] = Some(execute_fresh(
-                    &self.ssd,
-                    &self.host,
-                    self.faults,
-                    &plans[i],
-                    &self.device_counts,
-                ));
-            }
-            for (slot, indices) in &lanes {
-                run_lane(
-                    self.engine(),
+        let outcomes: Vec<OnceLock<Result<RunOutcome>>> =
+            plans.iter().map(|_| OnceLock::new()).collect();
+        let deliver = |i: usize, outcome| {
+            let first = outcomes[i].set(outcome).is_ok();
+            debug_assert!(first, "request {i} delivered twice");
+        };
+        fan_out(
+            self.workers,
+            lanes.len() + fresh.len(),
+            |task| match lanes.get(task) {
+                Some((slot, indices)) => run_lane(
+                    &self.engine,
                     &self.ssd,
                     &self.devices[*slot],
                     &plans,
                     indices,
-                    arrival_of(*slot),
-                    self.drr_quantum,
-                    |i, outcome| {
-                        slots[i] = Some(outcome);
-                        true
-                    },
-                );
-            }
-            return slots
-                .into_iter()
-                .map(|slot| slot.expect("every request executes exactly once"))
-                .collect();
-        }
-
-        let pool = self.pool.get_or_init(|| ThreadPool::new(self.workers));
-        let total = plans.len();
-        let expected = fresh.len() + lanes.iter().map(|(_, idx)| idx.len()).sum::<usize>();
-        let shared = Arc::new(BatchState {
-            ssd: self.ssd.clone(),
-            host: self.host.clone(),
-            faults: self.faults,
-            plans,
-            counts: Arc::clone(&self.device_counts),
-        });
-        let (tx, rx) = channel();
-        // One lane-class task per device lane, enqueued ahead of the fresh
-        // fan-out: the lane serves its requests (FIFO, or deficit round
-        // robin when weights differ — see [`run_lane`]) while other lanes
-        // and the fresh jobs proceed in parallel, and the pool's reserved
-        // lane slots dequeue these ahead of any queued bulk work. A request
-        // failure does not stop the lane (matching the serial path), it is
-        // reported in that request's slot.
-        let quantum = self.drr_quantum;
-        for (lane_pos, (slot, indices)) in lanes.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let tx = tx.clone();
-            let device = Arc::clone(&self.devices[slot]);
-            let engine = self.engine().clone();
-            let base = arrivals[lane_pos];
-            pool.execute_lane(move || {
-                run_lane(
-                    &engine,
-                    &shared.ssd,
-                    &device,
-                    &shared.plans,
-                    &indices,
-                    base,
-                    quantum,
-                    |i, outcome| tx.send((i, outcome)).is_ok(),
-                );
-            });
-        }
-        // One bulk-class job per fresh request (rather than per-worker
-        // cursor loops): fine-grained jobs let a lane-slot worker that
-        // helped with fresh work return to newly-arrived lane tasks after
-        // one request instead of owning the whole fresh backlog.
-        for i in fresh {
-            let shared = Arc::clone(&shared);
-            let tx = tx.clone();
-            pool.execute(move || {
-                let outcome = execute_fresh(
-                    &shared.ssd,
-                    &shared.host,
-                    shared.faults,
-                    &shared.plans[i],
-                    &shared.counts,
-                );
-                let _ = tx.send((i, outcome));
-            });
-        }
-        drop(tx);
-
-        let mut slots: Vec<Option<Result<RunOutcome>>> = (0..total).map(|_| None).collect();
-        for _ in 0..expected {
-            let (i, outcome) = rx
-                .recv()
-                .map_err(|_| ConduitError::simulation("batch worker terminated unexpectedly"))?;
-            slots[i] = Some(outcome);
-        }
-        slots
+                    bases[task],
+                    deliver,
+                ),
+                None => {
+                    let i = fresh[task - lanes.len()];
+                    deliver(
+                        i,
+                        execute_fresh(
+                            &self.engine,
+                            &self.ssd,
+                            self.faults,
+                            &plans[i],
+                            &self.device_counts,
+                        ),
+                    );
+                }
+            },
+        );
+        outcomes
             .into_iter()
-            .map(|slot| slot.expect("every request index reports exactly once"))
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("every request executes exactly once")
+            })
             .collect()
     }
+}
+
+/// Runs `task(0)`, …, `task(tasks - 1)` on the calling thread plus
+/// `min(workers, tasks) − 1` scoped helper threads. Each thread takes the
+/// next task index until none is left, so tasks start in index order; with
+/// one worker (or one task) no thread is spawned. Returns once every task
+/// has run; a panic in any task panics here once the other threads finish.
+fn fan_out(workers: usize, tasks: usize, task: impl Fn(usize) + Sync) {
+    // Relaxed: the counter only hands out indices and publishes no data;
+    // spawning and joining the scoped threads order everything else.
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        let t = next.fetch_add(1, Ordering::Relaxed);
+        if t >= tasks {
+            break;
+        }
+        task(t);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers.min(tasks) {
+            scope.spawn(work);
+        }
+        work();
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conduit_types::{Energy, OpType, Operand};
+    use conduit_types::{Duration, Energy, OpType, Operand};
 
     fn program(name: &str) -> VectorProgram {
         let mut prog = VectorProgram::new(name);
@@ -1283,6 +1195,31 @@ mod tests {
         let batched = s.submit_batch(&requests).unwrap();
         let serial: Vec<RunOutcome> = requests.iter().map(|r| s.submit(r).unwrap()).collect();
         assert_eq!(batched, serial);
+    }
+
+    #[test]
+    fn empty_batch_returns_no_outcomes() {
+        for workers in [1, 8] {
+            let s = Session::builder(SsdConfig::small_for_tests())
+                .workers(workers)
+                .build();
+            assert_eq!(s.submit_batch(&[]).unwrap(), Vec::new());
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_every_task_once_and_passes_panics_to_the_caller() {
+        for workers in [1, 2, 4] {
+            let runs: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
+            fan_out(workers, runs.len(), |t| {
+                runs[t].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(runs.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+            let panicked = std::panic::catch_unwind(|| {
+                fan_out(workers, 8, |t| assert_ne!(t, 5, "task 5 panics"));
+            });
+            assert!(panicked.is_err(), "{workers} workers");
+        }
     }
 
     #[test]
@@ -1734,19 +1671,5 @@ mod tests {
         let revived = other.import_device("unused", &bytes).unwrap();
         assert_eq!(other.device_snapshot(revived), DeviceSnapshot::default());
         assert_eq!(other.device_clock(revived), SimTime::ZERO);
-    }
-
-    #[test]
-    fn outcome_converts_to_run_report() {
-        let mut s = session();
-        let id = s.register(program("report")).unwrap();
-        let outcome = s
-            .submit(&RunRequest::new(id, Policy::Conduit).with_timeline())
-            .unwrap();
-        let summary = outcome.summary.clone();
-        let report = outcome.into_run_report();
-        assert_eq!(report.total_time, summary.total_time);
-        assert_eq!(report.energy.total(), summary.total_energy);
-        assert_eq!(report.timeline.len(), 2);
     }
 }

@@ -121,16 +121,16 @@ impl Session {
         let clock = SimTime::from_ps(r.counter()?);
         let consumed = tail.len() - r.remaining();
         let state = DeviceState::from_bytes(&self.ssd, &tail[consumed..])?;
+        let faults = *state.ftl().faults();
         let device = SsdDevice::with_state(&self.ssd, state)?;
         let handle = self.create_device(name);
-        let mut lane = self
-            .slot(handle)
-            .lane
-            .lock()
-            .expect("device-lane mutex poisoned");
+        // The device keeps its own fault plan, so a reset rebuilds it with
+        // the plan it was exported with.
+        let slot = &mut self.devices[handle.index()];
+        slot.faults = faults;
+        let lane = slot.lane.get_mut().expect("device-lane mutex poisoned");
         lane.device = Some(device);
         lane.clock = clock;
-        drop(lane);
         Ok(handle)
     }
 }

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use conduit_sim::{DeviceDelta, DeviceSnapshot, SsdDevice};
-use conduit_types::{Duration, FaultConfig, HostConfig, Result, SimTime, SsdConfig, VectorProgram};
+use conduit_types::{Duration, FaultConfig, Result, SimTime, SsdConfig, VectorProgram};
 
 use crate::batch::StripPlan;
 use crate::engine::{RunOptions, RuntimeEngine};
@@ -45,8 +45,8 @@ pub(super) enum PlanMode {
     Device(usize),
 }
 
-/// Everything needed to execute one request with no reference back to the
-/// session — the unit shipped to pool workers.
+/// Everything needed to execute one request, resolved against the session
+/// before the request runs.
 pub(super) struct RunPlan {
     pub(super) program: Arc<VectorProgram>,
     /// The program's registry id; `None` for an inline program.
@@ -68,15 +68,6 @@ pub(super) struct RunPlan {
     /// The prepared device this fresh plan's runs clone, shared with every
     /// other fresh run of its program in the batch ([`share_prepared`]).
     pub(super) prepared: Option<Arc<Mutex<PreparedDevice>>>,
-}
-
-/// Shared state of one in-flight batch, shipped to pool workers.
-pub(super) struct BatchState {
-    pub(super) ssd: SsdConfig,
-    pub(super) host: HostConfig,
-    pub(super) faults: FaultConfig,
-    pub(super) plans: Vec<RunPlan>,
-    pub(super) counts: Arc<DeviceCounts>,
 }
 
 /// A pristine device with one registered program prepared on it, built by
@@ -140,8 +131,9 @@ pub(super) fn share_prepared(plans: &mut [RunPlan]) {
 #[derive(Debug)]
 pub(super) struct DeviceSlot {
     pub(super) name: String,
-    /// The fault-injection plan the device is built with on first use
-    /// (imported devices carry their own plan inside the checkpoint).
+    /// The fault-injection plan the device is built with on first use and
+    /// after a reset (an imported device takes the plan its checkpoint
+    /// carries).
     pub(super) faults: FaultConfig,
     pub(super) lane: Mutex<DeviceLane>,
 }
@@ -210,13 +202,12 @@ fn build_outcome(
 /// runs are independent and parallel batches stay bit-identical to serial
 /// submission.
 pub(super) fn execute_fresh(
+    engine: &RuntimeEngine,
     ssd: &SsdConfig,
-    host: &HostConfig,
     faults: FaultConfig,
     plan: &RunPlan,
     counts: &DeviceCounts,
 ) -> Result<RunOutcome> {
-    let engine = RuntimeEngine::with_host(ssd, host);
     let pristine = DeviceSnapshot::default();
     // An open-loop arrival translates the fresh run's timeline (timestamps
     // shift, service time and energy do not); there is no lane to queue in.
@@ -227,7 +218,7 @@ pub(super) fn execute_fresh(
         // A fresh device per repeat keeps every run independent and the
         // whole batch bit-identical to serial execution. Each repeat's
         // device restarts the session's fault plan from its seed.
-        let mut device = prepared_device(&engine, ssd, faults, plan, counts)?;
+        let mut device = prepared_device(engine, ssd, faults, plan, counts)?;
         let run = engine.run_with_plan(
             &mut device,
             &plan.program,
@@ -293,11 +284,11 @@ fn prepared_device(
 /// through any idle gap, the arrival-relative wait becomes the outcome's
 /// queueing time, and each repeat then issues at its predecessor's finish.
 ///
-/// The lane mutex is what serializes a device's requests: within a device
-/// runs execute strictly in the order they take the lock (request order, in
-/// both [`Session::submit_batch`](crate::Session::submit_batch) paths), which
-/// keeps every per-device stream deterministic and replayable while distinct
-/// devices proceed in parallel.
+/// A batch gives each device's requests to one task ([`run_lane`]), which
+/// runs them in its scheduling order; the lane mutex guards the device
+/// against a concurrent lone [`Session::submit`](crate::Session::submit).
+/// Every per-device stream stays deterministic and replayable while
+/// distinct devices proceed in parallel.
 pub(super) fn execute_on_lane(
     engine: &RuntimeEngine,
     ssd: &SsdConfig,
@@ -366,8 +357,7 @@ impl LaneFlow {
 }
 
 /// Serves one device lane's share of a batch, delivering each outcome to
-/// `deliver(request index, outcome)`; `deliver` returns `false` to stop
-/// early (the batch collector went away).
+/// `deliver(request index, outcome)`.
 ///
 /// While every request on the lane carries the same weight — the default —
 /// the lane is the plain FIFO it has always been: requests execute in
@@ -377,11 +367,11 @@ impl LaneFlow {
 ///
 /// * each round visits the flows in first-appearance order; a flow whose
 ///   head has *arrived* (on the lane's simulated stream clock) earns
-///   `quantum × weight` of credit and serves requests while its credit
-///   stays positive, with each request's **actual simulated service time**
-///   charged against the credit afterwards (so no a-priori cost model is
-///   needed — an expensive request just drives the flow's credit negative
-///   and it sits out following rounds);
+///   [`DEFAULT_DRR_QUANTUM`]` × weight` of credit and serves requests
+///   while its credit stays positive, with each request's **actual
+///   simulated service time** charged against the credit afterwards (so
+///   no a-priori cost model is needed — an expensive request just drives
+///   the flow's credit negative and it sits out following rounds);
 /// * a flow that drains its queue forfeits leftover credit (standard DRR:
 ///   credit never accumulates across backlog periods);
 /// * when no flow has an arrived head, the lane has gone idle: credits
@@ -391,10 +381,8 @@ impl LaneFlow {
 ///
 /// Everything the scheduler consults — arrivals, the stream clock, service
 /// times — is simulated time, so the dispatch order is deterministic and
-/// identical across pool sizes and across the serial and parallel batch
-/// paths. Over a saturated stretch each flow's lane busy-time share
-/// converges to `weight / Σ weights`.
-#[allow(clippy::too_many_arguments)]
+/// identical for every worker count. Over a saturated stretch each flow's
+/// lane busy-time share converges to `weight / Σ weights`.
 pub(super) fn run_lane(
     engine: &RuntimeEngine,
     ssd: &SsdConfig,
@@ -402,18 +390,14 @@ pub(super) fn run_lane(
     plans: &[RunPlan],
     indices: &[usize],
     base: SimTime,
-    quantum: Duration,
-    mut deliver: impl FnMut(usize, Result<RunOutcome>) -> bool,
+    mut deliver: impl FnMut(usize, Result<RunOutcome>),
 ) {
     let uniform = indices
         .windows(2)
         .all(|w| plans[w[0]].weight == plans[w[1]].weight);
     if uniform {
         for &i in indices {
-            let outcome = execute_on_lane(engine, ssd, slot, &plans[i], Some(base));
-            if !deliver(i, outcome) {
-                return;
-            }
+            deliver(i, execute_on_lane(engine, ssd, slot, &plans[i], Some(base)));
         }
         return;
     }
@@ -435,27 +419,27 @@ pub(super) fn run_lane(
             )),
         }
     }
-    let quantum_ps = quantum.as_ps().max(1) as i128;
+    let quantum_ps = DEFAULT_DRR_QUANTUM.as_ps() as i128;
     let arrival = |i: usize| base + plans[i].arrival;
     let clock = || slot.lane.lock().expect("device-lane mutex poisoned").clock;
-    let mut serve = |flows: &mut Vec<(u32, LaneFlow)>, fi: usize| -> Option<bool> {
-        let i = flows[fi].1.head_index()?;
+    // Serves the flow's head request, whose presence the caller checked.
+    let mut serve = |flow: &mut LaneFlow| {
+        let i = flow.queue[flow.head];
         let outcome = execute_on_lane(engine, ssd, slot, &plans[i], Some(base));
         let service = outcome
             .as_ref()
             .map(|o| o.summary.service_time)
             .unwrap_or(Duration::ZERO);
-        let flow = &mut flows[fi].1;
         flow.head += 1;
         flow.credit -= service.as_ps() as i128;
-        Some(deliver(i, outcome))
+        deliver(i, outcome);
     };
 
     let mut remaining = indices.len();
     while remaining > 0 {
         let mut served_this_round = false;
-        for fi in 0..flows.len() {
-            let Some(head) = flows[fi].1.head_index() else {
+        for (_, flow) in &mut flows {
+            let Some(head) = flow.head_index() else {
                 continue;
             };
             if arrival(head) > clock() {
@@ -464,25 +448,15 @@ pub(super) fn run_lane(
                 continue;
             }
             let weight = plans[head].weight.max(1) as i128;
-            flows[fi].1.credit += quantum_ps * weight;
-            while flows[fi].1.credit > 0 {
-                let Some(i) = flows[fi].1.head_index() else {
-                    break;
-                };
-                if arrival(i) > clock() {
-                    break;
-                }
-                match serve(&mut flows, fi) {
-                    Some(true) => {
-                        remaining -= 1;
-                        served_this_round = true;
-                    }
-                    _ => return,
-                }
+            flow.credit += quantum_ps * weight;
+            while flow.credit > 0 && flow.head_index().is_some_and(|i| arrival(i) <= clock()) {
+                serve(flow);
+                remaining -= 1;
+                served_this_round = true;
             }
-            if flows[fi].1.head_index().is_none() {
+            if flow.head_index().is_none() {
                 // A drained flow forfeits leftover credit.
-                flows[fi].1.credit = 0;
+                flow.credit = 0;
             }
         }
         if served_this_round || remaining == 0 {
@@ -511,10 +485,8 @@ pub(super) fn run_lane(
             .min()
             .map(|(_, fi)| fi)
             .expect("remaining > 0 implies a nonempty flow");
-        match serve(&mut flows, next) {
-            Some(true) => remaining -= 1,
-            _ => return,
-        }
+        serve(&mut flows[next].1);
+        remaining -= 1;
     }
 }
 

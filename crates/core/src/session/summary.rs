@@ -5,7 +5,7 @@ use conduit_sim::{CostBreakdown, DeviceDelta, LatencyStats};
 use conduit_types::{Duration, Energy};
 
 use crate::policy::Policy;
-use crate::report::{EnergySummary, OffloadMix, OverheadReport, RunReport, TimelineEntry};
+use crate::report::{EnergySummary, OffloadMix, OverheadReport, TimelineEntry};
 
 /// The always-collected, constant-memory result of a run: everything the
 /// figure pipeline and a serving stack's metrics need, and nothing that
@@ -103,29 +103,4 @@ pub struct RunOutcome {
     pub summary: RunSummary,
     /// Bulky opt-in outputs; `None` unless the request asked for them.
     pub artifacts: Option<RunArtifacts>,
-}
-
-impl RunOutcome {
-    /// Converts into the engine-level [`RunReport`] shape (for code
-    /// migrating incrementally onto the session API). The timeline is empty
-    /// unless the run collected artifacts; the device delta is dropped, as
-    /// the engine-level report predates warm devices.
-    pub fn into_run_report(self) -> RunReport {
-        let energy = self.summary.energy_split.unwrap_or(EnergySummary {
-            data_movement: Energy::ZERO,
-            compute: self.summary.total_energy,
-        });
-        RunReport {
-            workload: self.summary.workload,
-            policy: self.summary.policy,
-            instructions: self.summary.instructions,
-            total_time: self.summary.total_time,
-            energy,
-            breakdown: self.summary.breakdown,
-            offload_mix: self.summary.offload_mix,
-            latency: self.summary.latency,
-            timeline: self.artifacts.map(|a| a.timeline).unwrap_or_default(),
-            overhead: self.summary.overhead,
-        }
-    }
 }

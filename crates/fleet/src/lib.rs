@@ -75,7 +75,7 @@ use conduit::{DeviceHandle, ProgramId, RunOutcome, RunRequest, Session};
 use conduit_sim::{DeviceSnapshot, LaneStats, LatencyStats};
 use conduit_traffic::{TenantSpec, Trace};
 use conduit_types::bytes::{fnv1a, put_u64};
-use conduit_types::{ConduitError, Duration, FaultConfig, HostConfig, Result, SimTime, SsdConfig};
+use conduit_types::{ConduitError, Duration, FaultConfig, Result, SimTime, SsdConfig};
 use conduit_workloads::Scale;
 
 #[cfg(doc)]
@@ -133,7 +133,6 @@ fn hrw_score(seed: u64, shard: usize, name: &str) -> u64 {
 #[derive(Debug, Clone)]
 pub struct FleetBuilder {
     ssd: SsdConfig,
-    host: Option<HostConfig>,
     faults: FaultConfig,
     shards: usize,
     workers: Option<usize>,
@@ -141,14 +140,12 @@ pub struct FleetBuilder {
     seed: u64,
     window: Duration,
     min_slo_samples: usize,
-    drr_quantum: Option<Duration>,
 }
 
 impl FleetBuilder {
     fn new(ssd: SsdConfig) -> Self {
         FleetBuilder {
             ssd,
-            host: None,
             faults: FaultConfig::default(),
             shards: 1,
             workers: None,
@@ -156,14 +153,7 @@ impl FleetBuilder {
             seed: DEFAULT_FLEET_SEED,
             window: DEFAULT_ADMISSION_WINDOW,
             min_slo_samples: DEFAULT_MIN_SLO_SAMPLES,
-            drr_quantum: None,
         }
-    }
-
-    /// Host (CPU/GPU/link) configuration shared by every shard.
-    pub fn host(mut self, host: HostConfig) -> Self {
-        self.host = Some(host);
-        self
     }
 
     /// Fault-injection plan shared by every shard's devices.
@@ -210,23 +200,11 @@ impl FleetBuilder {
         self
     }
 
-    /// Deficit-round-robin quantum forwarded to every shard's session.
-    pub fn drr_quantum(mut self, quantum: Duration) -> Self {
-        self.drr_quantum = Some(quantum);
-        self
-    }
-
     /// Builds the fleet: `shards` identically-configured sessions.
     pub fn build(self) -> Fleet {
         let shards = (0..self.shards)
             .map(|_| {
                 let mut b = Session::builder(self.ssd.clone()).faults(self.faults);
-                if let Some(host) = &self.host {
-                    b = b.host(host.clone());
-                }
-                if let Some(quantum) = self.drr_quantum {
-                    b = b.drr_quantum(quantum);
-                }
                 if self.serial {
                     b = b.serial();
                 } else if let Some(workers) = self.workers {

@@ -7,7 +7,7 @@
 //! (`CONDUIT_SCALAR=1`), and the other two loops reproduced those files byte
 //! for byte. The batched loop — now the only one — must keep reproducing
 //! them: for every workload and policy, on fresh and warm devices, submitted
-//! one at a time or fanned out across a thread pool. See `tests/common` for
+//! one at a time or fanned out across worker threads. See `tests/common` for
 //! the file format and `CONDUIT_REGEN_GOLDEN=1`.
 
 mod common;
@@ -99,9 +99,9 @@ fn batched_path_matches_scalar_on_warm_devices() {
 #[test]
 fn parallel_path_matches_scalar_on_warm_devices_across_rounds() {
     // Three devices age through the same stream, each round submitted as
-    // one batch whose three device lanes run in parallel on the pool. Every
-    // device must reproduce the serially recorded stream, which also proves
-    // each round left the devices' FTL/coherence state identical.
+    // one batch whose three device lanes run in parallel on four workers.
+    // Every device must reproduce the serially recorded stream, which also
+    // proves each round left the devices' FTL/coherence state identical.
     let mut session = Session::builder(SsdConfig::small_for_tests())
         .workers(4)
         .build();

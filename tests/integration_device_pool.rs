@@ -5,7 +5,7 @@
 //!
 //! 1. **Per-device determinism**: a mixed batch across three warm devices
 //!    plus fresh requests is bit-identical whether the lanes run in
-//!    parallel on the thread pool or the whole batch runs serially on the
+//!    parallel on worker threads or the whole batch runs serially on the
 //!    calling thread.
 //! 2. **Checkpoint fidelity**: exporting a device mid-stream, importing it
 //!    into a fresh session and replaying the remainder matches the
@@ -22,13 +22,12 @@
 //!    ```text
 //!    CONDUIT_REGEN_GOLDEN=1 cargo test --test integration_device_pool
 //!    ```
-//! 4. **Scheduling**: on a small two-worker pool, lane tasks run in the
-//!    thread pool's reserved lane class, so a batch whose fresh backlog
-//!    dwarfs its lane work still serves the lanes promptly — without
-//!    changing any simulated result (everything stays bit-identical to
-//!    `.serial()` submission).
+//! 4. **Scheduling**: on two workers, lane tasks come first in the batch's
+//!    task order, so a batch whose fresh backlog dwarfs its lane work still
+//!    serves the lanes promptly — without changing any simulated result
+//!    (everything stays bit-identical to `.serial()` submission).
 //! 5. **Open-loop arrivals**: explicit `RunRequest::arriving_at` offsets
-//!    produce the same summaries on every pool size.
+//!    produce the same summaries on every worker count.
 
 use conduit::{DeviceHandle, Policy, ProgramId, RunOutcome, RunRequest, Session};
 use conduit_types::{
@@ -234,18 +233,20 @@ fn checkpointed_device_replays_identically_to_the_uninterrupted_stream() {
     assert_eq!(after.device_clock(dev_after), session.device_clock(device));
 }
 
-/// The acceptance scenario for the two-class scheduler: a 2-worker pool,
-/// one batch of 16 heavy fresh requests plus 4 light one-request lanes.
+/// Lane priority on two workers: one batch of 16 heavy fresh requests plus
+/// 4 light one-request lanes, the lanes submitted last.
 ///
-/// Under the old single-queue pool the lane tasks were enqueued behind the
-/// whole fresh fan-out, so on a small pool the lanes' *wall-clock*
-/// completion waited for the fresh cursor to drain — pure scheduler
-/// artifact. With reserved lane slots the lanes finish while the fresh
-/// backlog is still running. The *simulated* lane queueing, meanwhile, is
-/// arrival-relative and scheduler-independent: each one-request lane finds
-/// its device idle, so its `queueing_time` is exactly zero (the metric now
-/// measures device contention only, never pool contention), and the whole
-/// batch stays bit-identical to `.serial()` submission.
+/// Lane priority comes from task order: a batch's lane tasks precede its
+/// fresh tasks whatever the request order, and the worker threads take
+/// tasks in that order. So the lanes' *wall-clock* completion does not
+/// wait for the fresh backlog to drain: the lanes finish while the fresh
+/// requests are still running. (Tasks taken in request order would serve
+/// the lanes last — a pure scheduler artifact.) The *simulated* lane
+/// queueing, meanwhile, is arrival-relative and scheduler-independent:
+/// each one-request lane finds its device idle, so its `queueing_time` is
+/// exactly zero (the metric measures device contention only, never thread
+/// contention), and the whole batch stays bit-identical to `.serial()`
+/// submission.
 #[test]
 fn lanes_are_served_ahead_of_a_heavy_fresh_backlog_on_two_workers() {
     let build = |configure: fn(conduit::SessionBuilder) -> conduit::SessionBuilder| {
@@ -324,7 +325,7 @@ fn lanes_are_served_ahead_of_a_heavy_fresh_backlog_on_two_workers() {
     }
 }
 
-/// Same arrivals ⇒ bit-identical summaries, whatever the pool size: the
+/// Same arrivals ⇒ bit-identical summaries, whatever the worker count: the
 /// open-loop arrival offsets are part of the request, not of the schedule.
 #[test]
 fn arrival_times_are_deterministic_across_pool_sizes() {

@@ -1,13 +1,15 @@
 //! Deterministic fault injection end to end: seeded fault plans are
-//! bit-identical across thread-pool sizes, degraded devices reject writes
-//! with a typed error instead of panicking, degraded state survives an
-//! export/import/replay cycle exactly, a zero-fault plan cannot perturb a
-//! fault-free session, and corrupted fault-state checkpoint bytes are
-//! rejected cleanly.
+//! bit-identical across worker counts, degraded devices reject writes with
+//! a typed error instead of panicking (in a batch too, on every worker
+//! count), degraded state survives an export/import/replay cycle exactly,
+//! an imported device keeps its own fault plan across a reset, a
+//! zero-fault plan cannot perturb a fault-free session, and corrupted
+//! fault-state checkpoint bytes are rejected cleanly.
 
-use conduit::{DeviceHandle, Policy, ProgramId, RunOutcome, RunRequest, Session};
+use conduit::{DeviceHandle, Policy, ProgramId, RunOutcome, RunRequest, Session, SessionBuilder};
 use conduit_types::{
-    ConduitError, FaultConfig, LogicalPageId, OpType, Operand, SsdConfig, VectorInst, VectorProgram,
+    ConduitError, FaultConfig, LogicalPageId, OpType, Operand, SimTime, SsdConfig, VectorInst,
+    VectorProgram,
 };
 
 /// A program whose store forces out-of-place writes on every run.
@@ -30,9 +32,7 @@ fn reader_program() -> VectorProgram {
     prog
 }
 
-fn pool_session(
-    configure: impl FnOnce(conduit::SessionBuilder) -> conduit::SessionBuilder,
-) -> Session {
+fn pool_session(configure: impl FnOnce(SessionBuilder) -> SessionBuilder) -> Session {
     configure(Session::builder(SsdConfig::small_for_tests())).build()
 }
 
@@ -121,10 +121,13 @@ fn seeded_faults_are_bit_identical_across_pool_sizes() {
     }
 }
 
-/// Drives a device past its spare-block budget and returns the session,
-/// the degraded device, and the registered program ids.
-fn degraded_session() -> (Session, DeviceHandle, ProgramId, ProgramId) {
-    let mut session = pool_session(|b| b.serial());
+/// Drives a device past its spare-block budget and returns the session
+/// (built by `configure`), the degraded device, and the registered program
+/// ids.
+fn degraded_session(
+    configure: impl FnOnce(SessionBuilder) -> SessionBuilder,
+) -> (Session, DeviceHandle, ProgramId, ProgramId) {
+    let mut session = pool_session(configure);
     let writer = session.register(writer_program()).unwrap();
     let reader = session.register(reader_program()).unwrap();
     let device = session.create_device_with_faults(
@@ -166,7 +169,7 @@ fn degraded_session() -> (Session, DeviceHandle, ProgramId, ProgramId) {
 
 #[test]
 fn degraded_device_rejects_writes_and_keeps_serving_reads() {
-    let (session, device, writer, reader) = degraded_session();
+    let (session, device, writer, reader) = degraded_session(|b| b.serial());
     let snap = session.device_snapshot(device);
     assert!(
         snap.retired_blocks > 1,
@@ -191,7 +194,7 @@ fn degraded_device_rejects_writes_and_keeps_serving_reads() {
 
 #[test]
 fn degraded_device_checkpoint_round_trips_and_replays_identically() {
-    let (session, device, writer, reader) = degraded_session();
+    let (session, device, writer, reader) = degraded_session(|b| b.serial());
     let bytes = session.export_device(device).unwrap();
 
     let mut revived_session = pool_session(|b| b.serial());
@@ -240,6 +243,99 @@ fn degraded_device_checkpoint_round_trips_and_replays_identically() {
         revived_session.export_device(revived).unwrap(),
         session.export_device(device).unwrap()
     );
+}
+
+/// A batch in which one lane's device is degraded, next to healthy lanes
+/// and fresh requests: every task still runs, and the batch fails the same
+/// way and leaves every device in the same state on 1, 2 and 4 workers.
+#[test]
+fn a_degraded_lane_fails_its_batch_alike_on_every_worker_count() {
+    let run = |workers: usize| {
+        let (mut session, worn, writer, reader) = degraded_session(|b| b.workers(workers));
+        let healthy = session.create_device_with_faults("tenant-a", lively_faults(11));
+        let quiet = session.create_device("tenant-b");
+        let worn_before = session.device_snapshot(worn);
+        let requests = [
+            RunRequest::new(writer, Policy::Conduit).on_device(healthy),
+            RunRequest::new(reader, Policy::Conduit),
+            RunRequest::new(writer, Policy::Conduit).on_device(worn),
+            RunRequest::new(writer, Policy::PudSsd).on_device(quiet),
+            RunRequest::new(reader, Policy::Conduit).on_device(worn),
+            RunRequest::new(writer, Policy::HostCpu),
+            RunRequest::new(writer, Policy::HostCpu).on_device(healthy),
+        ];
+        let err = session.submit_batch(&requests).unwrap_err();
+        let devices =
+            [worn, healthy, quiet].map(|d| (session.device_snapshot(d), session.device_clock(d)));
+        // Every lane served all of its requests, the worn device's read
+        // after its rejected write included.
+        let served = devices.map(|(snapshot, _)| snapshot.lane_requests);
+        assert_eq!(
+            served,
+            [worn_before.lane_requests + 2, 2, 1],
+            "{workers} workers"
+        );
+        assert!(devices.iter().all(|&(_, clock)| clock > SimTime::ZERO));
+        (err, devices)
+    };
+    let one = run(1);
+    assert!(
+        matches!(one.0, ConduitError::DeviceDegraded { .. }),
+        "got {}",
+        one.0
+    );
+    for workers in [2, 4] {
+        assert_eq!(run(workers), one, "{workers} workers");
+    }
+}
+
+/// An imported device keeps the fault plan its checkpoint carries: once
+/// both sides reset their device, the importer rebuilds it with that plan,
+/// not with the importing session's inert default.
+#[test]
+fn an_imported_device_keeps_its_fault_plan_across_a_reset() {
+    let run = |session: &Session, writer: ProgramId, device: DeviceHandle, policy: Policy| {
+        session
+            .submit(&RunRequest::new(writer, policy).on_device(device))
+            .unwrap()
+    };
+    let mut exporter = pool_session(|b| b.serial());
+    let writer = exporter.register(writer_program()).unwrap();
+    let device = exporter.create_device_with_faults("tenant", lively_faults(7));
+    for _ in 0..3 {
+        run(&exporter, writer, device, Policy::Conduit);
+    }
+    let bytes = exporter.export_device(device).unwrap();
+
+    let mut importer = Session::new(SsdConfig::small_for_tests());
+    let imported_writer = importer.register(writer_program()).unwrap();
+    let imported = importer.import_device("tenant", &bytes).unwrap();
+    assert_eq!(
+        run(&importer, imported_writer, imported, Policy::Conduit),
+        run(&exporter, writer, device, Policy::Conduit),
+        "the run right after the import continues the stream"
+    );
+
+    exporter.reset_device(device);
+    importer.reset_device(imported);
+    let mut exported_runs = Vec::new();
+    let mut imported_runs = Vec::new();
+    for i in 0..5 {
+        let policy = if i % 2 == 0 {
+            Policy::Conduit
+        } else {
+            Policy::HostCpu
+        };
+        exported_runs.push(run(&exporter, writer, device, policy));
+        imported_runs.push(run(&importer, imported_writer, imported, policy));
+    }
+    let snapshot = exporter.device_snapshot(device);
+    assert!(
+        snapshot.read_retries > 0 && snapshot.retired_blocks > 0,
+        "the plan fired after the reset: {snapshot:?}"
+    );
+    assert_eq!(importer.device_snapshot(imported), snapshot);
+    assert_eq!(imported_runs, exported_runs);
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //!    (surplus-round-robin over simulated service time), while the full
 //!    batch still serves every request.
 //! 3. **Weighted lanes stay deterministic** — the same weighted batch is
-//!    bit-identical on every pool size.
+//!    bit-identical on every worker count.
 //! 4. **Fleet serving composes with sessions** — a single-tenant trace
 //!    replayed through a `Fleet` matches the same trace replayed directly
 //!    on a `Session` (same arrivals, same merged latency), whatever the
@@ -150,7 +150,7 @@ fn weighted_batches_are_deterministic_across_pools() {
             None => baseline = Some(outcomes),
             Some(b) => assert_eq!(
                 *b, outcomes,
-                "weighted lanes must not depend on the pool size ({workers:?})"
+                "weighted lanes must not depend on the worker count ({workers:?})"
             ),
         }
     }

@@ -1,5 +1,5 @@
 //! Integration tests of the traffic subsystem: CTR1 trace stability,
-//! corruption rejection, and replay determinism across worker-pool sizes.
+//! corruption rejection, and replay determinism across worker counts.
 //!
 //! The committed golden file (`tests/golden/trace_v2.bin`) pins the CTR1
 //! wire format at [`conduit_repro::traffic::TRACE_VERSION`]. If an
