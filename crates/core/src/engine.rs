@@ -30,7 +30,7 @@ use conduit_sim::{
     CostBreakdown, HostCpuModel, HostGpuModel, OpCompletion, SsdDevice, StripEstimates,
 };
 use conduit_types::{
-    ConduitError, DataLocation, Duration, Energy, ExecutionSite, HostConfig, LogicalPageId, OpType,
+    ConduitError, DataLocation, Duration, Energy, ExecutionSite, HostConfig, LogicalPageId,
     Operand, Resource, Result, SimTime, SsdConfig, VectorInst, VectorProgram, PAGE_BYTES,
 };
 
@@ -125,11 +125,8 @@ struct RunScratch {
 /// that shape comes up in a run.
 #[derive(Debug, Clone, Copy)]
 struct CostRow {
-    op: OpType,
-    elem_bits: u32,
-    lanes: u32,
-    /// Per-resource compute and static-move estimates
-    /// ([`SsdDevice::estimate_strip`]).
+    /// The shape, its per-resource compute and static-move estimates and
+    /// its PuD cost ([`SsdDevice::estimate_strip`]).
     estimates: StripEstimates,
     /// Host policies, the only ones that place on the host: the host CPU's
     /// or GPU's compute time and energy.
@@ -140,7 +137,8 @@ struct CostRow {
 
 impl CostRow {
     fn is_for(&self, inst: &VectorInst) -> bool {
-        (self.op, self.elem_bits, self.lanes) == (inst.op, inst.elem_bits, inst.lanes)
+        let e = &self.estimates;
+        (e.op, e.elem_bits, e.lanes) == (inst.op, inst.elem_bits, inst.lanes)
     }
 }
 
@@ -509,14 +507,9 @@ impl RuntimeEngine {
 
                 // Execute.
                 let comp = match site {
-                    ExecutionSite::Ssd(resource) => device.execute(
-                        resource,
-                        inst.op,
-                        inst.elem_bits,
-                        inst.lanes,
-                        operand_first_pages,
-                        data_ready,
-                    )?,
+                    ExecutionSite::Ssd(resource) => {
+                        device.execute(resource, &row.estimates, operand_first_pages, data_ready)?
+                    }
                     ExecutionSite::HostCpu | ExecutionSite::HostGpu => {
                         let (t, e) = row.host;
                         host_clock = data_ready.max(host_clock) + t;
@@ -629,9 +622,6 @@ impl RuntimeEngine {
             (Resource::Isp, Duration::ZERO, Energy::ZERO)
         };
         CostRow {
-            op,
-            elem_bits,
-            lanes,
             estimates,
             host,
             ideal,

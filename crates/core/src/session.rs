@@ -36,7 +36,9 @@
 //!   and alongside the fresh fan-out — and outcomes stay bit-identical to a
 //!   fully serial submission of the same batch. Lane tasks come ahead of the
 //!   fresh requests in the batch's task order, so a lane never waits behind
-//!   the fresh backlog;
+//!   the fresh backlog. A device prepares each registered program once;
+//!   later requests for it skip the prepare, which would map nothing. A
+//!   device built, reset or imported starts with no program prepared;
 //! * requests can arrive **open-loop**: [`RunRequest::arriving_at`] places
 //!   a request's arrival on the batch timeline, the device's stream clock
 //!   advances to `max(previous finish, arrival)`, and
@@ -98,7 +100,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use conduit_sim::{DeviceSnapshot, SsdDevice};
+use conduit_sim::DeviceSnapshot;
 use conduit_types::{
     ConduitError, FaultConfig, HostConfig, Result, SimTime, SsdConfig, VectorProgram,
 };
@@ -701,7 +703,7 @@ impl Session {
             .expect("device-lane mutex poisoned")
             .device
             .as_ref()
-            .map(SsdDevice::snapshot)
+            .map(|warm| warm.device.snapshot())
             .unwrap_or_default()
     }
 
@@ -735,7 +737,7 @@ impl Session {
         let snapshot = lane
             .device
             .take()
-            .map(|device| device.snapshot())
+            .map(|warm| warm.device.snapshot())
             .unwrap_or_default();
         lane.clock = SimTime::ZERO;
         snapshot
@@ -866,7 +868,7 @@ impl Session {
             .device
             .as_mut()
         {
-            device.reset_lane_window();
+            device.device.reset_lane_window();
         }
     }
 

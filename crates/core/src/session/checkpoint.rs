@@ -5,6 +5,7 @@ use conduit_sim::{DeviceState, SsdDevice};
 use conduit_types::bytes::{put_u16, put_u64, Reader};
 use conduit_types::{ConduitError, Result, SimTime};
 
+use super::lanes::WarmDevice;
 use super::{DeviceHandle, Session};
 
 /// Magic bytes identifying a device checkpoint exported by
@@ -49,9 +50,14 @@ impl Session {
             .lock()
             .expect("device-lane mutex poisoned");
         if lane.device.is_none() {
-            lane.device = Some(SsdDevice::with_faults(&self.ssd, self.slot(device).faults)?);
+            let built = SsdDevice::with_faults(&self.ssd, self.slot(device).faults)?;
+            lane.device = Some(WarmDevice::new(built));
         }
-        let state = lane.device.as_ref().expect("device was just installed");
+        let state = &lane
+            .device
+            .as_ref()
+            .expect("device was just installed")
+            .device;
         let mut out = Vec::new();
         out.extend_from_slice(&DEVICE_CHECKPOINT_MAGIC);
         put_u16(&mut out, DEVICE_CHECKPOINT_FORMAT_VERSION);
@@ -129,7 +135,7 @@ impl Session {
         let slot = &mut self.devices[handle.index()];
         slot.faults = faults;
         let lane = slot.lane.get_mut().expect("device-lane mutex poisoned");
-        lane.device = Some(device);
+        lane.device = Some(WarmDevice::new(device));
         lane.clock = clock;
         Ok(handle)
     }

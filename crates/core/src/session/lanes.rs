@@ -153,12 +153,55 @@ impl DeviceSlot {
 
 #[derive(Debug)]
 pub(super) struct DeviceLane {
-    /// The warm device (immutable models + persistent state), created
-    /// lazily on the first run so unused pool members cost nothing.
-    pub(super) device: Option<SsdDevice>,
+    /// The warm device, created lazily on the first run so unused pool
+    /// members cost nothing.
+    pub(super) device: Option<WarmDevice>,
     /// The stream clock: the finish time of the last request on this
     /// device. The next request issues here.
     pub(super) clock: SimTime,
+}
+
+/// A lane's simulated device (immutable models + persistent state) and the
+/// registered programs prepared on it. Both live and die together: a new
+/// device, whether first built, rebuilt by a reset or imported, starts with
+/// no program prepared.
+#[derive(Debug)]
+pub(super) struct WarmDevice {
+    pub(super) device: SsdDevice,
+    /// Which registered programs, by [`ProgramId`] index, have been
+    /// prepared on `device`.
+    prepared: Vec<bool>,
+}
+
+impl WarmDevice {
+    pub(super) fn new(device: SsdDevice) -> Self {
+        WarmDevice {
+            device,
+            prepared: Vec::new(),
+        }
+    }
+
+    /// Prepares `plan`'s program on the device unless it is a registered
+    /// program already prepared here. Skipping is exact: once a program's
+    /// pages are mapped, preparing it again maps nothing (no page is ever
+    /// unmapped, and a mapped page keeps its placement), reserves no
+    /// timeline and draws no fault, and registration already validated the
+    /// program. A failed prepare is not recorded, so the next request
+    /// prepares again and meets the same error.
+    fn prepare(&mut self, engine: &RuntimeEngine, plan: &RunPlan) -> Result<()> {
+        let Some(id) = plan.registered else {
+            return engine.prepare(&mut self.device, &plan.program);
+        };
+        if self.prepared.get(id.index()) == Some(&true) {
+            return Ok(());
+        }
+        engine.prepare(&mut self.device, &plan.program)?;
+        if self.prepared.len() <= id.index() {
+            self.prepared.resize(id.index() + 1, false);
+        }
+        self.prepared[id.index()] = true;
+        Ok(())
+    }
 }
 
 /// Assembles the outcome from the final run report plus the device work the
@@ -299,13 +342,13 @@ pub(super) fn execute_on_lane(
     let mut lane = slot.lane.lock().expect("device-lane mutex poisoned");
     let lane = &mut *lane;
     if lane.device.is_none() {
-        lane.device = Some(SsdDevice::with_faults(ssd, slot.faults)?);
+        lane.device = Some(WarmDevice::new(SsdDevice::with_faults(ssd, slot.faults)?));
     }
-    let device = lane.device.as_mut().expect("device was just installed");
+    let warm = lane.device.as_mut().expect("device was just installed");
     // SimTime + Duration saturates, so a pathological arrival offset clamps
     // at the end of representable time instead of wrapping the clock.
     let arrival = batch_base.unwrap_or(lane.clock) + plan.arrival;
-    let before = device.snapshot();
+    let before = warm.device.snapshot();
     // Queueing ends when the request's *first* repeat issues; later repeats
     // are part of its own service, not lane wait. An arrival past the
     // previous finish instead leaves the device idle for the gap.
@@ -317,12 +360,15 @@ pub(super) fn execute_on_lane(
     for _ in 0..plan.repeats {
         let start = lane.clock;
         let options = plan.options.starting_at(start);
-        // Re-preparing is idempotent for pages the warm device already
-        // mapped; only genuinely new pages get placed.
-        report = engine
-            .prepare(device, &plan.program)
+        report = warm
+            .prepare(engine, plan)
             .and_then(|()| {
-                engine.run_with_plan(device, &plan.program, &options, plan.strip_plan.as_deref())
+                engine.run_with_plan(
+                    &mut warm.device,
+                    &plan.program,
+                    &options,
+                    plan.strip_plan.as_deref(),
+                )
             })
             .map(Some);
         match &report {
@@ -334,6 +380,7 @@ pub(super) fn execute_on_lane(
     }
     // Lane accounting happens even on a failed request: the device may have
     // partially advanced, and the idle gap was real either way.
+    let device = &mut warm.device;
     device.record_lane_request(idle_gap, queueing_time, lane.clock.saturating_since(issue));
     let delta = device.snapshot().delta_since(&before);
     let report = report?.expect("repeats is clamped to at least one");

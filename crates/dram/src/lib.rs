@@ -36,5 +36,5 @@ mod pud;
 mod timing;
 
 pub use bank::BankState;
-pub use pud::{PudCost, PudModel};
+pub use pud::{PudCost, PudModel, PudShape};
 pub use timing::DramTiming;

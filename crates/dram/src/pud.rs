@@ -28,6 +28,34 @@ pub struct PudCost {
     pub bbops_per_sub_op: u64,
 }
 
+/// The part of a PuD-SSD operation's cost fixed by its shape (operation,
+/// element width, lane count): everything but the number of waves its
+/// sub-operations run in, which depends on how many compute units are free
+/// when it runs ([`PudShape::latency`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PudShape {
+    /// Number of row-granular sub-operations the vector is split into.
+    pub sub_ops: u32,
+    /// Number of bbop primitives per sub-operation.
+    pub bbops_per_sub_op: u64,
+    /// Total energy across all sub-operations (the same for every wave
+    /// count: the work is the same).
+    pub energy: Energy,
+    /// Latency of one bbop.
+    t_bbop: Duration,
+}
+
+impl PudShape {
+    /// Service latency with `units` compute units running sub-operations
+    /// concurrently (at least one): more sub-operations than units
+    /// serialize in waves.
+    #[inline]
+    pub fn latency(&self, units: u32) -> Duration {
+        let waves = self.sub_ops.div_ceil(units.max(1)) as u64;
+        self.t_bbop * (self.bbops_per_sub_op * waves)
+    }
+}
+
 /// Processing-using-DRAM cost model.
 ///
 /// # Examples
@@ -99,6 +127,30 @@ impl PudModel {
         }
     }
 
+    /// The wave-independent cost of a PuD vector operation of this shape:
+    /// its sub-operation count, bbops per sub-operation and energy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConduitError::UnsupportedOperation`] if `op` is outside the
+    /// PuD operation set.
+    pub fn shape(&self, op: OpType, elem_bits: u32, lanes: u32) -> Result<PudShape> {
+        if !self.supports(op) {
+            return Err(ConduitError::UnsupportedOperation {
+                op,
+                resource: Resource::PudSsd,
+            });
+        }
+        let sub_ops = self.sub_ops(elem_bits, lanes);
+        let bbops = self.bbop_count(op, elem_bits);
+        Ok(PudShape {
+            sub_ops,
+            bbops_per_sub_op: bbops,
+            energy: self.cfg.e_bbop * (bbops * sub_ops as u64),
+            t_bbop: self.cfg.t_bbop,
+        })
+    }
+
     /// Latency and energy of one PuD vector operation, given `banks_free`
     /// banks available to run sub-operations concurrently.
     ///
@@ -113,25 +165,12 @@ impl PudModel {
         lanes: u32,
         banks_free: u32,
     ) -> Result<PudCost> {
-        if !self.supports(op) {
-            return Err(ConduitError::UnsupportedOperation {
-                op,
-                resource: Resource::PudSsd,
-            });
-        }
-        let sub_ops = self.sub_ops(elem_bits, lanes);
-        let bbops = self.bbop_count(op, elem_bits);
-        let banks = banks_free.clamp(1, self.cfg.compute_units());
-        // Sub-operations run concurrently across banks; if there are more
-        // sub-operations than free banks they serialize in waves.
-        let waves = sub_ops.div_ceil(banks) as u64;
-        let latency = self.cfg.t_bbop * (bbops * waves);
-        let energy = self.cfg.e_bbop * (bbops * sub_ops as u64);
+        let shape = self.shape(op, elem_bits, lanes)?;
         Ok(PudCost {
-            latency,
-            energy,
-            sub_ops,
-            bbops_per_sub_op: bbops,
+            latency: shape.latency(banks_free.clamp(1, self.cfg.compute_units())),
+            energy: shape.energy,
+            sub_ops: shape.sub_ops,
+            bbops_per_sub_op: shape.bbops_per_sub_op,
         })
     }
 }
@@ -196,6 +235,21 @@ mod tests {
         assert_eq!(serial.latency, parallel.latency * 2);
         // Energy is identical: the same work is done either way.
         assert_eq!(serial.energy, parallel.energy);
+    }
+
+    #[test]
+    fn shape_latency_counts_waves() {
+        let m = model();
+        // 64-bit elements: 1024 per row, so 4096 lanes are four sub-ops.
+        let shape = m.shape(OpType::Add, 64, 4096).unwrap();
+        assert_eq!(shape.sub_ops, 4);
+        for (units, waves) in [(0, 4), (1, 4), (2, 2), (3, 2), (4, 1), (128, 1)] {
+            let cost = m.op_cost(OpType::Add, 64, 4096, units.max(1)).unwrap();
+            assert_eq!(shape.latency(units), cost.latency, "{units} units");
+            assert_eq!(cost.latency, shape.latency(4) * waves, "{units} units");
+            assert_eq!(cost.energy, shape.energy);
+        }
+        assert!(m.shape(OpType::Div, 32, 4096).is_err());
     }
 
     #[test]

@@ -27,13 +27,13 @@ use conduit_dram::{DramTiming, PudModel};
 use conduit_flash::{FlashTiming, IfpModel, IfpPlacement};
 use conduit_ftl::{Ftl, SyncAction};
 use conduit_types::{
-    DataLocation, Duration, Energy, EnergySource, FaultConfig, LogicalPageId, OpType, Resource,
-    Result, SimTime, SsdConfig,
+    ConduitError, DataLocation, Duration, Energy, EnergySource, FaultConfig, LogicalPageId, OpType,
+    Resource, Result, SimTime, SsdConfig,
 };
 
 use crate::energy::EnergyMeter;
 use crate::estimates::{CostEstimate, EstimateTable, StripEstimates};
-use crate::state::{DeviceSnapshot, DeviceState, HOST_CACHE_PAGES};
+use crate::state::{check_geometry, DeviceSnapshot, DeviceState, HOST_CACHE_PAGES};
 use crate::stats::CostBreakdown;
 
 /// The outcome of one scheduled device operation.
@@ -252,8 +252,11 @@ impl SsdDevice {
     ///
     /// # Errors
     ///
-    /// Returns configuration errors from the core allocation.
+    /// Returns configuration errors for zero-byte flash pages, a DRAM
+    /// geometry without PuD compute units or DRAM rows narrower than one
+    /// 64-bit element, and from the core allocation.
     pub fn with_state(cfg: &SsdConfig, state: DeviceState) -> Result<Self> {
+        check_geometry(cfg)?;
         CoreAllocation::standard(&cfg.ctrl)?;
         Ok(SsdDevice {
             models: Arc::new(DeviceModels::new(cfg)),
@@ -530,28 +533,28 @@ impl SsdDevice {
     // Compute execution
     // ------------------------------------------------------------------
 
-    /// Executes one vector instruction on the chosen SSD compute resource.
-    /// Operands must already be at the resource's home location (use
-    /// [`SsdDevice::ensure_at`] first); `operand_pages` is used only to
-    /// derive the physical placement for in-flash execution.
+    /// Executes one vector instruction, of the operation and shape
+    /// `estimates` was resolved for ([`SsdDevice::estimate_strip`]), on the
+    /// chosen SSD compute resource. Operands must already be at the
+    /// resource's home location (use [`SsdDevice::ensure_at`] first);
+    /// `operand_pages` is used only to derive the physical placement for
+    /// in-flash execution.
     ///
     /// # Errors
     ///
-    /// Returns
-    /// [`ConduitError::UnsupportedOperation`](conduit_types::ConduitError::UnsupportedOperation)
-    /// if the resource cannot execute `op`.
+    /// Returns [`ConduitError::UnsupportedOperation`] if the resource cannot
+    /// execute the operation.
     pub fn execute(
         &mut self,
         resource: Resource,
-        op: OpType,
-        elem_bits: u32,
-        lanes: u32,
+        estimates: &StripEstimates,
         operand_pages: &[LogicalPageId],
         earliest: SimTime,
     ) -> Result<OpCompletion> {
+        let (op, elem_bits, lanes) = (estimates.op, estimates.elem_bits, estimates.lanes);
         match resource {
             Resource::Ifp => self.execute_ifp(op, elem_bits, lanes, operand_pages, earliest),
-            Resource::PudSsd => self.execute_pud(op, elem_bits, lanes, earliest),
+            Resource::PudSsd => self.execute_pud(estimates, earliest),
             Resource::Isp => Ok(self.execute_isp(op, elem_bits, lanes, earliest)),
         }
     }
@@ -597,42 +600,42 @@ impl SsdDevice {
         })
     }
 
-    /// Executes a processing-using-DRAM (PuD-SSD) operation.
+    /// Executes a processing-using-DRAM (PuD-SSD) operation of the shape
+    /// `estimates` was resolved for ([`SsdDevice::estimate_strip`]). Its
+    /// sub-operations are one gang reservation on the bank pool
+    /// ([`ResourcePool::reserve_gang`](crate::ResourcePool::reserve_gang)):
+    /// they run in waves over the subarrays free at `earliest`, each
+    /// reserving its unit for the whole service time, and any left over
+    /// queue for the earliest unit to free up.
     ///
     /// # Errors
     ///
-    /// Returns
-    /// [`ConduitError::UnsupportedOperation`](conduit_types::ConduitError::UnsupportedOperation)
-    /// for ops outside the PuD set.
+    /// Returns [`ConduitError::UnsupportedOperation`] for ops outside the
+    /// PuD set.
     pub fn execute_pud(
         &mut self,
-        op: OpType,
-        elem_bits: u32,
-        lanes: u32,
+        estimates: &StripEstimates,
         earliest: SimTime,
     ) -> Result<OpCompletion> {
-        // `op_cost` reads the free-bank count only through
-        // `ceil(sub_ops / banks)`, so counting past `sub_ops` changes nothing.
-        let sub_ops = self.models.pud.sub_ops(elem_bits, lanes) as usize;
-        let banks_free = self
-            .state
-            .dram_banks
-            .free_units_up_to(earliest, sub_ops)
-            .max(1) as u32;
-        let cost = self.models.pud.op_cost(op, elem_bits, lanes, banks_free)?;
-        let mut ready = earliest;
-        for _ in 0..cost.sub_ops {
-            let (_, end, _) = self.state.dram_banks.reserve(earliest, cost.latency);
-            ready = ready.max(end);
-        }
-        self.state.energy.charge(EnergySource::Pud, cost.energy);
+        let shape = estimates.pud.ok_or(ConduitError::UnsupportedOperation {
+            op: estimates.op,
+            resource: Resource::PudSsd,
+        })?;
+        // The free count never exceeds the pool's unit count, a `u32`.
+        let (latency, ready) =
+            self.state
+                .dram_banks
+                .reserve_gang(earliest, shape.sub_ops as usize, |free| {
+                    shape.latency(free as u32)
+                });
+        self.state.energy.charge(EnergySource::Pud, shape.energy);
         Ok(OpCompletion {
             ready,
             breakdown: CostBreakdown {
-                compute: cost.latency,
+                compute: latency,
                 ..CostBreakdown::zero()
             },
-            energy: cost.energy,
+            energy: shape.energy,
         })
     }
 
@@ -1067,17 +1070,17 @@ mod tests {
         let mut dev = device();
         dev.map_group(&pages(0..2), Some(0)).unwrap();
         let ps = pages(0..2);
+        let add = dev.estimate_strip(OpType::Add, 32, 4096, 16 * 1024);
         for resource in Resource::ALL {
-            let c = dev
-                .execute(resource, OpType::Add, 32, 4096, &ps, SimTime::ZERO)
-                .unwrap();
+            let c = dev.execute(resource, &add, &ps, SimTime::ZERO).unwrap();
             assert!(c.ready > SimTime::ZERO);
             assert!(c.energy > Energy::ZERO);
         }
-        let err = dev
-            .execute(Resource::Ifp, OpType::Div, 32, 4096, &ps, SimTime::ZERO)
-            .unwrap_err();
-        assert!(matches!(err, ConduitError::UnsupportedOperation { .. }));
+        let div = dev.estimate_strip(OpType::Div, 32, 4096, 16 * 1024);
+        for resource in [Resource::Ifp, Resource::PudSsd] {
+            let err = dev.execute(resource, &div, &ps, SimTime::ZERO).unwrap_err();
+            assert!(matches!(err, ConduitError::UnsupportedOperation { .. }));
+        }
     }
 
     #[test]
@@ -1176,10 +1179,35 @@ mod tests {
         assert_eq!(dev.snapshot().device_ops, 0);
         dev.execute_isp(OpType::Add, 32, 4096, SimTime::ZERO);
         assert_eq!(dev.snapshot().device_ops, 1);
-        let sub_ops = dev.models.pud.sub_ops(32, 4096) as u64;
-        dev.execute_pud(OpType::Add, 32, 4096, SimTime::ZERO)
-            .unwrap();
+        let add = dev.estimate_strip(OpType::Add, 32, 4096, 16 * 1024);
+        let sub_ops = add.pud.unwrap().sub_ops as u64;
+        dev.execute_pud(&add, SimTime::ZERO).unwrap();
         // One reservation per PuD sub-operation.
         assert_eq!(dev.snapshot().device_ops, 1 + sub_ops);
+    }
+
+    #[test]
+    fn pud_sub_ops_beyond_the_free_subarrays_run_in_waves() {
+        // One bank of three subarrays; 64-bit elements split 4096 lanes
+        // into four sub-operations.
+        let mut cfg = SsdConfig::small_for_tests();
+        cfg.dram.banks = 1;
+        cfg.dram.subarrays_per_bank = 3;
+        let mut dev = SsdDevice::new(&cfg).unwrap();
+        let add = dev.estimate_strip(OpType::Add, 64, 4096, 32 * 1024);
+        let shape = add.pud.unwrap();
+        assert_eq!(shape.sub_ops, 4);
+        // All three subarrays free: two waves; the fourth sub-operation
+        // queues behind the first wave on subarray 0.
+        let c = dev.execute_pud(&add, SimTime::ZERO).unwrap();
+        let two_waves = shape.latency(2);
+        assert_eq!(c.breakdown.compute, two_waves);
+        assert_eq!(c.ready, SimTime::ZERO + two_waves * 2);
+        assert_eq!(dev.snapshot().device_ops, 4);
+        // None free at time zero now: the service is four waves long, and
+        // each sub-operation queues for the earliest subarray.
+        let c = dev.execute_pud(&add, SimTime::ZERO).unwrap();
+        assert_eq!(c.breakdown.compute, shape.latency(1));
+        assert_eq!(dev.snapshot().device_ops, 8);
     }
 }

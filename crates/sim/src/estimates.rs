@@ -21,10 +21,12 @@
 //! untabled path in all cases. [`EstimateTable::estimate_batch`] gathers the
 //! per-(resource, location) lookups for one instruction shape into one
 //! [`StripEstimates`] value, which the run loop resolves once per shape per
-//! run. ISP execution reads its latency and energy from the same table.
+//! run, together with the shape's [`PudShape`], the wave-independent PuD
+//! cost that PuD execution reads. ISP execution reads its latency and
+//! energy from the table.
 
 use conduit_ctrl::IspModel;
-use conduit_dram::{DramTiming, PudModel};
+use conduit_dram::{DramTiming, PudModel, PudShape};
 use conduit_flash::{FlashTiming, IfpModel, IfpPlacement};
 use conduit_types::inst::{DEFAULT_ELEM_BITS, DEFAULT_LANES};
 use conduit_types::{DataLocation, Duration, Energy, EstimateKey, OpType, Resource, SsdConfig};
@@ -105,11 +107,22 @@ impl ShapeTable {
     }
 }
 
-/// Hoisted per-strip estimates: everything the cost function needs that
-/// depends only on the strip's (op, shape), not on the individual
-/// instruction. Indexed by [`Resource::index`] in [`Resource::ALL`] order.
+/// Hoisted per-strip estimates: everything the cost function and PuD
+/// execution need that depends only on the strip's (op, shape), not on the
+/// individual instruction. Indexed by [`Resource::index`] in
+/// [`Resource::ALL`] order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StripEstimates {
+    /// The operation the estimates are for.
+    pub op: OpType,
+    /// The element width in bits.
+    pub elem_bits: u32,
+    /// The lane count.
+    pub lanes: u32,
+    /// The shape's PuD cost apart from its wave count (`None` = PuD does
+    /// not support the operation), which
+    /// [`SsdDevice::execute_pud`](crate::SsdDevice::execute_pud) reads.
+    pub pud: Option<PudShape>,
     /// Un-contended compute estimate per candidate resource (`None` = the
     /// resource does not support the strip's operation).
     pub compute: [Option<CostEstimate>; RESOURCE_COUNT],
@@ -346,7 +359,14 @@ impl EstimateTable {
                 };
             }
         }
-        StripEstimates { compute, moves }
+        StripEstimates {
+            op,
+            elem_bits,
+            lanes,
+            pud: pud.shape(op, elem_bits, lanes).ok(),
+            compute,
+            moves,
+        }
     }
 }
 
@@ -457,6 +477,13 @@ mod tests {
                         None
                     };
                     assert_eq!(strip.compute_for(resource), expect);
+                    if resource == Resource::PudSsd {
+                        let shape = strip.pud.map(|s| CostEstimate {
+                            latency: s.latency(cfg.dram.compute_units()),
+                            energy: s.energy,
+                        });
+                        assert_eq!(shape, expect);
+                    }
                     for loc in DataLocation::ALL {
                         let exact = EstimateTable::evaluate_move(
                             &cfg,

@@ -29,7 +29,8 @@
 //! let mut dev = SsdDevice::new(&SsdConfig::small_for_tests())?;
 //! dev.map_pages(&[LogicalPageId::new(0)], None)?;
 //! let load = dev.ensure_at(LogicalPageId::new(0), DataLocation::Dram, SimTime::ZERO)?;
-//! let exec = dev.execute_pud(OpType::Add, 32, 4096, load.ready)?;
+//! let add = dev.estimate_strip(OpType::Add, 32, 4096, 16 * 1024);
+//! let exec = dev.execute_pud(&add, load.ready)?;
 //! assert!(exec.ready > load.ready);
 //! # Ok::<(), conduit_types::ConduitError>(())
 //! ```

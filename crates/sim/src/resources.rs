@@ -27,8 +27,22 @@
 //!   the lowest-index unit reaching it is the leftmost unit whose busy-until
 //!   is at most `t`: one descent from the root finds it.
 //! * [`ResourcePool::queue_delay`] reads the root.
-//! * [`ResourcePool::free_units_up_to`] visits only subtrees that hold a free
-//!   unit and stops at its cap.
+//! * [`ResourcePool::reserve_gang`] serves `count` equal sub-operations
+//!   arriving together at `earliest` (a PuD vector's row-wide sub-operations
+//!   on the bank pool) with one query. A scan collects the leftmost units
+//!   free at `earliest`, up to `count`: one descent finds the first, and
+//!   each next one is the leftmost free unit of the nearest right sibling
+//!   subtree that holds one, so busy subtrees are skipped whole. The caller
+//!   turns how many it found into the service time, those units are
+//!   reserved together, and each of their ancestors is refreshed once. The
+//!   sub-operations left over, when fewer units are free than `count`, go
+//!   through [`ResourcePool::reserve`] one at a time. The result is exactly
+//!   that of counting the free units and then making `count` sequential
+//!   [`ResourcePool::reserve`] calls: each of those takes the leftmost unit
+//!   still free at `earliest`, which stops being free once its reservation
+//!   ends after `earliest`. A reservation that ends *at* `earliest` (zero
+//!   service) leaves its unit free for the next call, so then every
+//!   sub-operation goes one at a time.
 //! * [`ResourcePool::utilization`] is an in-order sum over the units up to
 //!   the highest one that has ever been busy, one division per unit. A unit
 //!   that has never been busy adds exactly `+0.0` to a non-negative partial
@@ -215,6 +229,9 @@ pub struct ResourcePool {
     /// One past the highest unit with nonzero busy time: every unit from
     /// here on adds `+0.0` to [`ResourcePool::utilization`]'s sum.
     busy_prefix: usize,
+    /// Scratch for [`ResourcePool::reserve_gang`]: the units it collects.
+    /// Empty between calls.
+    gang: Vec<usize>,
 }
 
 impl PartialEq for ResourcePool {
@@ -239,6 +256,7 @@ impl ResourcePool {
             free_at: vec![SimTime::MAX; 2 * count.next_power_of_two()],
             busy_ns: vec![0.0; count],
             busy_prefix: 0,
+            gang: Vec::new(),
         };
         pool.rebuild_index();
         pool
@@ -292,12 +310,40 @@ impl ResourcePool {
         self.free_at[1].saturating_since(at)
     }
 
-    /// Number of units that are free at `at`, counting no further than
-    /// `cap`: the answer is `min(free units, cap)`.
-    pub fn free_units_up_to(&self, at: SimTime, cap: usize) -> usize {
-        // Padding leaves read as free only when `at` is `SimTime::MAX`, and
-        // then every real unit (all to their left) is counted first.
-        self.count_free(1, at, cap.min(self.units.len()))
+    /// Reserves `count` sub-operations arriving at `earliest`, each for the
+    /// same service time, exactly as `count` sequential
+    /// [`ResourcePool::reserve`] calls would (see the module documentation).
+    /// `service` receives how many units are free at `earliest`, counting
+    /// no further than `count`, and returns the service time. Returns that
+    /// service time and when the last sub-operation ends (`earliest` when
+    /// `count` is zero).
+    pub fn reserve_gang(
+        &mut self,
+        earliest: SimTime,
+        count: usize,
+        service: impl FnOnce(usize) -> Duration,
+    ) -> (Duration, SimTime) {
+        let mut gang = std::mem::take(&mut self.gang);
+        self.collect_free(earliest, count.min(self.units.len()), &mut gang);
+        let service = service(gang.len());
+        let end = earliest + service;
+        let mut ready = earliest;
+        let mut left = count;
+        if end > earliest && !gang.is_empty() {
+            for &idx in &gang {
+                self.reserve_leaf(idx, earliest, service);
+            }
+            left -= gang.len();
+            ready = end;
+            self.refresh_ancestors(&gang);
+        }
+        for _ in 0..left {
+            let (_, end, _) = self.reserve(earliest, service);
+            ready = ready.max(end);
+        }
+        gang.clear();
+        self.gang = gang;
+        (service, ready)
     }
 
     /// Mean utilization of the pool over `[ZERO, now]`: the in-order sum of
@@ -395,6 +441,23 @@ impl ResourcePool {
         earliest: SimTime,
         service: Duration,
     ) -> (SimTime, SimTime) {
+        let interval = self.reserve_leaf(idx, earliest, service);
+        let mut node = self.leaves() + idx;
+        while node > 1 {
+            node /= 2;
+            self.refresh(node);
+        }
+        interval
+    }
+
+    /// Reserves unit `idx` and refreshes its leaf and busy-time column
+    /// entry, leaving its ancestors to the caller.
+    fn reserve_leaf(
+        &mut self,
+        idx: usize,
+        earliest: SimTime,
+        service: Duration,
+    ) -> (SimTime, SimTime) {
         let leaves = self.leaves();
         let unit = &mut self.units[idx];
         let interval = unit.reserve(earliest, service);
@@ -402,13 +465,34 @@ impl ResourcePool {
         if !unit.total_busy.is_zero() {
             self.busy_prefix = self.busy_prefix.max(idx + 1);
         }
-        let mut node = leaves + idx;
-        self.free_at[node] = unit.busy_until;
-        while node > 1 {
-            node /= 2;
-            self.free_at[node] = self.free_at[2 * node].min(self.free_at[2 * node + 1]);
-        }
+        self.free_at[leaves + idx] = unit.busy_until;
         interval
+    }
+
+    /// Recomputes internal node `node` from its children.
+    #[inline]
+    fn refresh(&mut self, node: usize) {
+        self.free_at[node] = self.free_at[2 * node].min(self.free_at[2 * node + 1]);
+    }
+
+    /// Refreshes every ancestor of the units in `units` (ascending indices)
+    /// once: each unit's walk to the root stops below the node where its
+    /// path meets the next unit's, which that unit's walk refreshes later.
+    fn refresh_ancestors(&mut self, units: &[usize]) {
+        let leaves = self.leaves();
+        for (k, &idx) in units.iter().enumerate() {
+            let mut node = leaves + idx;
+            // Node 0 is nobody's ancestor: the last unit walks to the root.
+            let mut next = units.get(k + 1).map_or(0, |&j| leaves + j);
+            while node > 1 {
+                node /= 2;
+                next /= 2;
+                if node == next {
+                    break;
+                }
+                self.refresh(node);
+            }
+        }
     }
 
     /// Recomputes the whole index from the units (at construction and after
@@ -420,7 +504,7 @@ impl ResourcePool {
             self.busy_ns[i] = unit.total_busy.as_ns();
         }
         for node in (1..leaves).rev() {
-            self.free_at[node] = self.free_at[2 * node].min(self.free_at[2 * node + 1]);
+            self.refresh(node);
         }
         self.busy_prefix = self
             .units
@@ -429,16 +513,46 @@ impl ResourcePool {
             .map_or(0, |i| i + 1);
     }
 
-    /// Counts free leaves under `node`, stopping at `cap`.
-    fn count_free(&self, node: usize, at: SimTime, cap: usize) -> usize {
-        if cap == 0 || self.free_at[node] > at {
-            return 0;
+    /// Appends to `out`, left to right, the units free at `at`, until `out`
+    /// holds `cap`. One descent finds the leftmost; from each unit the scan
+    /// climbs to the nearest right sibling that holds a free unit and
+    /// descends to that subtree's leftmost, so it skips busy subtrees whole
+    /// and reaches a free neighbour in a step or two. Padding leaves read as
+    /// free only when `at` is [`SimTime::MAX`], after every real unit, and
+    /// the scan stops at the first of them.
+    fn collect_free(&self, at: SimTime, cap: usize, out: &mut Vec<usize>) {
+        if cap == 0 || self.free_at[1] > at {
+            return;
         }
-        if node >= self.leaves() {
-            return 1;
+        let leaves = self.leaves();
+        let mut node = 1;
+        loop {
+            while node < leaves {
+                node = if self.free_at[2 * node] <= at {
+                    2 * node
+                } else {
+                    2 * node + 1
+                };
+            }
+            let idx = node - leaves;
+            if idx >= self.units.len() {
+                return;
+            }
+            out.push(idx);
+            if out.len() == cap {
+                return;
+            }
+            loop {
+                if node == 1 {
+                    return;
+                }
+                if node % 2 == 0 && self.free_at[node + 1] <= at {
+                    node += 1;
+                    break;
+                }
+                node /= 2;
+            }
         }
-        let left = self.count_free(2 * node, at, cap);
-        left + self.count_free(2 * node + 1, at, cap - left)
     }
 }
 
@@ -513,9 +627,6 @@ mod tests {
         for _ in 0..4 {
             p.reserve(SimTime::ZERO, us(10.0));
         }
-        assert_eq!(p.free_units_up_to(SimTime::ZERO, 4), 0);
-        assert_eq!(p.free_units_up_to(SimTime::ZERO + us(10.0), 4), 4);
-        assert_eq!(p.free_units_up_to(SimTime::ZERO + us(10.0), 3), 3);
         assert_eq!(p.queue_delay(SimTime::ZERO), us(10.0));
         assert_eq!(p.completed(), 4);
         // A fifth request queues on whichever unit frees first.
@@ -560,6 +671,36 @@ mod tests {
         assert_eq!(p.queue_delay(SimTime::ZERO), us(2.0));
         let (start, _, idx) = p.reserve(SimTime::ZERO, us(1.0));
         assert_eq!((start, idx), (SimTime::ZERO + us(2.0), 1));
+    }
+
+    #[test]
+    fn gang_reserves_the_leftmost_free_units_then_queues_the_rest() {
+        let mut p = ResourcePool::new(4);
+        p.reserve_unit(1, SimTime::ZERO, us(4.0));
+        // Units 0, 2 and 3 are free: three of five sub-operations run at
+        // once, for two waves of 2 us each. Then every unit frees at 4 us,
+        // and the other two queue on units 0 and 1 (ties go to the lowest
+        // index).
+        let mut free_seen = None;
+        let (service, ready) = p.reserve_gang(SimTime::ZERO, 5, |free| {
+            free_seen = Some(free);
+            us(2.0) * 5u64.div_ceil(free.max(1) as u64)
+        });
+        assert_eq!(free_seen, Some(3));
+        assert_eq!(service, us(4.0));
+        assert_eq!(ready, SimTime::ZERO + us(8.0));
+        assert_eq!(p.completed(), 6);
+        assert_eq!(p.units[0].free_at(), SimTime::ZERO + us(8.0));
+        assert_eq!(p.units[1].free_at(), SimTime::ZERO + us(8.0));
+        assert_eq!(p.units[2].free_at(), SimTime::ZERO + us(4.0));
+
+        // Zero service leaves every unit free: all sub-operations land on
+        // the leftmost free unit, as sequential reservations would.
+        let mut p = ResourcePool::new(3);
+        let (service, ready) = p.reserve_gang(SimTime::ZERO, 3, |_| Duration::ZERO);
+        assert_eq!((service, ready), (Duration::ZERO, SimTime::ZERO));
+        assert_eq!(p.units[0].completed(), 3);
+        assert_eq!(p.completed(), 3);
     }
 
     #[test]
@@ -701,6 +842,23 @@ mod tests {
             self.units.iter().filter(|u| u.free_at() <= at).count()
         }
 
+        /// The reference for [`ResourcePool::reserve_gang`]: count the free
+        /// units capped at `count`, compute the service time, then make
+        /// `count` sequential reservations.
+        fn reserve_gang(
+            &mut self,
+            earliest: SimTime,
+            count: usize,
+            service: impl FnOnce(usize) -> Duration,
+        ) -> (Duration, SimTime) {
+            let service = service(self.free_units(earliest).min(count));
+            let mut ready = earliest;
+            for _ in 0..count {
+                ready = ready.max(self.reserve(earliest, service).1);
+            }
+            (service, ready)
+        }
+
         fn utilization(&self, now: SimTime) -> f64 {
             self.units.iter().map(|u| u.utilization(now)).sum::<f64>() / self.units.len() as f64
         }
@@ -731,15 +889,14 @@ mod tests {
                 model.utilization(at).to_bits(),
                 "{ctx}: utilization at {at:?}"
             );
-            let free = model.free_units(at);
-            for cap in 0..=pool.len() + 1 {
-                assert_eq!(
-                    pool.free_units_up_to(at, cap),
-                    free.min(cap),
-                    "{ctx}: free units at {at:?} capped at {cap}"
-                );
-            }
+            let mut gang = Vec::new();
+            pool.collect_free(at, pool.len(), &mut gang);
+            let free: Vec<usize> = (0..model.units.len())
+                .filter(|&i| model.units[i].free_at() <= at)
+                .collect();
+            assert_eq!(gang, free, "{ctx}: units free at {at:?}");
         }
+        assert!(pool.gang.is_empty(), "{ctx}: gang scratch left behind");
     }
 
     #[test]
@@ -822,7 +979,30 @@ mod tests {
                 _ => 0,
             });
             let service = Duration::from_ps(1_000 * (rng.next_u64() % 6));
-            let end = if rng.next_u64().is_multiple_of(3) {
+            let choice = rng.next_u64() % 6;
+            let end = if choice < 2 {
+                // A gang of sub-operations, counted below, at and above both
+                // the free units and the pool size (zero included); the
+                // service time falls with the free count as PuD's waves do,
+                // and is zero when `service` is.
+                let free = model.free_units(earliest);
+                let count = match rng.next_u64() % 6 {
+                    0 => free.saturating_sub(1),
+                    1 => free,
+                    2 => free + 1 + rng.next_u64() as usize % 3,
+                    3 => size.saturating_sub(1),
+                    4 => size,
+                    _ => size + 1 + rng.next_u64() as usize % (size + 1),
+                };
+                // At least one wave, so a zero-count gang still has a
+                // service time to misapply.
+                let waves = |free: usize| service * count.div_ceil(free.max(1)).max(1) as u64;
+                let expected = model.reserve_gang(earliest, count, waves);
+                for pool in &mut pools {
+                    assert_eq!(pool.reserve_gang(earliest, count, waves), expected, "{ctx}");
+                }
+                expected.1
+            } else if choice < 4 {
                 // A specific unit; indices up to twice the size wrap.
                 let unit = rng.next_u64() as usize % (2 * size + 1);
                 let expected = model.reserve_unit(unit, earliest, service);
@@ -838,11 +1018,13 @@ mod tests {
                 }
                 expected.1
             };
+            // At `SimTime::MAX` the padding leaves read as free too.
             let probes = [
                 SimTime::ZERO,
                 earliest,
                 end,
                 SimTime::from_ps(1_000 * (rng.next_u64() % 64)),
+                SimTime::MAX,
             ];
             if step % RESTORE_EVERY == RESTORE_EVERY - 1 {
                 let copies = restored_copies(&pools[0], &mut rng);

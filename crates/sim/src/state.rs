@@ -21,6 +21,7 @@ use std::collections::VecDeque;
 use conduit_ftl::Ftl;
 use conduit_types::bytes::{put_u16, put_u64, Reader};
 use conduit_types::hash::PageSet;
+use conduit_types::inst::MAX_ELEM_BITS;
 use conduit_types::{
     ConduitError, DeviceHealth, Duration, Energy, FaultConfig, LogicalPageId, Result, SsdConfig,
 };
@@ -87,15 +88,43 @@ pub struct DeviceState {
     pub(crate) lane_window: LaneStats,
 }
 
+/// The geometry every device constructor checks before it builds a model
+/// that divides by a page or row size.
+///
+/// # Errors
+///
+/// Returns [`ConduitError::InvalidConfig`] for zero-byte flash pages, a
+/// DRAM geometry without PuD compute units, or DRAM rows narrower than one
+/// [`MAX_ELEM_BITS`]-bit element (a PuD sub-operation would then hold no
+/// element of a valid program's widest width).
+pub(crate) fn check_geometry(cfg: &SsdConfig) -> Result<()> {
+    if cfg.flash.page_bytes == 0 {
+        return Err(ConduitError::invalid_config("flash pages hold no bytes"));
+    }
+    if cfg.dram.compute_units() == 0 {
+        return Err(ConduitError::invalid_config(
+            "DRAM geometry has no PuD compute units",
+        ));
+    }
+    if cfg.dram.row_bytes.saturating_mul(8) < u64::from(MAX_ELEM_BITS) {
+        return Err(ConduitError::invalid_config(format!(
+            "DRAM rows of {} bytes hold no {MAX_ELEM_BITS}-bit element",
+            cfg.dram.row_bytes
+        )));
+    }
+    Ok(())
+}
+
 impl DeviceState {
     /// A pristine device state for the given configuration: empty FTL, idle
     /// timelines, nothing resident, no energy charged.
     ///
     /// # Errors
     ///
-    /// Returns configuration errors from the FTL (degenerate flash
-    /// geometry), a DRAM geometry without PuD compute units, or the core
-    /// allocation.
+    /// Returns configuration errors for zero-byte flash pages, a DRAM
+    /// geometry without PuD compute units or DRAM rows narrower than one
+    /// 64-bit element, and from the FTL (degenerate flash geometry) or the
+    /// core allocation.
     pub fn new(cfg: &SsdConfig) -> Result<Self> {
         Self::new_with_faults(cfg, FaultConfig::default())
     }
@@ -111,13 +140,9 @@ impl DeviceState {
     /// geometry), a DRAM geometry without PuD compute units, or the core
     /// allocation.
     pub fn new_with_faults(cfg: &SsdConfig, faults: FaultConfig) -> Result<Self> {
+        check_geometry(cfg)?;
         let ftl = Ftl::with_faults(cfg, faults)?;
         let pud_units = cfg.dram.compute_units() as usize;
-        if pud_units == 0 {
-            return Err(ConduitError::invalid_config(
-                "DRAM geometry has no PuD compute units",
-            ));
-        }
         let total_dies = (cfg.flash.channels * cfg.flash.dies_per_channel) as usize;
         let compute_core_count = conduit_ctrl::CoreAllocation::standard(&cfg.ctrl)?
             .count(conduit_ctrl::CoreRole::Compute)

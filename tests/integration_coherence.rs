@@ -122,15 +122,9 @@ fn unsupported_op_on_restricted_resource_errors_cleanly() {
     let cfg = SsdConfig::small_for_tests();
     let mut dev = SsdDevice::new(&cfg).unwrap();
     dev.map_pages(&pages(0..8), None).unwrap();
+    let scalar = dev.estimate_strip(OpType::Scalar, 32, 4096, 16 * 1024);
     let err = dev
-        .execute(
-            Resource::PudSsd,
-            OpType::Scalar,
-            32,
-            4096,
-            &pages(0..1),
-            SimTime::ZERO,
-        )
+        .execute(Resource::PudSsd, &scalar, &pages(0..1), SimTime::ZERO)
         .unwrap_err();
     assert!(matches!(
         err,

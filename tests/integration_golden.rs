@@ -20,6 +20,13 @@ fn figure_sweep_matches_the_golden_output() {
     assert_golden("repro_all_quick", &Harness::quick().all());
 }
 
+/// The paper-scale sweep (`repro all`), where PuD bank pools saturate: in
+/// fig7a alone thousands of PuD instructions find no free subarray.
+#[test]
+fn paper_scale_figure_sweep_matches_the_golden_output() {
+    assert_golden("repro_all_paper", &Harness::paper().all());
+}
+
 /// Checks one smoke target's `repro <target> --smoke` output.
 fn smoke(target: &str, report: fn(bool) -> String) {
     let name = format!("repro_{}_smoke", target.replace('-', "_"));

@@ -18,7 +18,7 @@
 
 use conduit::{Policy, RunOutcome, RunRequest, Session};
 use conduit_types::{
-    Duration, LogicalPageId, OpType, Operand, SsdConfig, VectorInst, VectorProgram,
+    ConduitError, Duration, LogicalPageId, OpType, Operand, SsdConfig, VectorInst, VectorProgram,
 };
 
 /// A program that reads pages 0/4/8 and stores its result to page 12 —
@@ -331,4 +331,113 @@ fn fresh_mode_results_match_a_dedicated_session() {
         .unwrap();
 
     assert_eq!(from_mixed, from_pristine);
+}
+
+/// A two-instruction program reading pages `base`, `base + 4` and
+/// `base + 8`.
+fn reader_at(name: &str, base: u64) -> VectorProgram {
+    let mut prog = VectorProgram::new(name);
+    let x = prog.push_binary(OpType::Xor, Operand::page(base), Operand::page(base + 4));
+    prog.push_binary(OpType::Add, Operand::result(x), Operand::page(base + 8));
+    prog
+}
+
+// A warm device prepares each registered program once and then skips the
+// prepare, since it would map nothing. The record of prepared programs
+// lives and dies with the device.
+
+#[test]
+fn a_reset_device_prepares_its_programs_again() {
+    let mut session = Session::new(SsdConfig::small_for_tests());
+    let id = session.register(writer_program()).unwrap();
+    let dev = session.create_device("tenant");
+    let request = RunRequest::new(id, Policy::Conduit).on_device(dev);
+    let first = session.submit(&request).unwrap();
+    session.submit(&request).unwrap();
+    session.reset_device(dev);
+    // The rebuilt device maps the program's pages again (a run over
+    // unmapped pages would fail), so it replays the first run exactly.
+    assert_eq!(session.submit(&request).unwrap(), first);
+}
+
+#[test]
+fn an_imported_device_prepares_its_programs_again() {
+    // The exporter's device has run only `q`. The importer's device of the
+    // same name has run `p`, and the import replaces it in place: the
+    // revived device must not inherit the record that `p` is prepared.
+    let cfg = SsdConfig::small_for_tests();
+    let mut exporter = Session::new(cfg.clone());
+    let p = exporter.register(reader_at("p", 0)).unwrap();
+    let q = exporter.register(reader_at("q", 1024)).unwrap();
+    let dev = exporter.create_device("tenant");
+    exporter
+        .submit(&RunRequest::new(q, Policy::Conduit).on_device(dev))
+        .unwrap();
+    let bytes = exporter.export_device(dev).unwrap();
+
+    let mut importer = Session::new(cfg);
+    let imported_p = importer.register(reader_at("p", 0)).unwrap();
+    let local = importer.create_device("tenant");
+    importer
+        .submit(&RunRequest::new(imported_p, Policy::Conduit).on_device(local))
+        .unwrap();
+    let revived = importer.import_device("tenant", &bytes).unwrap();
+    assert_eq!(revived, local);
+
+    let continued = exporter
+        .submit(&RunRequest::new(p, Policy::Conduit).on_device(dev))
+        .unwrap();
+    let replayed = importer
+        .submit(&RunRequest::new(imported_p, Policy::Conduit).on_device(revived))
+        .unwrap();
+    assert_eq!(replayed, continued);
+}
+
+#[test]
+fn a_failed_prepare_is_not_recorded() {
+    let cfg = SsdConfig::small_for_tests();
+    // The first instructions' pages fit on the device, the last one's do
+    // not: prepare maps the first ones and then fails.
+    let mut prog = reader_at("overflow", 0);
+    prog.push_binary(
+        OpType::Add,
+        Operand::page(0),
+        Operand::page(cfg.logical_pages()),
+    );
+    let mut session = Session::new(cfg);
+    let id = session.register(prog).unwrap();
+    let dev = session.create_device("tenant");
+    let request = RunRequest::new(id, Policy::Conduit).on_device(dev);
+    let first = session.submit(&request).unwrap_err();
+    assert!(
+        matches!(first, ConduitError::PageOutOfRange { .. }),
+        "{first:?}"
+    );
+    // Every retry prepares again and fails before any instruction runs; a
+    // recorded prepare would have run the first instructions.
+    for _ in 0..2 {
+        assert_eq!(session.submit(&request).unwrap_err(), first);
+    }
+    assert_eq!(session.device_snapshot(dev).device_ops, 0);
+}
+
+#[test]
+fn inline_programs_prepare_on_every_request() {
+    let mut session = Session::new(SsdConfig::small_for_tests());
+    let dev = session.create_device("tenant");
+    let mut registered = Session::new(SsdConfig::small_for_tests());
+    let reference = registered.create_device("tenant");
+    // Each program reads pages no earlier request mapped, so each run
+    // needs its own prepare.
+    for base in [0, 1024, 2048] {
+        let program = reader_at("inline", base);
+        let inline = session
+            .submit(&RunRequest::inline(program.clone(), Policy::Conduit).on_device(dev))
+            .unwrap();
+        let id = registered.register(program).unwrap();
+        let expected = registered
+            .submit(&RunRequest::new(id, Policy::Conduit).on_device(reference))
+            .unwrap();
+        assert_eq!(inline, expected);
+    }
 }
