@@ -17,7 +17,7 @@ use conduit_workloads::{Scale, Workload};
 /// The committed paper-scale value of [`WorkCount::ops_per_instruction`].
 /// A change that moves the counter on purpose edits this constant, and the
 /// diff shows the old and new value.
-pub const BASELINE_OPS_PER_INSTRUCTION: f64 = 2.901635;
+pub const BASELINE_OPS_PER_INSTRUCTION: f64 = 2.902427;
 
 /// How far, as a fraction of the baseline, the counter may move in either
 /// direction before the gate fails.

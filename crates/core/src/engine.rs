@@ -230,12 +230,14 @@ impl RuntimeEngine {
         for inst in program.iter() {
             let span = Self::pages_per_vector(inst);
             if Resource::Ifp.supports(inst.op) && inst.src_pages().nth(1).is_some() {
-                // Co-locate slice k of every operand in one block; spread the
-                // slices across planes for multi-plane parallelism.
+                // Co-locate slice k of every operand in one block; the
+                // groups take the allocator's round-robin plane cursor, so
+                // the slices spread across planes for multi-plane
+                // parallelism.
                 for k in 0..span {
                     pages.clear();
                     pages.extend(inst.src_pages().map(|p| p.offset(k)));
-                    device.map_group(&pages, Some(k))?;
+                    device.map_group(&pages, None)?;
                 }
             } else {
                 for p in inst.src_pages() {
@@ -296,6 +298,13 @@ impl RuntimeEngine {
             .pop()
             .unwrap_or_default();
         let result = self.execute(device, program, options, plan, &mut scratch);
+        // Idle gaps are run-scoped: none outlives the run that opened it.
+        device.end_run(
+            result
+                .as_ref()
+                .ok()
+                .map(|report| options.start + report.total_time),
+        );
         self.scratch
             .lock()
             .unwrap_or_else(|e| e.into_inner())

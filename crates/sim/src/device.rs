@@ -286,6 +286,22 @@ impl SsdDevice {
         self.state.snapshot()
     }
 
+    /// Ends a run on this device that finished at `finish`, or failed
+    /// (`None`): every contention timeline drops its idle gaps (see
+    /// [`SharedResource`](crate::SharedResource)). Gaps are run-scoped: none
+    /// ends after the run's finish, which debug builds check, and the next
+    /// run issues at or after it, so no later reservation could start in
+    /// one.
+    pub fn end_run(&mut self, finish: Option<SimTime>) {
+        let last_gap = self.state.clear_gaps();
+        if let (Some(finish), Some(last_gap)) = (finish, last_gap) {
+            debug_assert!(
+                last_gap <= finish,
+                "an idle gap ends at {last_gap}, after the run's finish at {finish}"
+            );
+        }
+    }
+
     /// Folds one served lane request into the device's lane statistics (see
     /// [`DeviceState::record_lane_request`]).
     pub fn record_lane_request(
@@ -444,9 +460,11 @@ impl SsdDevice {
             SyncAction::None => OpCompletion::immediate(earliest),
             SyncAction::FlushToFlash { from } => self.commit_page(page, from, earliest)?,
         };
-        // Any SSD-side write supersedes a copy the host may hold.
-        if writer != DataLocation::Host {
-            self.state.host_resident.remove(&page);
+        // Any SSD-side write supersedes a copy the host may hold: drop it
+        // from the host set and its eviction queue, as `evict_residency`
+        // does for DRAM and SRAM.
+        if writer != DataLocation::Host && self.state.host_resident.remove(&page) {
+            self.state.host_order.retain(|&queued| queued != page);
         }
         self.note_residency(page, writer);
         Ok(completion)
@@ -1184,6 +1202,39 @@ mod tests {
         dev.execute_pud(&add, SimTime::ZERO).unwrap();
         // One reservation per PuD sub-operation.
         assert_eq!(dev.snapshot().device_ops, 1 + sub_ops);
+    }
+
+    #[test]
+    fn ssd_writes_drop_host_copies_from_the_host_queue_too() {
+        // Four pages read to the host and then written in DRAM, round after
+        // round. Each write supersedes the host's copy, so the page must
+        // leave the host's eviction queue as well as its set: otherwise the
+        // queue, and every checkpoint, grows by one entry per page per
+        // round.
+        let mut dev = device();
+        dev.map_pages(&pages(0..4), None).unwrap();
+        let mut now = SimTime::ZERO;
+        let mut checkpoint_bytes = Vec::new();
+        for round in 1..=40 {
+            for page in pages(0..4) {
+                now = dev.ensure_at(page, DataLocation::Host, now).unwrap().ready;
+                now = dev
+                    .record_result_write(page, DataLocation::Dram, now)
+                    .unwrap()
+                    .ready;
+            }
+            if round == 8 || round == 40 {
+                checkpoint_bytes.push(dev.state.to_bytes().len());
+            }
+        }
+        assert!(dev.state.host_resident.is_empty());
+        assert!(dev.state.host_order.is_empty());
+        let (early, late) = (checkpoint_bytes[0], checkpoint_bytes[1]);
+        // 32 more rounds would add 4 × 32 queue entries of 8 bytes each.
+        assert!(
+            late < early + 64,
+            "checkpoint grew from {early} to {late} bytes"
+        );
     }
 
     #[test]

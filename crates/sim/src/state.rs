@@ -23,7 +23,8 @@ use conduit_types::bytes::{put_u16, put_u64, Reader};
 use conduit_types::hash::PageSet;
 use conduit_types::inst::MAX_ELEM_BITS;
 use conduit_types::{
-    ConduitError, DeviceHealth, Duration, Energy, FaultConfig, LogicalPageId, Result, SsdConfig,
+    ConduitError, DeviceHealth, Duration, Energy, FaultConfig, LogicalPageId, Result, SimTime,
+    SsdConfig,
 };
 
 use crate::energy::EnergyMeter;
@@ -229,6 +230,24 @@ impl DeviceState {
             + self.pcie.completed()
     }
 
+    /// Drops the idle gaps of every contention timeline (a run has ended;
+    /// see [`crate::resources`]), returning when the last of them ended.
+    pub(crate) fn clear_gaps(&mut self) -> Option<SimTime> {
+        let singles = self
+            .channels
+            .iter_mut()
+            .chain([&mut self.dram_bus, &mut self.offloader_core, &mut self.pcie])
+            .filter_map(SharedResource::clear_gaps);
+        let pools = [
+            &mut self.dies,
+            &mut self.dram_banks,
+            &mut self.compute_cores,
+        ]
+        .into_iter()
+        .filter_map(ResourcePool::clear_gaps);
+        singles.chain(pools).max()
+    }
+
     /// Cumulative counters of everything that has happened to this device
     /// since it was pristine.
     pub fn snapshot(&self) -> DeviceSnapshot {
@@ -300,12 +319,11 @@ impl DeviceState {
         self.offloader_core.encode_into(&mut out);
         self.pcie.encode_into(&mut out);
         // Residency is a set plus an eviction queue, serialized separately:
-        // the queue may legitimately hold stale entries (an SSD-side write
-        // drops a page from the host set but not from its queue, and older
-        // checkpoints kept committed pages in the DRAM and SRAM queues) and
-        // is therefore not a reliable source for rebuilding the set. Sets
-        // are written sorted so the encoding is deterministic; queues keep
-        // their exact order.
+        // the queue may hold stale entries (older checkpoints kept committed
+        // pages in the DRAM and SRAM queues, and pages an SSD-side write
+        // superseded in the host queue) and is therefore not a reliable
+        // source for rebuilding the set. Sets are written sorted so the
+        // encoding is deterministic; queues keep their exact order.
         for (resident, order) in [
             (&self.dram_resident, &self.dram_order),
             (&self.ctrl_resident, &self.ctrl_order),
@@ -788,7 +806,8 @@ mod tests {
                 capacity + 1
             );
         }
-        // Queue entries outside the set are what eviction leaves behind.
+        // Queue entries outside the set, which older checkpoints hold, still
+        // decode.
         let mut stale = DeviceState::new(&cfg).unwrap();
         stale.host_order.extend((0..3).map(LogicalPageId::new));
         stale.host_resident.insert(LogicalPageId::new(1));

@@ -1,14 +1,14 @@
 //! The strip-batched run loop against the golden outcome oracle.
 //!
 //! The engine once had three run loops: a per-instruction scalar loop, the
-//! strip-batched loop, and a pooled evaluate/commit loop. Before the scalar
-//! and pooled loops were deleted, every scenario below was recorded into
-//! `tests/golden/batched_*.txt` from the scalar reference loop
-//! (`CONDUIT_SCALAR=1`), and the other two loops reproduced those files byte
-//! for byte. The batched loop — now the only one — must keep reproducing
-//! them: for every workload and policy, on fresh and warm devices, submitted
-//! one at a time or fanned out across worker threads. See `tests/common` for
-//! the file format and `CONDUIT_REGEN_GOLDEN=1`.
+//! strip-batched loop, and a pooled evaluate/commit loop. Every scenario
+//! below was first recorded into `tests/golden/batched_*.txt` from the
+//! scalar reference loop, and the other two loops reproduced those files
+//! byte for byte. The batched loop is now the only one; a change to the
+//! model regenerates the files from it. It must reproduce them for every
+//! workload and policy, on fresh and warm devices, submitted one at a time
+//! or fanned out across worker threads. See `tests/common` for the file
+//! format and `CONDUIT_REGEN_GOLDEN=1`.
 
 mod common;
 
@@ -52,14 +52,14 @@ fn every_workload_and_policy(session: &mut Session, batched: bool, mut golden: G
 }
 
 #[test]
-fn batched_path_matches_scalar_for_every_workload_and_policy() {
+fn serial_submits_match_the_golden_for_every_workload_and_policy() {
     let mut session = Session::builder(SsdConfig::small_for_tests()).build();
     let golden = Golden::new("batched_every_workload_and_policy");
     every_workload_and_policy(&mut session, false, golden).check();
 }
 
 #[test]
-fn parallel_path_matches_scalar_for_every_workload_policy_and_pool_size() {
+fn batches_match_the_golden_for_every_workload_policy_and_pool_size() {
     // The fresh fan-out of `submit_batch` on pools of every size reproduces
     // the serially recorded outcomes.
     for workers in [2, 4, 8] {
@@ -77,7 +77,7 @@ const WARM_ROUNDS: usize = 3;
 const WARM_POLICIES: [Policy; 3] = [Policy::Conduit, Policy::DmOffloading, Policy::Ideal];
 
 #[test]
-fn batched_path_matches_scalar_on_warm_devices() {
+fn serial_submits_match_the_golden_on_warm_devices() {
     let mut session = Session::builder(SsdConfig::small_for_tests()).build();
     let id = session
         .register(Workload::Jacobi1d.program(Scale::test()).unwrap())
@@ -97,7 +97,7 @@ fn batched_path_matches_scalar_on_warm_devices() {
 }
 
 #[test]
-fn parallel_path_matches_scalar_on_warm_devices_across_rounds() {
+fn batches_match_the_golden_on_warm_devices_across_rounds() {
     // Three devices age through the same stream, each round submitted as
     // one batch whose three device lanes run in parallel on four workers.
     // Every device must reproduce the serially recorded stream, which also
@@ -136,7 +136,7 @@ fn parallel_path_matches_scalar_on_warm_devices_across_rounds() {
 }
 
 #[test]
-fn batched_path_matches_scalar_under_the_thread_pool() {
+fn four_worker_batches_match_the_golden_and_serial_submits() {
     let mut session = Session::builder(SsdConfig::small_for_tests())
         .workers(4)
         .build();
@@ -178,7 +178,7 @@ fn run_fresh(program: &VectorProgram, policy: Policy) -> RunReport {
 }
 
 #[test]
-fn single_instruction_programs_are_one_strip_and_match_scalar() {
+fn single_instruction_programs_are_one_strip() {
     let mut prog = VectorProgram::new("one-inst");
     prog.push_binary(OpType::Xor, Operand::page(0), Operand::page(4));
     let plan = StripPlan::plan(&prog, Policy::Conduit, conduit::CostFunction::conduit());
@@ -194,7 +194,7 @@ fn single_instruction_programs_are_one_strip_and_match_scalar() {
 }
 
 #[test]
-fn fully_heterogeneous_programs_degenerate_to_unit_strips_and_match_scalar() {
+fn fully_heterogeneous_programs_degenerate_to_unit_strips() {
     // Every consecutive pair differs in op (or shape): the planner must
     // produce only unit-length strips — the all-tails worst case.
     let mut prog = VectorProgram::new("hetero");

@@ -2,8 +2,9 @@
 //! under Conduit (via the session API) and their measured characteristics
 //! keep the Table 3 shape.
 
-use conduit::{CostFunction, Policy, RunRequest, Session};
-use conduit_types::{Duration, Energy, SsdConfig};
+use conduit::{CostFunction, Policy, RunRequest, RuntimeEngine, Session};
+use conduit_sim::SsdDevice;
+use conduit_types::{Duration, Energy, Resource, SsdConfig, PAGE_BYTES};
 use conduit_workloads::{characterize, Scale, Workload};
 
 fn session() -> Session {
@@ -145,4 +146,43 @@ fn paper_scale_llama_timeline_supports_figure_10() {
     assert_eq!(timeline.len(), full.summary.instructions);
     // Opting in to artifacts must not change the summary.
     assert_eq!(cheap.summary, full.summary);
+}
+
+#[test]
+fn paper_scale_operand_groups_spread_over_the_planes() {
+    // `prepare` co-locates slice k of an in-flash-capable instruction's
+    // operands in one block. The groups take the allocator's round-robin
+    // plane cursor, so no plane holds more than an even share of them plus
+    // one, and operand reads spread over the dies.
+    let cfg = SsdConfig::default();
+    let program = Workload::LlamaInference.program(Scale::new(4, 1)).unwrap();
+    let mut device = SsdDevice::new(&cfg).unwrap();
+    RuntimeEngine::new(&cfg)
+        .prepare(&mut device, &program)
+        .unwrap();
+    let geometry = device.ftl().flash_state().geometry();
+    let mut per_plane = vec![0u64; geometry.total_planes() as usize];
+    for inst in program.iter() {
+        let mut srcs = inst.src_pages();
+        let (Some(first), Some(_)) = (srcs.next(), srcs.next()) else {
+            continue;
+        };
+        if !Resource::Ifp.supports(inst.op) {
+            continue;
+        }
+        for k in 0..inst.vector_bytes().div_ceil(PAGE_BYTES).max(1) {
+            let addr = device.ftl().peek(first.offset(k)).expect("prepared");
+            per_plane[geometry.plane_index_of(addr) as usize] += 1;
+        }
+    }
+    let slices: u64 = per_plane.iter().sum();
+    let busiest = per_plane.iter().copied().max().unwrap_or(0);
+    let bound = slices.div_ceil(per_plane.len() as u64) + 1;
+    assert!(slices > 0, "LLaMA2 has in-flash-capable operand groups");
+    assert!(
+        busiest <= bound,
+        "one plane holds {busiest} of {slices} operand-group slices \
+         (bound {bound} over {} planes)",
+        per_plane.len()
+    );
 }
