@@ -53,7 +53,7 @@ pub fn arrival_sweep_report(quick: bool) -> String {
     let (cfg, scale) = if quick {
         (SsdConfig::small_for_tests(), Scale::test())
     } else {
-        (SsdConfig::default(), Scale::new(4, 1))
+        (SsdConfig::default(), Scale::paper())
     };
     let n = requests_per_tenant(quick);
 

@@ -62,7 +62,7 @@ pub struct Harness {
 impl Harness {
     /// Harness at the scale used to regenerate the paper's figures.
     pub fn paper() -> Self {
-        Harness::new(SsdConfig::default(), Scale::new(4, 1))
+        Harness::new(SsdConfig::default(), Scale::paper())
     }
 
     /// A reduced-scale harness for smoke tests.

@@ -37,7 +37,7 @@ impl WorkCount {
     /// Runs every workload once under Conduit at the scale the paper's
     /// figures use: the count the gate compares with its baseline.
     pub fn paper() -> WorkCount {
-        WorkCount::measure(SsdConfig::default(), Scale::new(4, 1))
+        WorkCount::measure(SsdConfig::default(), Scale::paper())
     }
 
     /// Runs every workload once under Conduit, each on a fresh device.

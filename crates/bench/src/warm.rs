@@ -49,7 +49,7 @@ pub fn warm_pool_report(quick: bool) -> String {
     let (cfg, scale, rounds) = if quick {
         (SsdConfig::small_for_tests(), Scale::test(), 2usize)
     } else {
-        (SsdConfig::default(), Scale::new(4, 1), 3usize)
+        (SsdConfig::default(), Scale::paper(), 3usize)
     };
 
     let mut session = Session::builder(cfg).build();

@@ -237,19 +237,19 @@ impl RuntimeEngine {
                 for k in 0..span {
                     pages.clear();
                     pages.extend(inst.src_pages().map(|p| p.offset(k)));
-                    device.map_group(&pages, None)?;
+                    device.map_group(&pages)?;
                 }
             } else {
                 for p in inst.src_pages() {
                     pages.clear();
                     pages.extend((0..span).map(|k| p.offset(k)));
-                    device.map_pages(&pages, None)?;
+                    device.map_pages(&pages)?;
                 }
             }
             if let Some(dst) = inst.dst_page {
                 pages.clear();
                 pages.extend((0..span).map(|k| dst.offset(k)));
-                device.map_pages(&pages, None)?;
+                device.map_pages(&pages)?;
             }
         }
         Ok(())

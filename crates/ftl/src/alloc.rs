@@ -27,8 +27,8 @@ use conduit_types::{ConduitError, PhysicalPageAddr, Result};
 /// let cfg = SsdConfig::small_for_tests();
 /// let mut state = FlashState::new(&cfg.flash);
 /// let mut alloc = PageAllocator::new(&state);
-/// let a = alloc.allocate(&mut state, None)?;
-/// let b = alloc.allocate(&mut state, None)?;
+/// let a = alloc.allocate(&mut state)?;
+/// let b = alloc.allocate(&mut state)?;
 /// // Round-robin striping: consecutive allocations land on different planes.
 /// assert_ne!((a.channel, a.die, a.plane), (b.channel, b.die, b.plane));
 /// # Ok::<(), conduit_types::ConduitError>(())
@@ -60,33 +60,21 @@ impl PageAllocator {
         }
     }
 
-    /// Allocates and programs one physical page.
-    ///
-    /// If `plane` is `Some`, the page is placed in that global plane;
-    /// otherwise planes are used round-robin (striping).
+    /// Allocates and programs one physical page on the next plane of the
+    /// round-robin rotation (striping).
     ///
     /// # Errors
     ///
-    /// Returns [`ConduitError::OutOfSpace`] if the requested plane (or, for
-    /// striped allocation, every plane) has no erasable free block left.
-    pub fn allocate(
-        &mut self,
-        state: &mut FlashState,
-        plane: Option<u64>,
-    ) -> Result<PhysicalPageAddr> {
-        let plane = match plane {
-            Some(p) => p % self.total_planes,
-            None => {
-                let p = self.next_plane;
-                self.next_plane = (self.next_plane + 1) % self.total_planes;
-                p
-            }
-        };
+    /// Returns [`ConduitError::OutOfSpace`] if that plane has no erasable
+    /// free block left.
+    pub fn allocate(&mut self, state: &mut FlashState) -> Result<PhysicalPageAddr> {
+        let plane = self.next_striped_plane();
         self.allocate_in_plane(state, plane)
     }
 
-    /// Allocates and programs `count` pages in the *same block* of one plane
-    /// (the co-location constraint for in-flash multi-operand compute).
+    /// Allocates and programs `count` pages in the *same block* of the next
+    /// plane of the rotation (the co-location constraint for in-flash
+    /// multi-operand compute).
     ///
     /// # Errors
     ///
@@ -97,7 +85,6 @@ impl PageAllocator {
         &mut self,
         state: &mut FlashState,
         count: usize,
-        plane: Option<u64>,
     ) -> Result<Vec<PhysicalPageAddr>> {
         if count as u64 > self.pages_per_block {
             return Err(ConduitError::invalid_config(format!(
@@ -105,14 +92,7 @@ impl PageAllocator {
                 self.pages_per_block
             )));
         }
-        let plane = match plane {
-            Some(p) => p % self.total_planes,
-            None => {
-                let p = self.next_plane;
-                self.next_plane = (self.next_plane + 1) % self.total_planes;
-                p
-            }
-        };
+        let plane = self.next_striped_plane();
         // Make sure the active block has room for the whole group; if not,
         // retire it and open a fresh one so the group stays co-located.
         if let Some(block) = self.active_blocks[plane as usize] {
@@ -206,6 +186,13 @@ impl PageAllocator {
         Ok(alloc)
     }
 
+    /// The plane the striping cursor points at; the cursor moves on.
+    fn next_striped_plane(&mut self) -> u64 {
+        let plane = self.next_plane;
+        self.next_plane = (plane + 1) % self.total_planes;
+        plane
+    }
+
     fn allocate_in_plane(
         &mut self,
         state: &mut FlashState,
@@ -269,7 +256,7 @@ mod tests {
         let planes = state.geometry().total_planes();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..planes {
-            let addr = alloc.allocate(&mut state, None).unwrap();
+            let addr = alloc.allocate(&mut state).unwrap();
             seen.insert(state.geometry().plane_index_of(addr));
         }
         assert_eq!(seen.len() as u64, planes);
@@ -278,22 +265,27 @@ mod tests {
     #[test]
     fn group_allocation_is_same_block() {
         let (mut state, mut alloc) = setup();
-        let group = alloc.allocate_group(&mut state, 8, Some(3)).unwrap();
+        let group = alloc.allocate_group(&mut state, 8).unwrap();
         assert_eq!(group.len(), 8);
         assert!(group.iter().all(|a| a.same_block(group[0])));
-        assert_eq!(state.geometry().plane_index_of(group[0]), 3);
     }
 
     #[test]
     fn group_never_splits_across_blocks() {
         let (mut state, mut alloc) = setup();
         let pages_per_block = state.geometry().pages_per_block() as usize;
-        // Nearly fill a block, then ask for a group that would not fit.
-        alloc
-            .allocate_group(&mut state, pages_per_block - 2, Some(0))
+        // Nearly fill a block, turn the striping cursor back to its plane,
+        // then ask for a group that would not fit.
+        let first = alloc
+            .allocate_group(&mut state, pages_per_block - 2)
             .unwrap();
-        let group = alloc.allocate_group(&mut state, 4, Some(0)).unwrap();
+        for _ in 1..state.geometry().total_planes() {
+            alloc.allocate(&mut state).unwrap();
+        }
+        let group = alloc.allocate_group(&mut state, 4).unwrap();
         assert!(group.iter().all(|a| a.same_block(group[0])));
+        assert!(group[0].same_plane(first[0]));
+        assert!(!group[0].same_block(first[0]));
     }
 
     #[test]
@@ -301,7 +293,7 @@ mod tests {
         let (mut state, mut alloc) = setup();
         let pages_per_block = state.geometry().pages_per_block() as usize;
         assert!(alloc
-            .allocate_group(&mut state, pages_per_block + 1, Some(0))
+            .allocate_group(&mut state, pages_per_block + 1)
             .is_err());
     }
 
@@ -319,10 +311,10 @@ mod tests {
         let mut state = FlashState::new(&cfg.flash);
         let mut alloc = PageAllocator::new(&state);
         for _ in 0..8 {
-            alloc.allocate(&mut state, Some(0)).unwrap();
+            alloc.allocate(&mut state).unwrap();
         }
         assert!(matches!(
-            alloc.allocate(&mut state, Some(0)),
+            alloc.allocate(&mut state),
             Err(ConduitError::OutOfSpace)
         ));
     }
@@ -341,14 +333,14 @@ mod tests {
         let mut state = FlashState::new(&cfg.flash);
         let mut alloc = PageAllocator::new(&state);
         state.mark_bad(0);
-        let addr = alloc.allocate(&mut state, Some(0)).unwrap();
+        let addr = alloc.allocate(&mut state).unwrap();
         assert_eq!(addr.block, 1);
     }
 
     #[test]
     fn sequential_pages_within_a_block_are_in_order() {
         let (mut state, mut alloc) = setup();
-        let group = alloc.allocate_group(&mut state, 4, Some(1)).unwrap();
+        let group = alloc.allocate_group(&mut state, 4).unwrap();
         let pages: Vec<u16> = group.iter().map(|a| a.page).collect();
         assert_eq!(pages, vec![0, 1, 2, 3]);
     }

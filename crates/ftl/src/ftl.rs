@@ -66,7 +66,7 @@ pub struct FaultStats {
 ///
 /// let mut ftl = Ftl::new(&SsdConfig::small_for_tests())?;
 /// let pages = [LogicalPageId::new(0), LogicalPageId::new(1)];
-/// ftl.map_group(&pages, Some(0))?;
+/// ftl.map_group(&pages)?;
 /// let (a, _) = ftl.translate(pages[0])?;
 /// let (b, _) = ftl.translate(pages[1])?;
 /// assert!(a.same_block(b));
@@ -252,33 +252,31 @@ impl Ftl {
     /// Propagates range and allocation errors, and
     /// [`ConduitError::DeviceDegraded`] if an unmapped page needs placement
     /// on a degraded device.
-    pub fn map_pages(&mut self, pages: &[LogicalPageId], plane_hint: Option<u64>) -> Result<()> {
-        for (i, &page) in pages.iter().enumerate() {
+    pub fn map_pages(&mut self, pages: &[LogicalPageId]) -> Result<()> {
+        for &page in pages {
             self.check_range(page)?;
             if self.l2p.contains(page) {
                 continue;
             }
             self.check_writable()?;
-            let addr = match plane_hint {
-                Some(p) => self.alloc.allocate(&mut self.state, Some(p + i as u64))?,
-                None => self.allocate_data_page()?,
-            };
+            let addr = self.allocate_data_page()?;
             self.install_mapping(page, addr);
         }
         Ok(())
     }
 
     /// Maps a group of logical pages **co-located in the same block** (the
-    /// Flash-Cosmos layout constraint for multi-operand in-flash compute).
-    /// Pages already mapped elsewhere keep their existing mapping, so a
-    /// fully-mapped group re-prepares fine on a degraded device.
+    /// Flash-Cosmos layout constraint for multi-operand in-flash compute),
+    /// on the next plane of the striping rotation. Pages already mapped
+    /// elsewhere keep their existing mapping, so a fully-mapped group
+    /// re-prepares fine on a degraded device.
     ///
     /// # Errors
     ///
     /// Propagates range and allocation errors, and
     /// [`ConduitError::DeviceDegraded`] if unmapped pages need placement on
     /// a degraded device.
-    pub fn map_group(&mut self, pages: &[LogicalPageId], plane: Option<u64>) -> Result<()> {
+    pub fn map_group(&mut self, pages: &[LogicalPageId]) -> Result<()> {
         // The common case on re-preparation and for shared operands: every
         // page is already placed, so nothing is collected or allocated.
         if pages.iter().all(|&p| self.l2p.contains(p)) {
@@ -296,9 +294,7 @@ impl Ftl {
             return Ok(());
         }
         self.check_writable()?;
-        let addrs = self
-            .alloc
-            .allocate_group(&mut self.state, unmapped.len(), plane)?;
+        let addrs = self.alloc.allocate_group(&mut self.state, unmapped.len())?;
         for (page, addr) in unmapped.into_iter().zip(addrs) {
             self.install_mapping(page, addr);
         }
@@ -398,11 +394,11 @@ impl Ftl {
     /// a plain allocation.
     fn allocate_data_page(&mut self) -> Result<PhysicalPageAddr> {
         if self.faults.is_inert() {
-            return self.alloc.allocate(&mut self.state, None);
+            return self.alloc.allocate(&mut self.state);
         }
         let planes = self.state.geometry().total_planes();
         for _ in 0..planes {
-            match self.alloc.allocate(&mut self.state, None) {
+            match self.alloc.allocate(&mut self.state) {
                 Ok(addr) => return Ok(addr),
                 Err(ConduitError::OutOfSpace) => continue,
                 Err(e) => return Err(e),
@@ -727,7 +723,7 @@ mod tests {
         let mut f = ftl();
         let too_big = LogicalPageId::new(f.logical_pages());
         assert!(matches!(
-            f.map_pages(&[too_big], None),
+            f.map_pages(&[too_big]),
             Err(ConduitError::PageOutOfRange { .. })
         ));
         assert!(f.translate(too_big).is_err());
@@ -737,7 +733,7 @@ mod tests {
     fn map_and_translate_roundtrip() {
         let mut f = ftl();
         let ps = pages(0..8);
-        f.map_pages(&ps, None).unwrap();
+        f.map_pages(&ps).unwrap();
         for p in &ps {
             let (addr, _) = f.translate(*p).unwrap();
             assert_eq!(f.peek(*p), Some(addr));
@@ -749,7 +745,7 @@ mod tests {
     fn striped_mapping_spreads_planes() {
         let mut f = ftl();
         let ps = pages(0..8);
-        f.map_pages(&ps, None).unwrap();
+        f.map_pages(&ps).unwrap();
         let planes: std::collections::HashSet<u64> = ps
             .iter()
             .map(|p| {
@@ -764,7 +760,7 @@ mod tests {
     fn group_mapping_colocates_in_one_block() {
         let mut f = ftl();
         let ps = pages(10..14);
-        f.map_group(&ps, Some(1)).unwrap();
+        f.map_group(&ps).unwrap();
         let addrs: Vec<PhysicalPageAddr> = ps.iter().map(|p| f.peek(*p).unwrap()).collect();
         assert!(addrs.iter().all(|a| a.same_block(addrs[0])));
     }
@@ -772,9 +768,9 @@ mod tests {
     #[test]
     fn group_mapping_respects_existing_mappings() {
         let mut f = ftl();
-        f.map_pages(&pages(0..1), None).unwrap();
+        f.map_pages(&pages(0..1)).unwrap();
         let before = f.peek(LogicalPageId::new(0)).unwrap();
-        f.map_group(&pages(0..4), Some(2)).unwrap();
+        f.map_group(&pages(0..4)).unwrap();
         assert_eq!(f.peek(LogicalPageId::new(0)), Some(before));
         // The remaining three are still co-located with each other.
         let rest: Vec<PhysicalPageAddr> = pages(1..4).iter().map(|p| f.peek(*p).unwrap()).collect();
@@ -784,7 +780,7 @@ mod tests {
     #[test]
     fn rewrite_moves_the_page_and_invalidates_the_old_one() {
         let mut f = ftl();
-        f.map_pages(&pages(0..1), None).unwrap();
+        f.map_pages(&pages(0..1)).unwrap();
         let old = f.peek(LogicalPageId::new(0)).unwrap();
         let (new, _) = f.rewrite(LogicalPageId::new(0)).unwrap();
         assert_ne!(old, new);
@@ -805,7 +801,7 @@ mod tests {
         cfg.flash.blocks_per_plane = 8;
         cfg.flash.pages_per_block = 8;
         let mut f = Ftl::new(&cfg).unwrap();
-        f.map_pages(&pages(0..8), None).unwrap();
+        f.map_pages(&pages(0..8)).unwrap();
         let mut total_gc = GcWork::default();
         for _ in 0..200 {
             let (_, gc) = f.rewrite(LogicalPageId::new(3)).unwrap();
@@ -837,7 +833,7 @@ mod tests {
         let cfg = tiny_cfg();
         let mut f = Ftl::new(&cfg).unwrap();
         // Cold data: one completely full block that is never rewritten.
-        f.map_group(&pages(0..8), Some(0)).unwrap();
+        f.map_group(&pages(0..8)).unwrap();
         let cold_before = f.peek(LogicalPageId::new(0)).unwrap();
         let cold_block = f.flash_state().geometry().block_index_of(cold_before);
         // Manufacture a wear imbalance beyond the leveler's budget of 64 by
@@ -854,7 +850,7 @@ mod tests {
 
         // Hot traffic elsewhere until GC runs (the leveling hook fires on
         // GC activity).
-        f.map_pages(&pages(8..16), None).unwrap();
+        f.map_pages(&pages(8..16)).unwrap();
         for _ in 0..200 {
             f.rewrite(LogicalPageId::new(8)).unwrap();
             if f.stats().wear_relocations > 0 {
@@ -882,8 +878,8 @@ mod tests {
     fn checkpoint_roundtrips_an_aged_ftl() {
         let cfg = tiny_cfg();
         let mut f = Ftl::new(&cfg).unwrap();
-        f.map_group(&pages(0..4), Some(0)).unwrap();
-        f.map_pages(&pages(4..12), None).unwrap();
+        f.map_group(&pages(0..4)).unwrap();
+        f.map_pages(&pages(4..12)).unwrap();
         f.coherence_mut()
             .record_write(LogicalPageId::new(4), DataLocation::Dram);
         for _ in 0..60 {
@@ -920,7 +916,7 @@ mod tests {
         // later).
         let cfg = tiny_cfg();
         let mut f = Ftl::new(&cfg).unwrap();
-        f.map_pages(&pages(0..12), None).unwrap();
+        f.map_pages(&pages(0..12)).unwrap();
         for _ in 0..20 {
             f.rewrite(LogicalPageId::new(5)).unwrap();
         }
@@ -937,7 +933,7 @@ mod tests {
                 // panics are not.
                 let _ = back.translate(LogicalPageId::new(0));
                 let _ = back.rewrite(LogicalPageId::new(5));
-                let _ = back.map_pages(&pages(12..14), None);
+                let _ = back.map_pages(&pages(12..14));
             }
         }
     }
@@ -951,7 +947,7 @@ mod tests {
         let mut plain = Ftl::new(&cfg).unwrap();
         let mut seeded = Ftl::with_faults(&cfg, FaultConfig::with_seed(0xDEAD)).unwrap();
         for f in [&mut plain, &mut seeded] {
-            f.map_pages(&pages(0..8), None).unwrap();
+            f.map_pages(&pages(0..8)).unwrap();
             for _ in 0..80 {
                 f.rewrite(LogicalPageId::new(3)).unwrap();
             }
@@ -979,7 +975,7 @@ mod tests {
         faults.program_fail_rate = 0.10;
         faults.spare_blocks = 1_000;
         let mut f = Ftl::with_faults(&cfg, faults).unwrap();
-        f.map_pages(&pages(0..8), None).unwrap();
+        f.map_pages(&pages(0..8)).unwrap();
         for _ in 0..120 {
             f.rewrite(LogicalPageId::new(3)).unwrap();
         }
@@ -1002,7 +998,7 @@ mod tests {
         faults.program_fail_rate = 1.0;
         faults.spare_blocks = 2;
         let mut f = Ftl::with_faults(&cfg, faults).unwrap();
-        f.map_pages(&pages(0..4), None).unwrap();
+        f.map_pages(&pages(0..4)).unwrap();
         let err = f.rewrite(LogicalPageId::new(0)).unwrap_err();
         assert!(
             matches!(err, ConduitError::DeviceDegraded { retired_blocks, spare_blocks }
@@ -1020,7 +1016,7 @@ mod tests {
             Err(ConduitError::DeviceDegraded { .. })
         ));
         assert!(matches!(
-            f.map_pages(&pages(4..5), None),
+            f.map_pages(&pages(4..5)),
             Err(ConduitError::DeviceDegraded { .. })
         ));
     }
@@ -1033,7 +1029,7 @@ mod tests {
         faults.erase_fail_rate = 0.5;
         faults.spare_blocks = 1_000;
         let mut f = Ftl::with_faults(&cfg, faults).unwrap();
-        f.map_pages(&pages(0..8), None).unwrap();
+        f.map_pages(&pages(0..8)).unwrap();
         // Rewrite until garbage collection has hit its first failing erase;
         // stop there so the shrinking device does not spiral out of space.
         for _ in 0..2_000 {
@@ -1063,7 +1059,7 @@ mod tests {
         faults.die_fail_rate = 0.05;
         faults.spare_blocks = 10_000;
         let mut f = Ftl::with_faults(&cfg, faults).unwrap();
-        f.map_pages(&pages(0..8), None).unwrap();
+        f.map_pages(&pages(0..8)).unwrap();
         let mut die_failed = false;
         for _ in 0..200 {
             if f.rewrite(LogicalPageId::new(3)).is_err() {
@@ -1091,7 +1087,7 @@ mod tests {
         faults.read_transient_rate = 0.6;
         faults.max_read_retries = 3;
         let run = |mut f: Ftl| -> (Vec<u32>, u64) {
-            f.map_pages(&pages(0..2), None).unwrap();
+            f.map_pages(&pages(0..2)).unwrap();
             let addr = f.peek(LogicalPageId::new(0)).unwrap();
             let ladder: Vec<u32> = (0..50).map(|_| f.roll_read_retries(addr)).collect();
             (ladder, f.fault_stats().read_retries)
@@ -1113,7 +1109,7 @@ mod tests {
         faults.read_transient_rate = 0.2;
         faults.spare_blocks = 1_000;
         let mut f = Ftl::with_faults(&cfg, faults).unwrap();
-        f.map_pages(&pages(0..8), None).unwrap();
+        f.map_pages(&pages(0..8)).unwrap();
         for _ in 0..60 {
             f.rewrite(LogicalPageId::new(5)).unwrap();
         }
@@ -1148,7 +1144,7 @@ mod tests {
     #[test]
     fn l2p_cache_stats_flow_into_ftl_stats() {
         let mut f = ftl();
-        f.map_pages(&pages(0..4), None).unwrap();
+        f.map_pages(&pages(0..4)).unwrap();
         for _ in 0..3 {
             f.translate(LogicalPageId::new(0)).unwrap();
         }

@@ -33,7 +33,7 @@
 //!
 //! let cfg = SsdConfig::small_for_tests();
 //! let mut ftl = Ftl::new(&cfg)?;
-//! ftl.map_pages(&[LogicalPageId::new(0), LogicalPageId::new(1)], None)?;
+//! ftl.map_pages(&[LogicalPageId::new(0), LogicalPageId::new(1)])?;
 //! let (addr, _hit) = ftl.translate(LogicalPageId::new(0))?;
 //! assert_eq!(ftl.translate(LogicalPageId::new(0))?.0, addr);
 //! # Ok::<(), conduit_types::ConduitError>(())

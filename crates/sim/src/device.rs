@@ -32,7 +32,7 @@ use conduit_types::{
 };
 
 use crate::energy::EnergyMeter;
-use crate::estimates::{CostEstimate, EstimateTable, StripEstimates};
+use crate::estimates::{self, StripEstimates, LOC_COUNT, RESOURCE_COUNT};
 use crate::state::{check_geometry, DeviceSnapshot, DeviceState, HOST_CACHE_PAGES};
 use crate::stats::CostBreakdown;
 
@@ -87,14 +87,16 @@ impl OpCompletion {
 /// persistent, mutable [`DeviceState`] (FTL, contention timelines,
 /// residency, energy).
 ///
-/// The models (timings, energy rates, the [`EstimateTable`]) are pure
-/// functions of the [`SsdConfig`], so a device is exactly *models +
-/// state*: [`SsdDevice::new`] pairs fresh models with a pristine state,
+/// The models (timings, energy rates) are pure functions of the
+/// [`SsdConfig`], so a device is exactly *models + state*:
+/// [`SsdDevice::new`] pairs fresh models with a pristine state,
 /// [`SsdDevice::with_state`] pairs them with a state carried over from
 /// earlier runs (a **warm** device), and [`SsdDevice::into_state`] hands the
 /// state back for the next run. Simulation results depend only on the
 /// configuration and the state, never on which `SsdDevice` wrapper executed
-/// them.
+/// them. The device caches no estimates: [`SsdDevice::estimate_strip`]
+/// evaluates the models for one instruction shape, and the run loop keeps
+/// that row for the run.
 ///
 /// See the crate-level documentation for an end-to-end example.
 #[derive(Debug, Clone)]
@@ -105,120 +107,30 @@ pub struct SsdDevice {
     state: DeviceState,
 }
 
-/// The immutable half of an [`SsdDevice`]: every timing/energy model plus
-/// the precomputed [`EstimateTable`], all pure functions of the
-/// [`SsdConfig`]. Nothing in here ever mutates after construction, so a
-/// `DeviceModels` is freely shareable (`Send + Sync`) and answers the
-/// state-independent estimate queries the engine looks up once per shape.
+/// The immutable half of an [`SsdDevice`]: every timing/energy model, all
+/// pure functions of the [`SsdConfig`]. Nothing in here mutates after
+/// construction, so clones of a device share one `DeviceModels`.
 #[derive(Debug)]
-pub struct DeviceModels {
+struct DeviceModels {
     cfg: SsdConfig,
     flash_timing: FlashTiming,
     ifp: IfpModel,
     pud: PudModel,
     dram_timing: DramTiming,
     isp: IspModel,
-    /// Per-(resource, op) and per-(location, location) estimates, built once
-    /// from the static configuration (see [`EstimateTable`]).
-    estimates: EstimateTable,
 }
 
 impl DeviceModels {
     /// Builds every substrate model from the configuration.
-    pub fn new(cfg: &SsdConfig) -> Self {
-        let flash_timing = FlashTiming::new(&cfg.flash);
-        let ifp = IfpModel::new(&cfg.flash);
-        let pud = PudModel::new(&cfg.dram);
-        let dram_timing = DramTiming::new(&cfg.dram);
-        let isp = IspModel::new(&cfg.ctrl);
-        let estimates = EstimateTable::new(cfg, &ifp, &pud, &isp, &flash_timing, &dram_timing);
+    fn new(cfg: &SsdConfig) -> Self {
         DeviceModels {
             cfg: cfg.clone(),
-            flash_timing,
-            ifp,
-            pud,
-            dram_timing,
-            isp,
-            estimates,
+            flash_timing: FlashTiming::new(&cfg.flash),
+            ifp: IfpModel::new(&cfg.flash),
+            pud: PudModel::new(&cfg.dram),
+            dram_timing: DramTiming::new(&cfg.dram),
+            isp: IspModel::new(&cfg.ctrl),
         }
-    }
-
-    /// The device configuration the models were built from.
-    pub fn config(&self) -> &SsdConfig {
-        &self.cfg
-    }
-
-    /// Un-contended compute latency of `op` on `resource` (see
-    /// [`SsdDevice::estimate_compute`]).
-    #[inline]
-    pub fn estimate_compute(
-        &self,
-        resource: Resource,
-        op: OpType,
-        elem_bits: u32,
-        lanes: u32,
-    ) -> Option<Duration> {
-        self.compute_cost(resource, op, elem_bits, lanes)
-            .map(|e| e.latency)
-    }
-
-    /// Un-contended compute latency and energy of `op` on `resource`: the
-    /// table entry at a tabled shape, the exact model evaluation otherwise.
-    #[inline]
-    fn compute_cost(
-        &self,
-        resource: Resource,
-        op: OpType,
-        elem_bits: u32,
-        lanes: u32,
-    ) -> Option<CostEstimate> {
-        match self.estimates.compute(resource, op, elem_bits, lanes) {
-            Some(entry) => entry,
-            None => EstimateTable::evaluate(
-                &self.cfg, &self.ifp, &self.pud, &self.isp, resource, op, elem_bits, lanes,
-            ),
-        }
-    }
-
-    /// Static (contention-free) data-movement estimate (see
-    /// [`SsdDevice::estimate_move`]).
-    #[inline]
-    pub fn estimate_move(&self, from: DataLocation, to: DataLocation, bytes: u64) -> Duration {
-        match self.estimates.move_latency(from, to, bytes) {
-            Some(latency) => latency,
-            None => EstimateTable::evaluate_move(
-                &self.cfg,
-                &self.flash_timing,
-                &self.dram_timing,
-                from,
-                to,
-                bytes,
-            ),
-        }
-    }
-
-    /// Hoists a whole strip's per-resource compute and static-move
-    /// estimates (see [`SsdDevice::estimate_strip`]).
-    #[inline]
-    pub fn estimate_strip(
-        &self,
-        op: OpType,
-        elem_bits: u32,
-        lanes: u32,
-        vector_bytes: u64,
-    ) -> StripEstimates {
-        self.estimates.estimate_batch(
-            &self.cfg,
-            &self.ifp,
-            &self.pud,
-            &self.isp,
-            &self.flash_timing,
-            &self.dram_timing,
-            op,
-            elem_bits,
-            lanes,
-            vector_bytes,
-        )
     }
 }
 
@@ -334,18 +246,19 @@ impl SsdDevice {
     /// # Errors
     ///
     /// Propagates FTL mapping errors.
-    pub fn map_pages(&mut self, pages: &[LogicalPageId], plane_hint: Option<u64>) -> Result<()> {
-        self.state.ftl.map_pages(pages, plane_hint)
+    pub fn map_pages(&mut self, pages: &[LogicalPageId]) -> Result<()> {
+        self.state.ftl.map_pages(pages)
     }
 
     /// Maps a group of logical pages co-located in one flash block (the
-    /// layout in-flash multi-operand compute requires).
+    /// layout in-flash multi-operand compute requires), on the next plane
+    /// of the striping rotation.
     ///
     /// # Errors
     ///
     /// Propagates FTL mapping errors.
-    pub fn map_group(&mut self, pages: &[LogicalPageId], plane: Option<u64>) -> Result<()> {
-        self.state.ftl.map_group(pages, plane)
+    pub fn map_group(&mut self, pages: &[LogicalPageId]) -> Result<()> {
+        self.state.ftl.map_group(pages)
     }
 
     /// Where the latest copy of `page` currently lives.
@@ -553,10 +466,11 @@ impl SsdDevice {
 
     /// Executes one vector instruction, of the operation and shape
     /// `estimates` was resolved for ([`SsdDevice::estimate_strip`]), on the
-    /// chosen SSD compute resource. Operands must already be at the
-    /// resource's home location (use [`SsdDevice::ensure_at`] first);
-    /// `operand_pages` is used only to derive the physical placement for
-    /// in-flash execution.
+    /// chosen SSD compute resource. PuD and ISP charge the row's cost for
+    /// their resource; IFP costs its operands' actual placement. Operands
+    /// must already be at the resource's home location (use
+    /// [`SsdDevice::ensure_at`] first); `operand_pages` is used only to
+    /// derive the physical placement for in-flash execution.
     ///
     /// # Errors
     ///
@@ -573,7 +487,7 @@ impl SsdDevice {
         match resource {
             Resource::Ifp => self.execute_ifp(op, elem_bits, lanes, operand_pages, earliest),
             Resource::PudSsd => self.execute_pud(estimates, earliest),
-            Resource::Isp => Ok(self.execute_isp(op, elem_bits, lanes, earliest)),
+            Resource::Isp => self.execute_isp(estimates, earliest),
         }
     }
 
@@ -657,67 +571,49 @@ impl SsdDevice {
         })
     }
 
-    /// Executes an operation on an ISP compute core. Its latency and energy
-    /// are the [`EstimateTable`] entry for the shape, which the table built
-    /// from the ISP model itself (the exact evaluation for untabled shapes).
+    /// Executes an operation of the shape `estimates` was resolved for
+    /// ([`SsdDevice::estimate_strip`]) on an ISP compute core, charging the
+    /// row's ISP latency and energy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConduitError::UnsupportedOperation`] if the row has no ISP
+    /// entry.
     pub fn execute_isp(
         &mut self,
-        op: OpType,
-        elem_bits: u32,
-        lanes: u32,
+        estimates: &StripEstimates,
         earliest: SimTime,
-    ) -> OpCompletion {
-        let cost = self
-            .models
-            .compute_cost(Resource::Isp, op, elem_bits, lanes)
-            .expect("the controller cores execute every operation");
+    ) -> Result<OpCompletion> {
+        let cost =
+            estimates
+                .compute_for(Resource::Isp)
+                .ok_or(ConduitError::UnsupportedOperation {
+                    op: estimates.op,
+                    resource: Resource::Isp,
+                })?;
         let (_, end, _) = self.state.compute_cores.reserve(earliest, cost.latency);
         self.state.energy.charge(EnergySource::Isp, cost.energy);
-        OpCompletion {
+        Ok(OpCompletion {
             ready: end,
             breakdown: CostBreakdown {
                 compute: cost.latency,
                 ..CostBreakdown::zero()
             },
             energy: cost.energy,
-        }
+        })
     }
 
     // ------------------------------------------------------------------
     // Cost-function estimates (no side effects on the timelines)
     // ------------------------------------------------------------------
 
-    /// Un-contended compute latency of `op` on `resource`, or `None` if the
-    /// resource cannot execute it. This is the `latency_comp` feature.
-    ///
-    /// For the canonical vector shape this is a precomputed table lookup;
-    /// other shapes fall back to the exact model evaluation (bit-identical
-    /// either way, see [`EstimateTable`]).
-    #[inline]
-    pub fn estimate_compute(
-        &self,
-        resource: Resource,
-        op: OpType,
-        elem_bits: u32,
-        lanes: u32,
-    ) -> Option<Duration> {
-        self.models.estimate_compute(resource, op, elem_bits, lanes)
-    }
-
-    /// Static (contention-free) estimate of moving `bytes` from `from` to
-    /// `to` — the precomputed `latency_dm` table of §4.3.2. Canonical-sized
-    /// vectors hit the precomputed table; other sizes are computed exactly.
-    #[inline]
-    pub fn estimate_move(&self, from: DataLocation, to: DataLocation, bytes: u64) -> Duration {
-        self.models.estimate_move(from, to, bytes)
-    }
-
-    /// Hoists the per-resource compute and static-move estimates a strip of
-    /// homogeneous instructions shares (see
-    /// [`EstimateTable::estimate_batch`]). Each entry equals the matching
-    /// [`SsdDevice::estimate_compute`] / [`SsdDevice::estimate_move`] answer
-    /// bit-for-bit.
-    #[inline]
+    /// Every per-resource estimate an instruction of this operation and
+    /// shape shares: the un-contended compute latency and energy per
+    /// candidate resource (`latency_comp`, `None` where the resource cannot
+    /// execute `op`), the static latency of moving a `vector_bytes` vector
+    /// from each location to each resource's home (`latency_dm`, §4.3.2),
+    /// and the shape's PuD cost. Each entry is evaluated from the substrate
+    /// models; the run loop resolves one row per shape per run.
     pub fn estimate_strip(
         &self,
         op: OpType,
@@ -725,8 +621,35 @@ impl SsdDevice {
         lanes: u32,
         vector_bytes: u64,
     ) -> StripEstimates {
-        self.models
-            .estimate_strip(op, elem_bits, lanes, vector_bytes)
+        let m = &*self.models;
+        let mut compute = [None; RESOURCE_COUNT];
+        let mut moves = [[Duration::ZERO; LOC_COUNT]; RESOURCE_COUNT];
+        for resource in Resource::ALL {
+            let i = resource.index();
+            if resource.supports(op) {
+                compute[i] = estimates::compute_estimate(
+                    &m.cfg, &m.ifp, &m.pud, &m.isp, resource, op, elem_bits, lanes,
+                );
+            }
+            for loc in DataLocation::ALL {
+                moves[i][loc.encoding() as usize] = estimates::static_move(
+                    &m.cfg,
+                    &m.flash_timing,
+                    &m.dram_timing,
+                    loc,
+                    resource.home_location(),
+                    vector_bytes,
+                );
+            }
+        }
+        StripEstimates {
+            op,
+            elem_bits,
+            lanes,
+            pud: m.pud.shape(op, elem_bits, lanes).ok(),
+            compute,
+            moves,
+        }
     }
 
     /// The queueing delay a new operation would currently see on `resource`
@@ -1029,7 +952,7 @@ impl SsdDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conduit_types::ConduitError;
+    use crate::CostEstimate;
 
     fn device() -> SsdDevice {
         SsdDevice::new(&SsdConfig::small_for_tests()).unwrap()
@@ -1050,7 +973,7 @@ mod tests {
     #[test]
     fn flash_to_dram_movement_costs_a_read() {
         let mut dev = device();
-        dev.map_pages(&pages(0..1), None).unwrap();
+        dev.map_pages(&pages(0..1)).unwrap();
         let c = dev
             .ensure_at(LogicalPageId::new(0), DataLocation::Dram, SimTime::ZERO)
             .unwrap();
@@ -1069,7 +992,7 @@ mod tests {
     #[test]
     fn dirty_page_moves_through_flash_commit() {
         let mut dev = device();
-        dev.map_pages(&pages(0..1), None).unwrap();
+        dev.map_pages(&pages(0..1)).unwrap();
         let page = LogicalPageId::new(0);
         // A PuD computation wrote the page in DRAM.
         dev.record_result_write(page, DataLocation::Dram, SimTime::ZERO)
@@ -1086,7 +1009,7 @@ mod tests {
     #[test]
     fn execute_dispatches_to_all_resources() {
         let mut dev = device();
-        dev.map_group(&pages(0..2), Some(0)).unwrap();
+        dev.map_group(&pages(0..2)).unwrap();
         let ps = pages(0..2);
         let add = dev.estimate_strip(OpType::Add, 32, 4096, 16 * 1024);
         for resource in Resource::ALL {
@@ -1104,9 +1027,9 @@ mod tests {
     #[test]
     fn colocated_operands_make_ifp_cheaper_than_scattered() {
         let mut dev = device();
-        dev.map_group(&pages(0..2), Some(0)).unwrap();
+        dev.map_group(&pages(0..2)).unwrap();
         // Striped pages land on different planes.
-        dev.map_pages(&pages(10..12), None).unwrap();
+        dev.map_pages(&pages(10..12)).unwrap();
         let colocated = dev
             .execute_ifp(OpType::And, 32, 4096, &pages(0..2), SimTime::ZERO)
             .unwrap();
@@ -1125,32 +1048,60 @@ mod tests {
             dev.queue_delay(Resource::Isp, SimTime::ZERO),
             Duration::ZERO
         );
+        let mul = dev.estimate_strip(OpType::Mul, 32, 4096, 16 * 1024);
         for _ in 0..4 {
-            dev.execute_isp(OpType::Mul, 32, 4096, SimTime::ZERO);
+            dev.execute_isp(&mul, SimTime::ZERO).unwrap();
         }
         assert!(dev.queue_delay(Resource::Isp, SimTime::ZERO) > Duration::ZERO);
         assert!(dev.utilization(Resource::Isp, SimTime::ZERO + Duration::from_us(10.0)) > 0.0);
     }
 
     #[test]
+    fn isp_execution_charges_the_row_it_is_handed() {
+        let mut dev = device();
+        let mut add = dev.estimate_strip(OpType::Add, 32, 4096, 16 * 1024);
+        let modelled = add.compute_for(Resource::Isp).unwrap();
+        let scaled = CostEstimate {
+            latency: modelled.latency * 3,
+            energy: modelled.energy * 3.0,
+        };
+        add.compute[Resource::Isp.index()] = Some(scaled);
+        let c = dev
+            .execute(Resource::Isp, &add, &[], SimTime::ZERO)
+            .unwrap();
+        assert_eq!(c.ready, SimTime::ZERO + scaled.latency);
+        assert_eq!(c.breakdown.compute, scaled.latency);
+        assert_eq!(c.energy, scaled.energy);
+        assert_eq!(dev.energy_meter().source(EnergySource::Isp), scaled.energy);
+        // A row without an ISP entry is an unsupported operation.
+        add.compute[Resource::Isp.index()] = None;
+        let err = dev
+            .execute(Resource::Isp, &add, &[], SimTime::ZERO)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ConduitError::UnsupportedOperation {
+                op: OpType::Add,
+                resource: Resource::Isp
+            }
+        ));
+    }
+
+    #[test]
     fn estimates_reflect_supportability_and_magnitude() {
         let dev = device();
-        assert!(dev
-            .estimate_compute(Resource::Ifp, OpType::Div, 32, 4096)
-            .is_none());
-        let isp = dev
-            .estimate_compute(Resource::Isp, OpType::Xor, 32, 4096)
-            .unwrap();
-        let pud = dev
-            .estimate_compute(Resource::PudSsd, OpType::Xor, 32, 4096)
-            .unwrap();
+        let div = dev.estimate_strip(OpType::Div, 32, 4096, 16 * 1024);
+        assert!(div.compute_for(Resource::Ifp).is_none());
+        let xor = dev.estimate_strip(OpType::Xor, 32, 4096, 16 * 1024);
+        let isp = xor.compute_for(Resource::Isp).unwrap().latency;
+        let pud = xor.compute_for(Resource::PudSsd).unwrap().latency;
         // PuD is far faster than a single embedded core for bulk bitwise ops.
         assert!(pud < isp);
         // Static data-movement estimates: flash→DRAM is dominated by tR.
-        let dm = dev.estimate_move(DataLocation::Flash, DataLocation::Dram, 16 * 1024);
+        let dm = xor.move_from(Resource::PudSsd, DataLocation::Flash);
         assert!(dm > Duration::from_us(22.5 * 4.0));
         assert_eq!(
-            dev.estimate_move(DataLocation::Dram, DataLocation::Dram, 4096),
+            xor.move_from(Resource::Isp, DataLocation::Dram),
             Duration::ZERO
         );
     }
@@ -1195,9 +1146,9 @@ mod tests {
     fn completed_ops_counts_increase() {
         let mut dev = device();
         assert_eq!(dev.snapshot().device_ops, 0);
-        dev.execute_isp(OpType::Add, 32, 4096, SimTime::ZERO);
-        assert_eq!(dev.snapshot().device_ops, 1);
         let add = dev.estimate_strip(OpType::Add, 32, 4096, 16 * 1024);
+        dev.execute_isp(&add, SimTime::ZERO).unwrap();
+        assert_eq!(dev.snapshot().device_ops, 1);
         let sub_ops = add.pud.unwrap().sub_ops as u64;
         dev.execute_pud(&add, SimTime::ZERO).unwrap();
         // One reservation per PuD sub-operation.
@@ -1212,7 +1163,7 @@ mod tests {
         // queue, and every checkpoint, grows by one entry per page per
         // round.
         let mut dev = device();
-        dev.map_pages(&pages(0..4), None).unwrap();
+        dev.map_pages(&pages(0..4)).unwrap();
         let mut now = SimTime::ZERO;
         let mut checkpoint_bytes = Vec::new();
         for round in 1..=40 {

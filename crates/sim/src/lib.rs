@@ -14,6 +14,10 @@
 //!   models wired to the contention timelines, exposing the primitive
 //!   operations the runtime offloading engine schedules (loading operands,
 //!   committing results, executing IFP/PuD/ISP computations, host transfers),
+//! * [`StripEstimates`] — the cost estimates of one instruction shape
+//!   ([`SsdDevice::estimate_strip`]), evaluated from the substrate models:
+//!   the cost function reads them, and PuD and ISP execution charge them,
+//!   so the engine's per-run row of them is the only per-shape cache,
 //! * [`HostCpuModel`] / [`HostGpuModel`] — analytical roofline models of the
 //!   host processors used by the outside-storage-processing baselines,
 //! * [`EnergyMeter`], [`LatencyStats`], [`CostBreakdown`] — the accounting
@@ -27,7 +31,7 @@
 //! use conduit_types::{DataLocation, LogicalPageId, OpType, SimTime, SsdConfig};
 //!
 //! let mut dev = SsdDevice::new(&SsdConfig::small_for_tests())?;
-//! dev.map_pages(&[LogicalPageId::new(0)], None)?;
+//! dev.map_pages(&[LogicalPageId::new(0)])?;
 //! let load = dev.ensure_at(LogicalPageId::new(0), DataLocation::Dram, SimTime::ZERO)?;
 //! let add = dev.estimate_strip(OpType::Add, 32, 4096, 16 * 1024);
 //! let exec = dev.execute_pud(&add, load.ready)?;
@@ -43,9 +47,9 @@ mod resources;
 mod state;
 mod stats;
 
-pub use device::{DeviceModels, OpCompletion, SsdDevice, StripWindow};
+pub use device::{OpCompletion, SsdDevice, StripWindow};
 pub use energy::{EnergyCategory, EnergyMeter};
-pub use estimates::{CostEstimate, EstimateTable, StripEstimates, LOC_COUNT, RESOURCE_COUNT};
+pub use estimates::{CostEstimate, StripEstimates, LOC_COUNT, RESOURCE_COUNT};
 pub use host::{HostCpuModel, HostGpuModel};
 pub use resources::{ResourcePool, SharedResource};
 pub use state::{

@@ -4,8 +4,8 @@
 //! directory, garbage-collection debt and wear accumulate across the whole
 //! request stream, not per run. [`DeviceState`] is that persistent half of
 //! the device — everything that *mutates* as instructions execute — while
-//! [`crate::SsdDevice`] adds the immutable models (timing, energy and
-//! estimate tables derived purely from the [`SsdConfig`]).
+//! [`crate::SsdDevice`] adds the immutable models (timing and energy,
+//! derived purely from the [`SsdConfig`]).
 //!
 //! Because the models are pure functions of the configuration, a
 //! `DeviceState` can be moved between [`crate::SsdDevice`] instances
@@ -302,7 +302,7 @@ impl DeviceState {
     /// small no matter how large the array is. Restore with
     /// [`DeviceState::from_bytes`] under the same [`SsdConfig`]; everything
     /// derived from the configuration (geometry, capacities, pool sizes,
-    /// estimate tables) is rebuilt rather than stored.
+    /// models) is rebuilt rather than stored.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&DEVICE_STATE_MAGIC);
@@ -697,7 +697,7 @@ mod tests {
     fn snapshot_tracks_ftl_activity() {
         let mut state = DeviceState::new(&SsdConfig::small_for_tests()).unwrap();
         let pages: Vec<LogicalPageId> = (0..4).map(LogicalPageId::new).collect();
-        state.ftl.map_pages(&pages, None).unwrap();
+        state.ftl.map_pages(&pages).unwrap();
         let before = state.snapshot();
         assert_eq!(before.pages_mapped, 4);
         state.ftl.rewrite(pages[0]).unwrap();
@@ -713,7 +713,7 @@ mod tests {
         let cfg = SsdConfig::small_for_tests();
         let mut state = DeviceState::new(&cfg).unwrap();
         let pages: Vec<LogicalPageId> = (0..6).map(LogicalPageId::new).collect();
-        state.ftl.map_pages(&pages, None).unwrap();
+        state.ftl.map_pages(&pages).unwrap();
         state.ftl.rewrite(pages[1]).unwrap();
         state
             .ftl
@@ -842,7 +842,7 @@ mod tests {
         faults.spare_blocks = 1_000;
         let mut state = DeviceState::new_with_faults(&cfg, faults).unwrap();
         let pages: Vec<LogicalPageId> = (0..8).map(LogicalPageId::new).collect();
-        state.ftl.map_pages(&pages, None).unwrap();
+        state.ftl.map_pages(&pages).unwrap();
         for _ in 0..120 {
             state.ftl.rewrite(pages[2]).unwrap();
         }

@@ -45,6 +45,6 @@ pub use error::{ConduitError, Result};
 pub use fault::{DeviceHealth, FaultConfig, FaultPlan};
 pub use inst::{InstId, InstMetadata, Operand, VectorInst, VectorProgram};
 pub use op::{LatencyClass, OpType};
-pub use resource::{DataLocation, EstimateKey, ExecutionSite, Resource};
+pub use resource::{DataLocation, ExecutionSite, Resource};
 pub use serialize::{PROGRAM_FORMAT_VERSION, PROGRAM_MAGIC};
 pub use time::{Duration, SimTime};

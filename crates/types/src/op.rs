@@ -144,15 +144,6 @@ impl OpType {
         OpType::Scalar,
     ];
 
-    /// Number of distinct operation types (the size of a per-op array).
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// The dense index of this operation in `[0, COUNT)` — the array-table
-    /// analogue of [`OpType::encoding`].
-    pub const fn index(self) -> usize {
-        self as usize
-    }
-
     /// Whether this is one of the six bulk bitwise operations.
     pub fn is_bitwise(self) -> bool {
         matches!(
@@ -293,14 +284,6 @@ mod tests {
     fn all_is_exhaustive_and_unique() {
         let set: HashSet<_> = OpType::ALL.iter().collect();
         assert_eq!(set.len(), OpType::ALL.len());
-    }
-
-    #[test]
-    fn index_matches_position_in_all() {
-        for (i, op) in OpType::ALL.iter().enumerate() {
-            assert_eq!(op.index(), i);
-        }
-        assert_eq!(OpType::COUNT, 24);
     }
 
     #[test]

@@ -102,72 +102,15 @@ impl Resource {
         }
     }
 
-    /// The dense index of this resource in `[0, Resource::COUNT)`.
+    /// The position of this resource in [`Resource::ALL`].
     pub const fn index(self) -> usize {
         self as usize
     }
-
-    /// Number of SSD compute resources.
-    pub const COUNT: usize = Self::ALL.len();
 }
 
 impl fmt::Display for Resource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Dense key into a per-(resource, operation) lookup table.
-///
-/// The simulator precomputes the un-contended compute latency and energy of
-/// every (resource, operation) pair once from the static `SsdConfig`, so the
-/// per-instruction cost-feature collection is a flat array load instead of a
-/// model evaluation. The key's [`EstimateKey::dense`] index is stable across
-/// runs (declaration order of [`Resource::ALL`] × [`OpType::ALL`]).
-///
-/// # Examples
-///
-/// ```
-/// use conduit_types::{EstimateKey, OpType, Resource};
-///
-/// let k = EstimateKey::new(Resource::Ifp, OpType::Xor);
-/// assert!(k.dense() < EstimateKey::TABLE_LEN);
-/// assert_eq!(EstimateKey::from_dense(k.dense()), k);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EstimateKey {
-    /// The candidate compute resource.
-    pub resource: Resource,
-    /// The vector operation.
-    pub op: OpType,
-}
-
-impl EstimateKey {
-    /// Total number of (resource, operation) pairs — the length of a dense
-    /// estimate table.
-    pub const TABLE_LEN: usize = Resource::COUNT * OpType::COUNT;
-
-    /// Creates a key.
-    pub const fn new(resource: Resource, op: OpType) -> Self {
-        EstimateKey { resource, op }
-    }
-
-    /// The dense table index of this key.
-    pub const fn dense(self) -> usize {
-        self.resource.index() * OpType::COUNT + self.op.index()
-    }
-
-    /// Inverse of [`EstimateKey::dense`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= TABLE_LEN`.
-    pub fn from_dense(index: usize) -> Self {
-        assert!(index < Self::TABLE_LEN, "estimate index out of range");
-        EstimateKey {
-            resource: Resource::ALL[index / OpType::COUNT],
-            op: OpType::ALL[index % OpType::COUNT],
-        }
     }
 }
 
@@ -355,20 +298,6 @@ mod tests {
         );
         assert_eq!(ExecutionSite::HostGpu.resource(), None);
         assert_eq!(ExecutionSite::from(Resource::PudSsd).name(), "PuD-SSD");
-    }
-
-    #[test]
-    fn estimate_keys_are_dense_and_unique() {
-        let mut seen = [false; EstimateKey::TABLE_LEN];
-        for r in Resource::ALL {
-            for op in OpType::ALL {
-                let k = EstimateKey::new(r, op);
-                assert!(!seen[k.dense()], "duplicate dense index for {r}/{op}");
-                seen[k.dense()] = true;
-                assert_eq!(EstimateKey::from_dense(k.dense()), k);
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

@@ -193,9 +193,9 @@ mod tests {
     }
 
     #[test]
-    fn inference_has_thousands_of_instructions_at_paper_scale() {
+    fn inference_has_thousands_of_instructions_at_scale_8x2() {
         let out = Vectorizer::default()
-            .vectorize(&inference_kernel(Scale::paper()))
+            .vectorize(&inference_kernel(Scale::new(8, 2)))
             .unwrap();
         assert!(out.program.len() > 5_000, "len = {}", out.program.len());
     }

@@ -18,7 +18,7 @@ fn pages(range: std::ops::Range<u64>) -> Vec<LogicalPageId> {
 fn cross_resource_handoff_flushes_through_flash() {
     let cfg = SsdConfig::small_for_tests();
     let mut dev = SsdDevice::new(&cfg).unwrap();
-    dev.map_pages(&pages(0..4), None).unwrap();
+    dev.map_pages(&pages(0..4)).unwrap();
     let page = LogicalPageId::new(0);
 
     // PuD-SSD computes into the page.
@@ -47,7 +47,7 @@ fn cross_resource_handoff_flushes_through_flash() {
 fn same_resource_rewrites_do_not_flush() {
     let cfg = SsdConfig::small_for_tests();
     let mut dev = SsdDevice::new(&cfg).unwrap();
-    dev.map_pages(&pages(0..1), None).unwrap();
+    dev.map_pages(&pages(0..1)).unwrap();
     let page = LogicalPageId::new(0);
 
     let mut at = SimTime::ZERO;
@@ -102,7 +102,7 @@ fn producer_consumer_program_keeps_results_local_until_needed() {
 fn host_consumption_forces_writeback() {
     let cfg = SsdConfig::small_for_tests();
     let mut dev = SsdDevice::new(&cfg).unwrap();
-    dev.map_pages(&pages(0..1), None).unwrap();
+    dev.map_pages(&pages(0..1)).unwrap();
     let page = LogicalPageId::new(0);
 
     dev.record_result_write(page, DataLocation::CtrlSram, SimTime::ZERO)
@@ -121,7 +121,7 @@ fn host_consumption_forces_writeback() {
 fn unsupported_op_on_restricted_resource_errors_cleanly() {
     let cfg = SsdConfig::small_for_tests();
     let mut dev = SsdDevice::new(&cfg).unwrap();
-    dev.map_pages(&pages(0..8), None).unwrap();
+    dev.map_pages(&pages(0..8)).unwrap();
     let scalar = dev.estimate_strip(OpType::Scalar, 32, 4096, 16 * 1024);
     let err = dev
         .execute(Resource::PudSsd, &scalar, &pages(0..1), SimTime::ZERO)

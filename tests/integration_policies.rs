@@ -36,7 +36,7 @@ fn run_at(
 fn ideal_upper_bounds_every_policy_on_every_workload() {
     for (cfg, scale, label) in [
         (SsdConfig::small_for_tests(), Scale::test(), "test scale"),
-        (SsdConfig::default(), Scale::new(4, 1), "paper scale"),
+        (SsdConfig::default(), Scale::paper(), "paper scale"),
     ] {
         for workload in Workload::ALL {
             let reports = run_at(cfg.clone(), scale, workload, &Policy::ALL);

@@ -129,7 +129,7 @@ fn paper_scale_llama_timeline_supports_figure_10() {
     // Figure 10 plots ~12000 instructions; make sure a larger-scale build
     // produces a timeline of that order without blowing up memory or time —
     // and that the timeline only materializes when the request opts in.
-    let program = Workload::LlamaInference.program(Scale::new(4, 1)).unwrap();
+    let program = Workload::LlamaInference.program(Scale::paper()).unwrap();
     assert!(program.len() > 1_500, "len = {}", program.len());
     let mut session = Session::builder(SsdConfig::default()).build();
     let id = session.register(program).unwrap();
@@ -155,7 +155,7 @@ fn paper_scale_operand_groups_spread_over_the_planes() {
     // plane cursor, so no plane holds more than an even share of them plus
     // one, and operand reads spread over the dies.
     let cfg = SsdConfig::default();
-    let program = Workload::LlamaInference.program(Scale::new(4, 1)).unwrap();
+    let program = Workload::LlamaInference.program(Scale::paper()).unwrap();
     let mut device = SsdDevice::new(&cfg).unwrap();
     RuntimeEngine::new(&cfg)
         .prepare(&mut device, &program)
