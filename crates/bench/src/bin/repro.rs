@@ -13,9 +13,9 @@
 //!
 //! * `--quick` uses the reduced test scale (useful for smoke runs;
 //!   `--smoke` is an alias, used by the CI warm-pool step),
-//! * `--serial` disables the parallel (workload, policy) fan-out of the
-//!   figure and table targets (the default runs one simulation per CPU
-//!   core; results are bit-identical),
+//! * `--serial` runs the (workload, policy) pairs of the figure and table
+//!   targets on one worker (the default runs one simulation per CPU core;
+//!   results are bit-identical),
 //! * `warm-pool` runs a multi-tenant request mix on four **named warm
 //!   devices** (per-device FIFO lanes, parallel across devices) and prints
 //!   each request's queueing/service split plus every device's cumulative
@@ -183,7 +183,9 @@ fn main() {
     } else {
         Harness::paper()
     };
-    harness = harness.with_parallel(!serial);
+    if serial {
+        harness = harness.with_workers(1);
+    }
     let outputs: Vec<(&str, String)> = match target.as_str() {
         "all" => {
             print!("{}", harness.all());

@@ -52,8 +52,6 @@ pub fn section(name: &str, text: &str) -> String {
 pub struct Harness {
     cfg: SsdConfig,
     scale: Scale,
-    parallel: bool,
-    workers: Option<usize>,
     session: Session,
     program_ids: HashMap<Workload, ProgramId>,
     cache: HashMap<(Workload, Policy), RunOutcome>,
@@ -72,56 +70,24 @@ impl Harness {
 
     /// Builds a harness with an explicit configuration and scale.
     pub fn new(cfg: SsdConfig, scale: Scale) -> Self {
-        let session = Self::build_session(&cfg, true, None);
         Harness {
+            session: Session::new(cfg.clone()),
             cfg,
             scale,
-            parallel: true,
-            workers: None,
-            session,
             program_ids: HashMap::new(),
             cache: HashMap::new(),
         }
     }
 
-    fn build_session(cfg: &SsdConfig, parallel: bool, workers: Option<usize>) -> Session {
-        let mut builder = Session::builder(cfg.clone());
-        if let Some(w) = workers {
-            builder = builder.workers(w);
-        }
-        if !parallel {
-            builder = builder.serial();
-        }
-        builder.build()
-    }
-
-    /// Rebuilds the session after a concurrency-setting change (intended for
-    /// use right after construction, before anything is cached).
-    fn reconfigure(&mut self) {
-        self.session = Self::build_session(&self.cfg, self.parallel, self.workers);
+    /// Builder-style: overrides the worker-thread count used by the fan-out
+    /// (default: one per available CPU core; 1 runs every pair on the
+    /// calling thread). Rebuilds the session, so call it right after
+    /// construction, before anything is cached.
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.session = Session::builder(self.cfg.clone()).workers(workers).build();
         self.program_ids.clear();
         self.cache.clear();
-    }
-
-    /// Builder-style: enables or disables the parallel fan-out (parallel is
-    /// the default; the serial path exists for comparison and testing).
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self.reconfigure();
         self
-    }
-
-    /// Builder-style: overrides the worker-thread count used by the fan-out
-    /// (default: one per available CPU core).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self.reconfigure();
-        self
-    }
-
-    /// Whether missing (workload, policy) pairs are simulated in parallel.
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
     }
 
     /// The workload scale in use.
@@ -684,8 +650,8 @@ mod tests {
 
     #[test]
     fn figure_sweep_prepares_one_device_per_workload() {
-        for parallel in [false, true] {
-            let mut h = Harness::quick().with_parallel(parallel);
+        for workers in [1, 2] {
+            let mut h = Harness::quick().with_workers(workers);
             h.prefetch_all();
             let stats = h.session().plan_cache_stats();
             // Each of the 66 pairs plans its key once and runs fresh. The

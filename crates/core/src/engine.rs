@@ -17,12 +17,12 @@
 //! IFP execution on the contended timelines) stays per instruction.
 //!
 //! The engine itself is **stateless across runs**: it owns only the models
-//! derived from the configuration (offloader overheads, the instruction
-//! transformer, the host CPU/GPU rooflines) and *borrows* the device it
-//! executes on. Callers decide the device's lifetime — a fresh
-//! [`SsdDevice`] per run reproduces independent, bit-identical experiments,
-//! while threading one device (its [`conduit_sim::DeviceState`]) through a
-//! stream of runs models a warm, aging SSD.
+//! derived from the configuration (offloader overheads, the host CPU/GPU
+//! rooflines) and *borrows* the device it executes on. Callers decide the
+//! device's lifetime — a fresh [`SsdDevice`] per run reproduces
+//! independent, bit-identical experiments, while threading one device (its
+//! [`conduit_sim::DeviceState`]) through a stream of runs models a warm,
+//! aging SSD.
 
 use std::sync::Mutex;
 
@@ -39,7 +39,6 @@ use crate::cost::CostFunction;
 use crate::overhead::OverheadModel;
 use crate::policy::{Policy, PolicyContext};
 use crate::report::{EnergySummary, OffloadMix, OverheadReport, RunReport, TimelineEntry};
-use crate::transform::InstructionTransformer;
 
 /// Options controlling one run of the engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,7 +94,7 @@ impl RunOptions {
 }
 
 /// Struct-of-arrays per-run bookkeeping, owned by the engine and reused
-/// across runs and repeats so the run loop performs no heap allocation.
+/// across runs so the run loop performs no heap allocation.
 /// Columns are keyed by instruction index; the timeline
 /// `Vec<TimelineEntry>` is materialized from the columns only when
 /// [`RunOptions::record_timeline`] is set.
@@ -168,7 +167,6 @@ impl RunScratch {
 #[derive(Debug)]
 pub struct RuntimeEngine {
     overhead: OverheadModel,
-    transformer: InstructionTransformer,
     host_cpu: HostCpuModel,
     host_gpu: HostGpuModel,
     l2p_miss_period: u64,
@@ -194,17 +192,11 @@ impl RuntimeEngine {
         };
         RuntimeEngine {
             overhead: OverheadModel::new(cfg),
-            transformer: InstructionTransformer::new(cfg),
             host_cpu: HostCpuModel::new(&host.cpu),
             host_gpu: HostGpuModel::new(&host.gpu),
             l2p_miss_period,
             scratch: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The instruction transformation unit.
-    pub fn transformer(&self) -> &InstructionTransformer {
-        &self.transformer
     }
 
     /// The overhead model.

@@ -26,8 +26,8 @@
 //!   under a chosen policy,
 //! * [`Session`] — the service-level API on top of the engine: register a
 //!   vectorized program once (persistable via the compact registry
-//!   serialization), then [`Session::submit`] [`RunRequest`]s describing the
-//!   policy, repeat count and collection flags, getting back a cheap
+//!   serialization), then [`Session::submit`] [`RunRequest`]s, each one
+//!   run under a policy with an opt-in timeline, getting back a cheap
 //!   [`RunSummary`] (times, energy split, histogram-backed latency
 //!   percentiles, offload mix) plus opt-in [`RunArtifacts`] (the full
 //!   timeline). [`Session::submit_batch`] runs one task per device lane,

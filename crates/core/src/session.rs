@@ -14,19 +14,20 @@
 //!   registry serialization ([`Session::export_registry`] /
 //!   [`Session::import_registry`]), so vectorizer output is never recomputed;
 //! * a [`RunRequest`] is a cheap, cloneable description of one run: policy,
-//!   cost-function ablation, repeat count, *collection flags* (timeline
-//!   on/off, percentile set, energy split), and the device it runs on;
-//! * results are split into an always-cheap [`RunSummary`] (times, energy,
-//!   offload mix, histogram-backed latency percentiles — constant memory)
-//!   and opt-in [`RunArtifacts`] (the full per-instruction timeline);
+//!   cost-function ablation, whether to collect the timeline, and the
+//!   device it runs on. [`Session::submit`] is a batch of one request;
+//! * results are split into an always-cheap [`RunSummary`] (times, energy
+//!   and its split, offload mix, histogram-backed latency percentiles —
+//!   constant memory) and opt-in [`RunArtifacts`] (the full
+//!   per-instruction timeline);
 //! * **fresh** runs (the default) each simulate on a pristine device, so
 //!   [`Session::submit_batch`] fans them out across worker threads with
-//!   results **bit-identical** to running them serially. When one batch, or
-//!   one request's repeats, runs a registered program fresh more than once,
-//!   the first run builds and prepares the device and the others clone it:
-//!   each gets exactly the device it would have built. That prepared device
-//!   belongs to the batch: the program's last run takes it, and whatever is
-//!   left is dropped when the batch returns;
+//!   results **bit-identical** to running them serially. When one batch
+//!   runs a registered program fresh more than once, the first run builds
+//!   and prepares the device and the others clone it: each gets exactly
+//!   the device it would have built. That prepared device belongs to the
+//!   batch: the program's last run takes it, and whatever is left is
+//!   dropped when the batch returns;
 //! * **warm** runs target a named device from the session's pool
 //!   ([`Session::create_device`] → [`DeviceHandle`],
 //!   [`RunRequest::on_device`]): each device's persistent
@@ -120,12 +121,9 @@ pub use lanes::{DeviceHandle, DEFAULT_DRR_QUANTUM};
 pub use registry::{ProgramId, ProgramRegistry, REGISTRY_FORMAT_VERSION, REGISTRY_MAGIC};
 pub use summary::{RunArtifacts, RunOutcome, RunSummary};
 
-use lanes::{
-    execute_fresh, execute_on_lane, run_lane, share_prepared, DeviceCounts, DeviceSlot, PlanMode,
-    RunPlan,
-};
+use lanes::{execute_fresh, run_lane, share_prepared, DeviceCounts, DeviceSlot, PlanMode, RunPlan};
 
-/// The percentile set collected when a request does not override it.
+/// The latency quantiles every [`RunSummary::percentiles`] materializes.
 pub const DEFAULT_PERCENTILES: [f64; 3] = [0.50, 0.99, 0.9999];
 
 /// Where a [`RunRequest`]'s program comes from.
@@ -140,12 +138,11 @@ enum ProgramSource {
 }
 
 /// A declarative description of one run: which program, which policy, which
-/// device, when it arrives, and what to collect. Cheap to clone; built
-/// builder-style.
+/// device, when it arrives, and whether to collect its timeline. Cheap to
+/// clone; built builder-style.
 ///
 /// Subsumes the engine-level [`RunOptions`]: policy and cost-function
-/// ablation map straight through, while the collection flags control how
-/// much the result carries — summaries are always cheap, timelines
+/// ablation map straight through. Summaries are always cheap, timelines
 /// ([`RunArtifacts`]) are opt-in.
 ///
 /// # Examples
@@ -159,13 +156,10 @@ enum ProgramSource {
 /// let mut session = Session::builder(SsdConfig::small_for_tests()).build();
 /// let id = session.register(prog)?;
 ///
-/// let request = RunRequest::new(id, Policy::Conduit)
-///     .repeat(3)
-///     .percentiles(&[0.5, 0.999])
-///     .with_timeline();
-/// let outcome = session.submit(&request)?;
-/// assert_eq!(outcome.summary.repeats, 3);
-/// assert_eq!(outcome.summary.percentiles.len(), 2);
+/// let outcome = session.submit(&RunRequest::new(id, Policy::Conduit).with_timeline())?;
+/// assert_eq!(outcome.artifacts.map(|a| a.timeline.len()), Some(1));
+/// // Any latency quantile comes from the summary's histogram.
+/// assert!(outcome.summary.percentile(0.999) <= outcome.summary.service_time);
 /// # Ok::<(), conduit_types::ConduitError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -173,12 +167,9 @@ pub struct RunRequest {
     source: ProgramSource,
     policy: Policy,
     cost_function: CostFunction,
-    repeats: u32,
     collect_timeline: bool,
-    collect_energy_split: bool,
-    percentiles: Vec<f64>,
-    /// `None` runs fresh (a pristine device per run/repeat); `Some` targets
-    /// a pooled warm device.
+    /// `None` runs fresh (on a pristine device); `Some` targets a pooled
+    /// warm device.
     device: Option<DeviceHandle>,
     /// The request's arrival on the batch timeline ([`SimTime::ZERO`] = the
     /// instant the batch is submitted, i.e. closed-loop).
@@ -194,9 +185,8 @@ pub struct RunRequest {
 }
 
 impl RunRequest {
-    /// A request to run a registered program under `policy` with default
-    /// collection: no timeline, energy split on, the
-    /// [`DEFAULT_PERCENTILES`] set.
+    /// A request to run a registered program under `policy`, without the
+    /// timeline.
     pub fn new(program: ProgramId, policy: Policy) -> Self {
         Self::with_source(ProgramSource::Registered(program), policy)
     }
@@ -215,10 +205,7 @@ impl RunRequest {
             source,
             policy,
             cost_function: CostFunction::conduit(),
-            repeats: 1,
             collect_timeline: false,
-            collect_energy_split: true,
-            percentiles: DEFAULT_PERCENTILES.to_vec(),
             device: None,
             arrival: SimTime::ZERO,
             flow: 0,
@@ -229,17 +216,6 @@ impl RunRequest {
     /// Builder-style: replaces the cost function (for ablations).
     pub fn cost_function(mut self, cf: CostFunction) -> Self {
         self.cost_function = cf;
-        self
-    }
-
-    /// Builder-style: simulates the program `repeats` times (clamped to at
-    /// least one). On a fresh device every repeat gets its own pristine
-    /// device, so repeats are bit-identical under the deterministic
-    /// simulator — the knob exists for throughput measurement and soak-style
-    /// stress. On a warm device the repeats run back to back on the
-    /// device's stream clock, so each one ages it further.
-    pub fn repeat(mut self, repeats: u32) -> Self {
-        self.repeats = repeats.max(1);
         self
     }
 
@@ -304,36 +280,9 @@ impl RunRequest {
         self.timeline(true)
     }
 
-    /// Builder-style: sets whether the summary carries the data-movement /
-    /// compute energy split in addition to the total (default: on).
-    pub fn energy_split(mut self, collect: bool) -> Self {
-        self.collect_energy_split = collect;
-        self
-    }
-
-    /// Builder-style: replaces the percentile set materialized into
-    /// [`RunSummary::percentiles`].
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if any value is outside `[0, 1]`.
-    pub fn percentiles(mut self, set: &[f64]) -> Self {
-        debug_assert!(
-            set.iter().all(|p| (0.0..=1.0).contains(p)),
-            "percentiles must be in [0, 1]"
-        );
-        self.percentiles = set.to_vec();
-        self
-    }
-
     /// The policy this request runs under.
     pub fn policy(&self) -> Policy {
         self.policy
-    }
-
-    /// Number of repeats.
-    pub fn repeats(&self) -> u32 {
-        self.repeats
     }
 
     /// Whether the timeline will be collected.
@@ -381,7 +330,6 @@ pub struct SessionBuilder {
     host: HostConfig,
     faults: FaultConfig,
     workers: Option<usize>,
-    parallel: bool,
 }
 
 impl SessionBuilder {
@@ -394,7 +342,6 @@ impl SessionBuilder {
             host: HostConfig::default(),
             faults: FaultConfig::default(),
             workers: None,
-            parallel: true,
         }
     }
 
@@ -416,32 +363,27 @@ impl SessionBuilder {
 
     /// Overrides the number of threads a batch runs on, the calling thread
     /// included (default: one per available CPU core; clamped to at least
-    /// one).
+    /// one). The last of this and [`SessionBuilder::serial`] wins.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
     }
 
-    /// Runs batches on one worker: [`Session::submit_batch`] works through
-    /// its tasks on the calling thread and spawns no thread. Results are
-    /// bit-identical for every worker count.
-    pub fn serial(mut self) -> Self {
-        self.parallel = false;
-        self
+    /// Sugar for [`SessionBuilder::workers`]`(1)`: [`Session::submit_batch`]
+    /// works through its tasks on the calling thread and spawns no thread.
+    /// Results are bit-identical for every worker count.
+    pub fn serial(self) -> Self {
+        self.workers(1)
     }
 
     /// Builds the session and its runtime engine. Threads are spawned only
     /// while a batch runs, so summary-only sessions never spawn any.
     pub fn build(self) -> Session {
-        let workers = if self.parallel {
-            self.workers.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-        } else {
-            1
-        };
+        let workers = self.workers.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
         Session {
             engine: RuntimeEngine::with_host(&self.ssd, &self.host),
             ssd: self.ssd,
@@ -528,11 +470,11 @@ pub struct Session {
 /// registered-program runs planned so far; `inline` counts one-shot
 /// [`RunRequest::inline`] runs that never touch the cache.
 ///
-/// The prepared-device counters cover fresh runs, one per repeat: each run
-/// either built and prepared its device or got a copy of the one its batch
-/// prepared for the program, so `prepared_builds + prepared_clones` is the
-/// number of fresh runs whose device was ready. A batch that runs one
-/// registered program fresh `n` times adds one build and `n - 1` clones.
+/// The prepared-device counters cover fresh runs: each run either built and
+/// prepared its device or got a copy of the one its batch prepared for the
+/// program, so `prepared_builds + prepared_clones` is the number of fresh
+/// runs whose device was ready. A batch that runs one registered program
+/// fresh `n` times adds one build and `n - 1` clones.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups served from the cache.
@@ -801,9 +743,6 @@ impl Session {
             program,
             registered,
             options: request.run_options(),
-            repeats: request.repeats,
-            collect_energy_split: request.collect_energy_split,
-            percentiles: request.percentiles.clone(),
             mode,
             arrival: request.arrival.saturating_since(SimTime::ZERO),
             flow: request.flow,
@@ -827,49 +766,19 @@ impl Session {
         }
     }
 
-    /// Executes one request on the calling thread (fresh runs on a pristine
-    /// device, the repeats of a registered program sharing one prepared
-    /// device; warm runs continue on their pooled device's persistent
-    /// state).
+    /// Executes one request on the calling thread: a batch of one
+    /// ([`Session::submit_batch`]). A fresh run simulates on a pristine
+    /// device; a warm run continues on its pooled device's persistent state
+    /// and arrives at the device's stream clock, so its lane window covers
+    /// exactly this request.
     ///
     /// # Errors
     ///
     /// Propagates unknown program/device handles, preparation and
     /// simulation errors.
     pub fn submit(&self, request: &RunRequest) -> Result<RunOutcome> {
-        let mut plan = self.plan(request)?;
-        match plan.mode {
-            PlanMode::Fresh => {
-                share_prepared(std::slice::from_mut(&mut plan));
-                execute_fresh(
-                    &self.engine,
-                    &self.ssd,
-                    self.faults,
-                    &plan,
-                    &self.device_counts,
-                )
-            }
-            PlanMode::Device(slot) => {
-                // A lone submit is a batch of one: the lane window covers
-                // exactly this request.
-                self.reset_lane_window_of(slot);
-                execute_on_lane(&self.engine, &self.ssd, &self.devices[slot], &plan, None)
-            }
-        }
-    }
-
-    /// Resets the windowed lane statistics of one device slot (no-op for a
-    /// device that has never run).
-    fn reset_lane_window_of(&self, slot: usize) {
-        if let Some(device) = self.devices[slot]
-            .lane
-            .lock()
-            .expect("device-lane mutex poisoned")
-            .device
-            .as_mut()
-        {
-            device.device.reset_lane_window();
-        }
+        let mut outcomes = self.submit_batch(std::slice::from_ref(request))?;
+        Ok(outcomes.pop().expect("a batch of one returns one outcome"))
     }
 
     /// Executes a batch of independent requests and returns the outcomes in
@@ -890,9 +799,9 @@ impl Session {
     /// for every worker count — only the wall-clock time changes
     /// (`tests/integration_determinism.rs` and
     /// `tests/integration_device_pool.rs` assert this). A registered
-    /// program that runs fresh more than once in the batch (counting
-    /// repeats) is prepared once: its other runs clone that device, the last
-    /// of them takes it, and nothing is kept past the batch.
+    /// program that runs fresh more than once in the batch is prepared
+    /// once: its other runs clone that device, the last of them takes it,
+    /// and nothing is kept past the batch.
     ///
     /// # Errors
     ///
@@ -928,12 +837,14 @@ impl Session {
         let bases: Vec<SimTime> = lanes
             .iter()
             .map(|&(slot, _)| {
-                self.reset_lane_window_of(slot);
-                self.devices[slot]
+                let mut lane = self.devices[slot]
                     .lane
                     .lock()
-                    .expect("device-lane mutex poisoned")
-                    .clock
+                    .expect("device-lane mutex poisoned");
+                if let Some(warm) = lane.device.as_mut() {
+                    warm.device.reset_lane_window();
+                }
+                lane.clock
             })
             .collect();
 
@@ -1043,19 +954,21 @@ mod tests {
     fn collection_flags_are_honoured() {
         let mut s = session();
         let id = s.register(program("flags")).unwrap();
-        let outcome = s
-            .submit(
-                &RunRequest::new(id, Policy::Conduit)
-                    .with_timeline()
-                    .energy_split(false)
-                    .percentiles(&[0.5]),
-            )
-            .unwrap();
+        let request = RunRequest::new(id, Policy::Conduit);
+        let outcome = s.submit(&request.clone().with_timeline()).unwrap();
         let timeline = &outcome.artifacts.as_ref().unwrap().timeline;
         assert_eq!(timeline.len(), 2);
-        assert!(outcome.summary.energy_split.is_none());
-        assert_eq!(outcome.summary.percentiles.len(), 1);
-        assert_eq!(outcome.summary.percentiles[0].0, 0.5);
+        // The timeline changes what the outcome carries, never the summary.
+        assert_eq!(outcome.summary, s.submit(&request).unwrap().summary);
+        // Every summary materializes the default quantiles, in order.
+        let summary = &outcome.summary;
+        let expected: Vec<_> = DEFAULT_PERCENTILES
+            .iter()
+            .map(|&p| (p, summary.percentile(p)))
+            .collect();
+        assert_eq!(summary.percentiles, expected);
+        let split = summary.energy_split.unwrap();
+        assert_eq!(split.total(), summary.total_energy);
     }
 
     #[test]
@@ -1172,19 +1085,6 @@ mod tests {
     }
 
     #[test]
-    fn repeats_are_deterministic() {
-        let mut s = session();
-        let id = s.register(program("rep")).unwrap();
-        let once = s.submit(&RunRequest::new(id, Policy::Conduit)).unwrap();
-        let thrice = s
-            .submit(&RunRequest::new(id, Policy::Conduit).repeat(3))
-            .unwrap();
-        assert_eq!(thrice.summary.repeats, 3);
-        assert_eq!(once.summary.total_time, thrice.summary.total_time);
-        assert_eq!(once.summary.offload_mix, thrice.summary.offload_mix);
-    }
-
-    #[test]
     fn batch_matches_serial_submission() {
         let mut s = Session::builder(SsdConfig::small_for_tests())
             .workers(4)
@@ -1234,10 +1134,10 @@ mod tests {
             ..CostFunction::conduit()
         };
         // One planner run per (program, policy, cost-function) key; every
-        // later request for the key hits, whatever its repeats or device.
+        // later request for the key hits, whatever its timeline or device.
         let requests = [
             RunRequest::new(id, Policy::Conduit),
-            RunRequest::new(id, Policy::Conduit).repeat(3),
+            RunRequest::new(id, Policy::Conduit).with_timeline(),
             RunRequest::new(id, Policy::Conduit).on_device(dev),
             RunRequest::new(id, Policy::HostCpu),
             RunRequest::new(id, Policy::Conduit).cost_function(ablated),
@@ -1429,24 +1329,17 @@ mod tests {
             batch[1].summary.total_time,
             batch[1].summary.queueing_time + batch[1].summary.service_time
         );
-        // A lone submit finds the lane idle: no queueing.
+        // A lone submit finds the lane idle: no queueing, and the stream
+        // clock advances by the request's own service.
+        let clock_before = s.device_clock(dev);
         let lone = s
             .submit(&RunRequest::new(id, Policy::Conduit).on_device(dev))
             .unwrap();
         assert_eq!(lone.summary.queueing_time, Duration::ZERO);
-        // Repeats are the request's own service, not lane wait: a repeated
-        // request on an idle lane still reports zero queueing while its
-        // repeats advance the stream clock.
-        let clock_before = s.device_clock(dev);
-        let repeated = s
-            .submit(
-                &RunRequest::new(id, Policy::Conduit)
-                    .on_device(dev)
-                    .repeat(3),
-            )
-            .unwrap();
-        assert_eq!(repeated.summary.queueing_time, Duration::ZERO);
-        assert!(s.device_clock(dev) > clock_before);
+        assert_eq!(
+            s.device_clock(dev),
+            clock_before + lone.summary.service_time
+        );
     }
 
     #[test]

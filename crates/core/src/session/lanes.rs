@@ -14,6 +14,7 @@ use crate::report::RunReport;
 
 use super::registry::ProgramId;
 use super::summary::{RunArtifacts, RunOutcome, RunSummary};
+use super::DEFAULT_PERCENTILES;
 
 /// Handle to a named warm device in a [`Session`](crate::Session)'s device pool.
 ///
@@ -52,9 +53,6 @@ pub(super) struct RunPlan {
     /// The program's registry id; `None` for an inline program.
     pub(super) registered: Option<ProgramId>,
     pub(super) options: RunOptions,
-    pub(super) repeats: u32,
-    pub(super) collect_energy_split: bool,
-    pub(super) percentiles: Vec<f64>,
     pub(super) mode: PlanMode,
     /// Arrival offset on the batch timeline
     /// ([`RunRequest::arriving_at`](crate::RunRequest::arriving_at)).
@@ -97,15 +95,15 @@ pub(super) struct DeviceCounts {
 }
 
 /// Gives the fresh plans of every registered program that runs fresh more
-/// than once in `plans` (counting repeats) one [`PreparedDevice`] to share.
-/// A program that runs once, and every inline program, builds its own.
+/// than once in `plans` one [`PreparedDevice`] to share. A program that
+/// runs once, and every inline program, builds its own.
 pub(super) fn share_prepared(plans: &mut [RunPlan]) {
     let mut runs: Vec<(ProgramId, u64)> = Vec::new();
     for plan in plans.iter().filter(|p| p.mode == PlanMode::Fresh) {
         if let Some(id) = plan.registered {
             match runs.iter_mut().find(|(program, _)| *program == id) {
-                Some((_, n)) => *n += u64::from(plan.repeats),
-                None => runs.push((id, u64::from(plan.repeats))),
+                Some((_, n)) => *n += 1,
+                None => runs.push((id, 1)),
             }
         }
     }
@@ -204,16 +202,15 @@ impl WarmDevice {
     }
 }
 
-/// Assembles the outcome from the final run report plus the device work the
-/// request performed and the lane wait it observed.
+/// Assembles the outcome from the run report plus the device work the run
+/// performed and the lane wait it observed.
 fn build_outcome(
     report: RunReport,
     plan: &RunPlan,
     device_delta: DeviceDelta,
     queueing_time: Duration,
 ) -> RunOutcome {
-    let percentiles = plan
-        .percentiles
+    let percentiles = DEFAULT_PERCENTILES
         .iter()
         .map(|&p| (p, report.latency.percentile(p)))
         .collect();
@@ -222,12 +219,12 @@ fn build_outcome(
         workload: report.workload,
         policy: report.policy,
         instructions: report.instructions,
-        repeats: plan.repeats,
+        repeats: 1,
         total_time: queueing_time + service_time,
         queueing_time,
         service_time,
         total_energy: report.energy.total(),
-        energy_split: plan.collect_energy_split.then_some(report.energy),
+        energy_split: Some(report.energy),
         breakdown: report.breakdown,
         offload_mix: report.offload_mix,
         latency: report.latency,
@@ -241,9 +238,9 @@ fn build_outcome(
     RunOutcome { summary, artifacts }
 }
 
-/// Executes a fresh-mode plan: every repeat on its own pristine device, so
-/// runs are independent and parallel batches stay bit-identical to serial
-/// submission.
+/// Executes a fresh-mode plan on its own pristine device, which restarts the
+/// session's fault plan from its seed, so runs are independent and parallel
+/// batches stay bit-identical to serial submission.
 pub(super) fn execute_fresh(
     engine: &RuntimeEngine,
     ssd: &SsdConfig,
@@ -251,27 +248,17 @@ pub(super) fn execute_fresh(
     plan: &RunPlan,
     counts: &DeviceCounts,
 ) -> Result<RunOutcome> {
-    let pristine = DeviceSnapshot::default();
+    let mut device = prepared_device(engine, ssd, faults, plan, counts)?;
     // An open-loop arrival translates the fresh run's timeline (timestamps
     // shift, service time and energy do not); there is no lane to queue in.
     let options = plan.options.starting_at(SimTime::ZERO + plan.arrival);
-    let mut report: Option<RunReport> = None;
-    let mut delta = DeviceDelta::default();
-    for _ in 0..plan.repeats {
-        // A fresh device per repeat keeps every run independent and the
-        // whole batch bit-identical to serial execution. Each repeat's
-        // device restarts the session's fault plan from its seed.
-        let mut device = prepared_device(engine, ssd, faults, plan, counts)?;
-        let run = engine.run_with_plan(
-            &mut device,
-            &plan.program,
-            &options,
-            plan.strip_plan.as_deref(),
-        )?;
-        delta.accumulate(device.snapshot().delta_since(&pristine));
-        report = Some(run);
-    }
-    let report = report.expect("repeats is clamped to at least one");
+    let report = engine.run_with_plan(
+        &mut device,
+        &plan.program,
+        &options,
+        plan.strip_plan.as_deref(),
+    )?;
+    let delta = device.snapshot().delta_since(&DeviceSnapshot::default());
     Ok(build_outcome(report, plan, delta, Duration::ZERO))
 }
 
@@ -321,23 +308,21 @@ fn prepared_device(
 }
 
 /// Executes a warm plan on one device lane. The request **arrives** at the
-/// batch base (the lane's stream clock when the batch was submitted; the
-/// current clock for a lone submit) plus its open-loop arrival offset, and
-/// issues at `max(previous finish, arrival)`: the stream clock advances
-/// through any idle gap, the arrival-relative wait becomes the outcome's
-/// queueing time, and each repeat then issues at its predecessor's finish.
+/// batch `base` (the lane's stream clock when the batch was submitted) plus
+/// its open-loop arrival offset, and issues at `max(previous finish,
+/// arrival)`: the stream clock advances through any idle gap, and the
+/// arrival-relative wait becomes the outcome's queueing time.
 ///
 /// A batch gives each device's requests to one task ([`run_lane`]), which
 /// runs them in its scheduling order; the lane mutex guards the device
-/// against a concurrent lone [`Session::submit`](crate::Session::submit).
-/// Every per-device stream stays deterministic and replayable while
-/// distinct devices proceed in parallel.
-pub(super) fn execute_on_lane(
+/// against a concurrent submission. Every per-device stream stays
+/// deterministic and replayable while distinct devices proceed in parallel.
+fn execute_on_lane(
     engine: &RuntimeEngine,
     ssd: &SsdConfig,
     slot: &DeviceSlot,
     plan: &RunPlan,
-    batch_base: Option<SimTime>,
+    base: SimTime,
 ) -> Result<RunOutcome> {
     let mut lane = slot.lane.lock().expect("device-lane mutex poisoned");
     let lane = &mut *lane;
@@ -347,44 +332,34 @@ pub(super) fn execute_on_lane(
     let warm = lane.device.as_mut().expect("device was just installed");
     // SimTime + Duration saturates, so a pathological arrival offset clamps
     // at the end of representable time instead of wrapping the clock.
-    let arrival = batch_base.unwrap_or(lane.clock) + plan.arrival;
+    let arrival = base + plan.arrival;
     let before = warm.device.snapshot();
-    // Queueing ends when the request's *first* repeat issues; later repeats
-    // are part of its own service, not lane wait. An arrival past the
-    // previous finish instead leaves the device idle for the gap.
+    // A request arriving before the previous finish queues; one arriving
+    // after it leaves the device idle for the gap.
     let queueing_time = lane.clock.saturating_since(arrival);
     let idle_gap = arrival.saturating_since(lane.clock);
-    lane.clock = lane.clock.max(arrival);
-    let issue = lane.clock;
-    let mut report: Result<Option<RunReport>> = Ok(None);
-    for _ in 0..plan.repeats {
-        let start = lane.clock;
-        let options = plan.options.starting_at(start);
-        report = warm
-            .prepare(engine, plan)
-            .and_then(|()| {
-                engine.run_with_plan(
-                    &mut warm.device,
-                    &plan.program,
-                    &options,
-                    plan.strip_plan.as_deref(),
-                )
-            })
-            .map(Some);
-        match &report {
-            Ok(Some(run)) => lane.clock = start + run.total_time,
-            // The (possibly partially advanced) device stays with the
-            // session so the stream can continue or be inspected.
-            _ => break,
-        }
-    }
+    let issue = lane.clock.max(arrival);
+    let report = warm.prepare(engine, plan).and_then(|()| {
+        engine.run_with_plan(
+            &mut warm.device,
+            &plan.program,
+            &plan.options.starting_at(issue),
+            plan.strip_plan.as_deref(),
+        )
+    });
+    // A failed run leaves the clock at its issue; the (possibly partially
+    // advanced) device stays with the session so the stream can continue or
+    // be inspected.
+    lane.clock = match &report {
+        Ok(run) => issue + run.total_time,
+        Err(_) => issue,
+    };
     // Lane accounting happens even on a failed request: the device may have
     // partially advanced, and the idle gap was real either way.
     let device = &mut warm.device;
     device.record_lane_request(idle_gap, queueing_time, lane.clock.saturating_since(issue));
     let delta = device.snapshot().delta_since(&before);
-    let report = report?.expect("repeats is clamped to at least one");
-    Ok(build_outcome(report, plan, delta, queueing_time))
+    Ok(build_outcome(report?, plan, delta, queueing_time))
 }
 
 /// One flow's FIFO sub-queue inside a mixed-weight lane: the request
@@ -444,7 +419,7 @@ pub(super) fn run_lane(
         .all(|w| plans[w[0]].weight == plans[w[1]].weight);
     if uniform {
         for &i in indices {
-            deliver(i, execute_on_lane(engine, ssd, slot, &plans[i], Some(base)));
+            deliver(i, execute_on_lane(engine, ssd, slot, &plans[i], base));
         }
         return;
     }
@@ -472,7 +447,7 @@ pub(super) fn run_lane(
     // Serves the flow's head request, whose presence the caller checked.
     let mut serve = |flow: &mut LaneFlow| {
         let i = flow.queue[flow.head];
-        let outcome = execute_on_lane(engine, ssd, slot, &plans[i], Some(base));
+        let outcome = execute_on_lane(engine, ssd, slot, &plans[i], base);
         let service = outcome
             .as_ref()
             .map(|o| o.summary.service_time)

@@ -16,10 +16,10 @@ pub struct RunSummary {
     pub workload: String,
     /// The policy that was used.
     pub policy: Policy,
-    /// Number of vector instructions executed per repeat.
+    /// Number of vector instructions executed.
     pub instructions: usize,
-    /// How many times the program was simulated (see
-    /// [`RunRequest::repeat`](crate::RunRequest::repeat)).
+    /// How many times the program was simulated: always 1, since a request
+    /// is one run.
     pub repeats: u32,
     /// End-to-end time of the run as the submitter saw it:
     /// [`RunSummary::queueing_time`] + [`RunSummary::service_time`].
@@ -36,7 +36,7 @@ pub struct RunSummary {
     pub service_time: Duration,
     /// Total energy of one run.
     pub total_energy: Energy,
-    /// Energy split into data movement and computation, when collected.
+    /// Energy split into data movement and computation: always `Some`.
     pub energy_split: Option<EnergySummary>,
     /// Where the execution time went.
     pub breakdown: CostBreakdown,
@@ -45,17 +45,17 @@ pub struct RunSummary {
     /// Histogram of per-instruction end-to-end latencies (constant memory;
     /// query any quantile via [`LatencyStats::percentile`]).
     pub latency: LatencyStats,
-    /// The percentiles requested by the run's
-    /// [`RunRequest::percentiles`](crate::RunRequest::percentiles) set,
-    /// materialized as `(p, latency)` pairs in request order.
+    /// The [`DEFAULT_PERCENTILES`](crate::DEFAULT_PERCENTILES) quantiles of
+    /// [`RunSummary::latency`] as `(p, latency)` pairs, in that order; any
+    /// other quantile comes from [`RunSummary::percentile`].
     pub percentiles: Vec<(f64, Duration)>,
     /// Offloader overhead statistics.
     pub overhead: OverheadReport,
     /// The device-side work this run performed (GC invocations, pages
     /// migrated, coherence syncs, wear spread, …): on a fresh device the
     /// run's absolute footprint, on a warm device the *additional* aging it
-    /// caused on top of what earlier requests left behind. Repeats
-    /// accumulate (see [`conduit_sim::DeviceDelta::accumulate`]).
+    /// caused on top of what earlier requests left behind, with its one
+    /// lane request.
     pub device_delta: DeviceDelta,
 }
 

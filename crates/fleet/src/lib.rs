@@ -136,7 +136,6 @@ pub struct FleetBuilder {
     faults: FaultConfig,
     shards: usize,
     workers: Option<usize>,
-    serial: bool,
     seed: u64,
     window: Duration,
     min_slo_samples: usize,
@@ -149,7 +148,6 @@ impl FleetBuilder {
             faults: FaultConfig::default(),
             shards: 1,
             workers: None,
-            serial: false,
             seed: DEFAULT_FLEET_SEED,
             window: DEFAULT_ADMISSION_WINDOW,
             min_slo_samples: DEFAULT_MIN_SLO_SAMPLES,
@@ -168,18 +166,19 @@ impl FleetBuilder {
         self
     }
 
-    /// Worker threads per shard's session pool.
+    /// Worker threads per shard's session (see
+    /// [`SessionBuilder::workers`](conduit::SessionBuilder::workers); default:
+    /// one per available CPU core). The last of this and
+    /// [`FleetBuilder::serial`] wins.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
-        self.serial = false;
         self
     }
 
-    /// Runs every shard on the calling thread (no worker pools).
-    pub fn serial(mut self) -> Self {
-        self.serial = true;
-        self.workers = None;
-        self
+    /// Sugar for [`FleetBuilder::workers`]`(1)`: every shard runs its
+    /// batches on the calling thread.
+    pub fn serial(self) -> Self {
+        self.workers(1)
     }
 
     /// Routing seed: same seed + same tenant names = same placement.
@@ -205,9 +204,7 @@ impl FleetBuilder {
         let shards = (0..self.shards)
             .map(|_| {
                 let mut b = Session::builder(self.ssd.clone()).faults(self.faults);
-                if self.serial {
-                    b = b.serial();
-                } else if let Some(workers) = self.workers {
+                if let Some(workers) = self.workers {
                     b = b.workers(workers);
                 }
                 b.build()

@@ -267,7 +267,8 @@ impl Ftl {
 
     /// Maps a group of logical pages **co-located in the same block** (the
     /// Flash-Cosmos layout constraint for multi-operand in-flash compute),
-    /// on the next plane of the striping rotation. Pages already mapped
+    /// on the next plane of the striping rotation that can take the group
+    /// (with faults on, a plane of a failed die cannot). Pages already mapped
     /// elsewhere keep their existing mapping, so a fully-mapped group
     /// re-prepares fine on a degraded device.
     ///
@@ -290,11 +291,9 @@ impl Ftl {
         for &page in &unmapped {
             self.check_range(page)?;
         }
-        if unmapped.is_empty() {
-            return Ok(());
-        }
         self.check_writable()?;
-        let addrs = self.alloc.allocate_group(&mut self.state, unmapped.len())?;
+        let addrs =
+            self.on_a_live_plane(|alloc, state| alloc.allocate_group(state, unmapped.len()))?;
         for (page, addr) in unmapped.into_iter().zip(addrs) {
             self.install_mapping(page, addr);
         }
@@ -388,23 +387,31 @@ impl Ftl {
         Ok((addr, gc))
     }
 
-    /// Allocates one striped data page. With faults enabled the striping
-    /// cursor may point at a plane whose blocks are all retired, so every
-    /// plane is tried before giving up; the inert path is byte-identical to
-    /// a plain allocation.
+    /// Allocates one striped data page.
     fn allocate_data_page(&mut self) -> Result<PhysicalPageAddr> {
-        if self.faults.is_inert() {
-            return self.alloc.allocate(&mut self.state);
-        }
-        let planes = self.state.geometry().total_planes();
-        for _ in 0..planes {
-            match self.alloc.allocate(&mut self.state) {
-                Ok(addr) => return Ok(addr),
+        self.on_a_live_plane(PageAllocator::allocate)
+    }
+
+    /// Runs `allocate`, which takes the next plane of the striping rotation.
+    /// With faults enabled the cursor may point at a plane whose blocks are
+    /// all retired, so every plane is tried before giving up; with inert
+    /// faults `allocate` runs once, as a plain allocation.
+    fn on_a_live_plane<T>(
+        &mut self,
+        mut allocate: impl FnMut(&mut PageAllocator, &mut FlashState) -> Result<T>,
+    ) -> Result<T> {
+        let tries = if self.faults.is_inert() {
+            1
+        } else {
+            self.state.geometry().total_planes()
+        };
+        for _ in 1..tries {
+            match allocate(&mut self.alloc, &mut self.state) {
                 Err(ConduitError::OutOfSpace) => continue,
-                Err(e) => return Err(e),
+                other => return other,
             }
         }
-        Err(ConduitError::OutOfSpace)
+        allocate(&mut self.alloc, &mut self.state)
     }
 
     /// Draws the transient-read retry count for a read of `addr`: a
@@ -1046,9 +1053,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn die_failure_retires_the_whole_die_and_salvages_its_pages() {
-        // Two single-plane dies so a die failure leaves a survivor.
+    /// Two single-plane dies, so a die failure leaves a survivor, under a
+    /// seeded die-failure rate; pages 0..8 are mapped.
+    fn two_die_ftl() -> Ftl {
         let mut cfg = SsdConfig::small_for_tests();
         cfg.flash.channels = 2;
         cfg.flash.dies_per_channel = 1;
@@ -1060,6 +1067,12 @@ mod tests {
         faults.spare_blocks = 10_000;
         let mut f = Ftl::with_faults(&cfg, faults).unwrap();
         f.map_pages(&pages(0..8)).unwrap();
+        f
+    }
+
+    #[test]
+    fn die_failure_retires_the_whole_die_and_salvages_its_pages() {
+        let mut f = two_die_ftl();
         let mut die_failed = false;
         for _ in 0..200 {
             if f.rewrite(LogicalPageId::new(3)).is_err() {
@@ -1077,6 +1090,27 @@ mod tests {
         for p in pages(0..8) {
             let (addr, _) = f.translate(p).unwrap();
             assert!(!f.flash_state().block(addr).is_bad());
+        }
+    }
+
+    #[test]
+    fn group_mappings_skip_the_planes_of_a_failed_die() {
+        // After the first die failure every group lands on the surviving
+        // die's plane, not only every other one.
+        let mut f = two_die_ftl();
+        for _ in 0..200 {
+            if f.fault_stats().die_failures > 0 {
+                break;
+            }
+            f.rewrite(LogicalPageId::new(3)).unwrap();
+        }
+        assert!(f.fault_stats().die_failures > 0, "{:?}", f.fault_stats());
+        for g in 0..4u64 {
+            let group = pages(100 + 4 * g..104 + 4 * g);
+            f.map_group(&group).unwrap();
+            let addrs: Vec<PhysicalPageAddr> = group.iter().map(|&p| f.peek(p).unwrap()).collect();
+            assert!(addrs.windows(2).all(|w| w[0].same_block(w[1])), "{addrs:?}");
+            assert!(!f.flash_state().block(addrs[0]).is_bad(), "{addrs:?}");
         }
     }
 

@@ -644,33 +644,6 @@ pub struct DeviceDelta {
 }
 
 impl DeviceDelta {
-    /// Folds another delta (a later repeat of the same request) into this
-    /// one: counters add, the `dirty_pages`/`wear_spread` gauges take the
-    /// later value.
-    pub fn accumulate(&mut self, later: DeviceDelta) {
-        self.pages_mapped += later.pages_mapped;
-        self.rewrites += later.rewrites;
-        self.gc_invocations += later.gc_invocations;
-        self.pages_migrated += later.pages_migrated;
-        self.blocks_erased += later.blocks_erased;
-        self.coherence_writes += later.coherence_writes;
-        self.coherence_syncs += later.coherence_syncs;
-        self.dirty_pages = later.dirty_pages;
-        self.wear_spread = later.wear_spread;
-        self.device_ops += later.device_ops;
-        self.lane_requests += later.lane_requests;
-        self.lane_busy_time += later.lane_busy_time;
-        self.lane_idle_time += later.lane_idle_time;
-        self.lane_queued_time += later.lane_queued_time;
-        self.health = later.health;
-        self.retired_blocks += later.retired_blocks;
-        self.program_failures += later.program_failures;
-        self.erase_failures += later.erase_failures;
-        self.read_retries += later.read_retries;
-        self.die_failures += later.die_failures;
-        self.remapped_pages += later.remapped_pages;
-    }
-
     /// Whether the run performed any tracked device work at all.
     pub fn is_empty(&self) -> bool {
         *self == DeviceDelta::default()
@@ -873,28 +846,5 @@ mod tests {
         assert_eq!(touched_len, cold_len + 24);
         let back = DeviceState::from_bytes(&cfg, &touched.to_bytes()).unwrap();
         assert_eq!(back.snapshot(), touched.snapshot());
-    }
-
-    #[test]
-    fn delta_accumulate_adds_counters_and_keeps_last_gauges() {
-        let mut a = DeviceDelta {
-            rewrites: 2,
-            wear_spread: 5,
-            dirty_pages: 3,
-            device_ops: 10,
-            ..DeviceDelta::default()
-        };
-        let b = DeviceDelta {
-            rewrites: 1,
-            wear_spread: 7,
-            dirty_pages: 1,
-            device_ops: 4,
-            ..DeviceDelta::default()
-        };
-        a.accumulate(b);
-        assert_eq!(a.rewrites, 3);
-        assert_eq!(a.device_ops, 14);
-        assert_eq!(a.wear_spread, 7);
-        assert_eq!(a.dirty_pages, 1);
     }
 }

@@ -292,7 +292,7 @@ fn warm_coherence_state_flips_placement_mid_strip() {
 }
 
 #[test]
-fn l2p_miss_cadence_is_identical_in_every_mode_and_restarts_per_repeat() {
+fn l2p_miss_cadence_is_identical_in_every_mode_and_restarts_per_run() {
     // A deterministic L2P miss period of 4 (hit rate 0.75): in a run that
     // charges overheads every instruction bumps the lookup counter exactly
     // once, so misses land on instruction indices 3, 7, 11, 15 — regardless
@@ -328,22 +328,21 @@ fn l2p_miss_cadence_is_identical_in_every_mode_and_restarts_per_repeat() {
     assert_eq!(pooled[0], lone);
     assert_eq!(pooled[1], lone);
 
-    // The lookup counter is per run: across repeat boundaries the cadence
-    // restarts (repeat 2 misses on the same in-run indices as repeat 1).
-    // The summary carries the final repeat's report, so a counter leaking
-    // across repeats would shift its miss pattern and the totals would
-    // differ.
-    let warm = session.create_device("cadence");
-    let repeated = session
-        .submit(&request.clone().on_device(warm).repeat(3))
-        .unwrap();
-    assert_eq!(
-        repeated.summary.overhead, expected,
-        "cadence must restart at each repeat boundary"
-    );
+    // The lookup counter is per run: each run on a warm device misses on
+    // the same in-run indices as the first, so a counter leaking across
+    // runs would shift the miss pattern and the totals would differ.
+    let device = session.create_device("cadence");
+    let warm = request.clone().on_device(device);
+    let warm_runs: Vec<_> = (0..3).map(|_| session.submit(&warm).unwrap()).collect();
+    for (run, outcome) in warm_runs.iter().enumerate() {
+        assert_eq!(
+            outcome.summary.overhead, expected,
+            "cadence must restart at warm run {run}"
+        );
+    }
     let mut golden = Golden::new("batched_l2p_cadence");
     golden.outcome("fresh", &lone);
-    golden.outcome("warm-repeat3", &repeated);
-    golden.snapshot("warm-device", &session.device_snapshot(warm));
+    golden.outcome("warm-third", &warm_runs[2]);
+    golden.snapshot("warm-device", &session.device_snapshot(device));
     golden.check();
 }

@@ -10,7 +10,7 @@ use conduit_workloads::{Scale, Workload};
 
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
-    let mut serial = Harness::quick().with_parallel(false);
+    let mut serial = Harness::quick().with_workers(1);
     // Force 4 workers so the threaded path is exercised even on single-CPU
     // CI hosts.
     let mut parallel = Harness::quick().with_workers(4);
@@ -61,7 +61,7 @@ fn submit_batch_is_bit_identical_to_serial_submission() {
 
 #[test]
 fn figures_are_identical_across_harness_modes() {
-    let mut serial = Harness::quick().with_parallel(false);
+    let mut serial = Harness::quick().with_workers(1);
     let mut parallel = Harness::quick().with_workers(4);
     assert_eq!(serial.fig7a(), parallel.fig7a());
     assert_eq!(serial.fig7b(), parallel.fig7b());

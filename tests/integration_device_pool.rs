@@ -1,7 +1,7 @@
 //! The device-pool Session API: named warm devices, per-device FIFO lanes,
 //! stream clocks and serializable device checkpoints.
 //!
-//! Three properties are pinned down here:
+//! These properties are pinned down here:
 //!
 //! 1. **Per-device determinism**: a mixed batch across three warm devices
 //!    plus fresh requests is bit-identical whether the lanes run in
@@ -28,6 +28,8 @@
 //!    (everything stays bit-identical to `.serial()` submission).
 //! 5. **Open-loop arrivals**: explicit `RunRequest::arriving_at` offsets
 //!    produce the same summaries on every worker count.
+//! 6. **One run per request**: every warm outcome accounts exactly one lane
+//!    request, also under arrivals and weighted lanes.
 
 use conduit::{DeviceHandle, Policy, ProgramId, RunOutcome, RunRequest, Session};
 use conduit_types::{
@@ -233,8 +235,8 @@ fn checkpointed_device_replays_identically_to_the_uninterrupted_stream() {
     assert_eq!(after.device_clock(dev_after), session.device_clock(device));
 }
 
-/// Lane priority on two workers: one batch of 16 heavy fresh requests plus
-/// 4 light one-request lanes, the lanes submitted last.
+/// Lane priority on two workers: one batch of 6,400 fresh requests plus 4
+/// one-request lanes, the lanes submitted last.
 ///
 /// Lane priority comes from task order: a batch's lane tasks precede its
 /// fresh tasks whatever the request order, and the worker threads take
@@ -249,16 +251,17 @@ fn checkpointed_device_replays_identically_to_the_uninterrupted_stream() {
 /// submission.
 #[test]
 fn lanes_are_served_ahead_of_a_heavy_fresh_backlog_on_two_workers() {
+    const FRESH: usize = 6_400;
     let build = |configure: fn(conduit::SessionBuilder) -> conduit::SessionBuilder| {
         let mut session = pool_session(configure);
         let writer = session.register(writer_program()).unwrap();
         let devices: Vec<DeviceHandle> = (0..4)
             .map(|i| session.create_device(&format!("tenant-{i}")))
             .collect();
-        // 16 heavy fresh requests first, then 4 light one-request lanes —
-        // the worst ordering for a FIFO scheduler.
-        let mut requests: Vec<RunRequest> = (0..16)
-            .map(|_| RunRequest::new(writer, Policy::Conduit).repeat(400))
+        // The fresh backlog first, then 4 one-request lanes — the worst
+        // ordering for a FIFO scheduler.
+        let mut requests: Vec<RunRequest> = (0..FRESH)
+            .map(|_| RunRequest::new(writer, Policy::Conduit))
             .collect();
         requests.extend(
             devices
@@ -295,7 +298,7 @@ fn lanes_are_served_ahead_of_a_heavy_fresh_backlog_on_two_workers() {
     let total = started.elapsed();
 
     // Wall-clock fairness: the four lanes were served long before the
-    // 16-request fresh backlog drained. (The generous factor keeps the
+    // fresh backlog drained. (The generous factor keeps the
     // assertion robust on noisy CI machines; the old FIFO pool sat at
     // ~100% of the batch time.)
     assert!(
@@ -306,7 +309,7 @@ fn lanes_are_served_ahead_of_a_heavy_fresh_backlog_on_two_workers() {
 
     // Simulated queueing is scheduler-free: every one-request lane found
     // its device idle.
-    for lane_outcome in &outcomes[16..] {
+    for lane_outcome in &outcomes[FRESH..] {
         assert_eq!(lane_outcome.summary.queueing_time, Duration::ZERO);
         assert_eq!(lane_outcome.summary.device_delta.lane_requests, 1);
     }
@@ -322,6 +325,66 @@ fn lanes_are_served_ahead_of_a_heavy_fresh_backlog_on_two_workers() {
             serial_session.device_snapshot(sd)
         );
         assert_eq!(session.device_clock(d), serial_session.device_clock(sd));
+    }
+}
+
+/// One request is one run, on warm lanes too: under open-loop arrivals and
+/// deficit-round-robin (DRR) lanes of mixed weights, every warm outcome's
+/// device delta accounts exactly one lane request, whose busy and queued
+/// time are the outcome's own service and queueing time. Fresh runs have no
+/// lane.
+#[test]
+fn every_warm_outcome_accounts_exactly_one_lane_request() {
+    let mut session = pool_session(|b| b.workers(2));
+    let writer = session.register(writer_program()).unwrap();
+    let reader = session.register(reader_program()).unwrap();
+    let a = session.create_device("tenant-a");
+    let b = session.create_device("tenant-b");
+    let at = |us: f64| SimTime::ZERO + Duration::from_us(us);
+    let mut batch = Vec::new();
+    for device in [a, b] {
+        // Two flows of weights 1 and 3 arriving 5 µs apart, then a request
+        // long after the lane drained; a fresh run after each lane.
+        for i in 0..6 {
+            let (program, flow, weight) = if i % 2 == 0 {
+                (writer, 0, 1)
+            } else {
+                (reader, 1, 3)
+            };
+            batch.push(
+                RunRequest::new(program, Policy::Conduit)
+                    .on_device(device)
+                    .arriving_at(at(5.0 * i as f64))
+                    .weighted(flow, weight),
+            );
+        }
+        batch.push(
+            RunRequest::new(writer, Policy::PudSsd)
+                .on_device(device)
+                .arriving_at(at(50_000.0))
+                .weighted(0, 1),
+        );
+        batch.push(RunRequest::new(reader, Policy::IspOnly).arriving_at(at(20.0)));
+    }
+    let outcomes = session.submit_batch(&batch).unwrap();
+
+    for (i, (request, outcome)) in batch.iter().zip(&outcomes).enumerate() {
+        let (summary, delta) = (&outcome.summary, &outcome.summary.device_delta);
+        if request.requested_device().is_some() {
+            assert_eq!(delta.lane_requests, 1, "request {i}");
+            assert_eq!(summary.service_time, delta.lane_busy_time, "request {i}");
+            assert_eq!(summary.queueing_time, delta.lane_queued_time, "request {i}");
+        } else {
+            assert_eq!(delta.lane_requests, 0, "request {i}");
+        }
+    }
+    // The arrivals shaped both lanes: requests queued, and the late ones
+    // found their lanes idle.
+    for device in [a, b] {
+        let snap = session.device_snapshot(device);
+        assert_eq!(snap.lane_requests, 7);
+        assert!(snap.lane_queued_time > Duration::ZERO);
+        assert!(snap.lane_idle_time > Duration::ZERO);
     }
 }
 

@@ -1,7 +1,7 @@
 //! End-to-end pipeline integration: scalar kernel → compile-time
 //! vectorization → program registration → runtime offloading → summary.
 
-use conduit::{Policy, RunOptions, RunRequest, RuntimeEngine, Session};
+use conduit::{Policy, RunOptions, RunRequest, RuntimeEngine, Session, DEFAULT_PERCENTILES};
 use conduit_sim::{DeviceState, SsdDevice};
 use conduit_types::{ConduitError, Duration, Energy, OpType, SsdConfig};
 use conduit_vectorizer::{ArrayDecl, Expr, Kernel, Loop, Statement, Vectorizer};
@@ -118,16 +118,19 @@ fn per_instruction_latencies_are_bounded_by_total_time() {
     let mut session = session();
     let id = session.register(out.program).unwrap();
     let report = session
-        .submit(&RunRequest::new(id, Policy::Conduit).percentiles(&[0.5, 1.0]))
+        .submit(&RunRequest::new(id, Policy::Conduit))
         .unwrap()
         .summary;
     let max = report.percentile(1.0);
     assert!(max <= report.total_time);
     assert!(report.percentile(0.5) <= max);
-    // The requested percentile set is materialized in order.
-    assert_eq!(report.percentiles.len(), 2);
-    assert_eq!(report.percentiles[0].0, 0.5);
-    assert_eq!(report.percentiles[1], (1.0, max));
+    // The default percentile set is materialized in order.
+    let set: Vec<f64> = report.percentiles.iter().map(|&(p, _)| p).collect();
+    assert_eq!(set, DEFAULT_PERCENTILES);
+    for &(p, latency) in &report.percentiles {
+        assert_eq!(latency, report.percentile(p));
+        assert!(latency <= max);
+    }
 }
 
 #[test]

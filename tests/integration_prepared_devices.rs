@@ -1,7 +1,7 @@
-//! Fresh runs of one registered program share one prepared device per batch
-//! (and per request's repeats): the first run builds and prepares it, the
-//! others clone it. Each clone is exactly the device its run would have
-//! built, so every outcome matches a lone submit of the same request.
+//! Fresh runs of one registered program share one prepared device per
+//! batch: the first run builds and prepares it, the others clone it. Each
+//! clone is exactly the device its run would have built, so every outcome
+//! matches a lone submit of the same request, which builds its own.
 
 use conduit::{PlanCacheStats, Policy, RunRequest, Session};
 use conduit_types::{ConduitError, OpType, Operand, SsdConfig, VectorProgram};
@@ -46,7 +46,7 @@ fn shared_prepared_devices_reproduce_lone_submits() {
                 .map(|p| RunRequest::new(b, p).timeline(p == Policy::Conduit)),
         );
         requests.push(RunRequest::new(a, Policy::Conduit));
-        requests.push(RunRequest::new(a, Policy::AresFlash).repeat(3));
+        requests.extend((0..3).map(|_| RunRequest::new(a, Policy::AresFlash)));
         requests.push(RunRequest::inline(xor, Policy::Conduit).with_timeline());
 
         let before = s.plan_cache_stats();
@@ -55,24 +55,15 @@ fn shared_prepared_devices_reproduce_lone_submits() {
         // rest clones. The inline copy of b builds its own device.
         assert_eq!(devices_since(&s, before), (3, 8 + 2), "{workers} workers");
 
+        let before = s.plan_cache_stats();
         for (i, (request, outcome)) in requests.iter().zip(&batched).enumerate() {
             let lone = s.submit(request).unwrap();
             assert_eq!(outcome, &lone, "{workers} workers: request {i}");
         }
+        // A lone submit runs once, so it builds its own device.
+        assert_eq!(devices_since(&s, before), (requests.len() as u64, 0));
         // The inline copy, on its own device, matches b's cloned one.
-        assert_eq!(batched[10], batched[6], "{workers} workers: inline copy");
-
-        // A lone request's repeats share one device too, and each repeat
-        // does exactly what a single run does.
-        let before = s.plan_cache_stats();
-        let thrice = s.submit(&requests[9]).unwrap();
-        assert_eq!(devices_since(&s, before), (1, 2));
-        let once = s.submit(&RunRequest::new(a, Policy::AresFlash)).unwrap();
-        assert_eq!(
-            thrice.summary.device_delta.device_ops,
-            3 * once.summary.device_delta.device_ops
-        );
-        assert_eq!(thrice.summary.total_time, once.summary.total_time);
+        assert_eq!(batched[12], batched[6], "{workers} workers: inline copy");
     }
 }
 
@@ -94,12 +85,14 @@ fn a_failed_prepare_fails_its_program_every_time_and_spares_the_others() {
         ];
         let bad_requests = [
             RunRequest::new(bad, Policy::Conduit),
-            RunRequest::new(bad, Policy::IspOnly).repeat(2),
+            RunRequest::new(bad, Policy::IspOnly),
+            RunRequest::new(bad, Policy::IspOnly),
         ];
         let mixed = [
             good_requests[0].clone(),
             bad_requests[0].clone(),
             bad_requests[1].clone(),
+            bad_requests[2].clone(),
             good_requests[1].clone(),
         ];
         // A second identical batch fails the same way: nothing is cached.
