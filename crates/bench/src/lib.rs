@@ -521,12 +521,11 @@ impl Harness {
                 r.overhead.max.as_us()
             ));
         }
-        let cfg = SsdConfig::default();
-        let storage = conduit::OverheadModel::new(&cfg).storage();
-        let transformer = conduit::InstructionTransformer::new(&cfg);
+        let model = conduit::OverheadModel::new(&SsdConfig::default());
+        let storage = model.storage();
         out.push_str(&format!(
             "translation table: {} entries, {} bytes; metadata table: {} bytes (paper: ~1.5 KiB total)\n",
-            transformer.entries().len(),
+            model.translation_entries(),
             storage.translation_table_bytes,
             storage.metadata_table_bytes,
         ));

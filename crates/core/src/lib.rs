@@ -15,12 +15,10 @@
 //!   (host CPU/GPU, ISP-only, PuD-SSD, Flash-Cosmos, Ares-Flash,
 //!   BW-Offloading, DM-Offloading, the unrealizable Ideal policy, and the
 //!   naive IFP+ISP combination from the motivation case study),
-//! * [`InstructionTransformer`] — the translation of vectorized instructions
-//!   to each resource's native primitives (ARM MVE, SIMDRAM/MIMDRAM `bbop`s,
-//!   Flash-Cosmos MWS / Ares-Flash `shift_and_add`) and the vector-width
-//!   splitting between 4096-lane flash pages, 2048-element DRAM rows and
-//!   8-lane MVE micro-ops,
-//! * [`OverheadModel`] — the runtime latency and storage overheads of §4.5,
+//! * [`OverheadModel`] — the runtime latency and storage overheads of §4.5:
+//!   feature collection and the instruction-transformation table lookup
+//!   charged per instruction, and the size of the translation table (one
+//!   entry per operation each resource supports),
 //! * [`RuntimeEngine`] — the runtime offloading engine that executes a
 //!   [`conduit_types::VectorProgram`] on a simulated [`conduit_sim::SsdDevice`]
 //!   under a chosen policy,
@@ -69,7 +67,6 @@ mod overhead;
 mod policy;
 mod report;
 mod session;
-mod transform;
 
 pub use batch::{Strip, StripPlan};
 pub use cost::{CostFeatures, CostFunction};
@@ -83,4 +80,3 @@ pub use session::{
     DEVICE_CHECKPOINT_FORMAT_VERSION, DEVICE_CHECKPOINT_MAGIC, REGISTRY_FORMAT_VERSION,
     REGISTRY_MAGIC,
 };
-pub use transform::{InstructionTransformer, NativeIsa, TranslationEntry};

@@ -79,6 +79,12 @@ impl OverheadModel {
         self.cfg.transform_lookup
     }
 
+    /// Entries in the instruction-transformation translation table: one per
+    /// operation each resource supports.
+    pub fn translation_entries(&self) -> u64 {
+        self.translation_entries
+    }
+
     /// Total per-instruction offloader overhead.
     pub fn per_instruction(&self, operands: usize, l2p_miss: bool) -> Duration {
         self.feature_collection(operands, l2p_miss) + self.transformation()
@@ -132,6 +138,7 @@ mod tests {
         let m = model();
         let s = m.storage();
         assert!(s.translation_table_bytes > 100);
+        assert_eq!(s.translation_table_bytes, m.translation_entries() * 4);
         assert!(
             s.fixed_total_bytes() <= 2048,
             "got {}",

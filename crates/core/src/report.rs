@@ -146,28 +146,6 @@ pub struct RunReport {
     pub overhead: OverheadReport,
 }
 
-impl RunReport {
-    /// Speedup of this run relative to `baseline` (>1 means this run is
-    /// faster).
-    pub fn speedup_over(&self, baseline: &RunReport) -> f64 {
-        let own = self.total_time.as_ns();
-        if own == 0.0 {
-            return f64::INFINITY;
-        }
-        baseline.total_time.as_ns() / own
-    }
-
-    /// This run's energy as a fraction of `baseline`'s (<1 means this run
-    /// uses less energy).
-    pub fn energy_vs(&self, baseline: &RunReport) -> f64 {
-        let base = baseline.energy.total().as_nj();
-        if base == 0.0 {
-            return 0.0;
-        }
-        self.energy.total().as_nj() / base
-    }
-}
-
 /// Geometric mean of a set of strictly positive values (used for the GMEAN
 /// columns of Figures 5 and 7). Returns 0 for an empty input.
 pub fn gmean(values: &[f64]) -> f64 {
@@ -218,36 +196,6 @@ mod tests {
         assert_eq!(o.mean(), Duration::from_us(3.0));
         assert_eq!(o.max, Duration::from_us(4.0));
         assert_eq!(OverheadReport::default().mean(), Duration::ZERO);
-    }
-
-    #[test]
-    fn speedup_and_energy_ratios() {
-        let fast = RunReport {
-            workload: "w".into(),
-            policy: Policy::Conduit,
-            instructions: 1,
-            total_time: Duration::from_us(10.0),
-            energy: EnergySummary {
-                data_movement: Energy::from_nj(5.0),
-                compute: Energy::from_nj(5.0),
-            },
-            breakdown: CostBreakdown::zero(),
-            offload_mix: OffloadMix::default(),
-            latency: LatencyStats::new(),
-            timeline: Vec::new(),
-            overhead: OverheadReport::default(),
-        };
-        let slow = RunReport {
-            policy: Policy::HostCpu,
-            total_time: Duration::from_us(40.0),
-            energy: EnergySummary {
-                data_movement: Energy::from_nj(30.0),
-                compute: Energy::from_nj(10.0),
-            },
-            ..fast.clone()
-        };
-        assert!((fast.speedup_over(&slow) - 4.0).abs() < 1e-9);
-        assert!((fast.energy_vs(&slow) - 0.25).abs() < 1e-9);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub struct ProgramRegistry {
 
 /// FNV-1a over a program's compact serialization: the content address used
 /// by [`ProgramRegistry`] deduplication (the shared workspace hash, also
-/// behind [`SsdConfig::fingerprint`]).
+/// behind [`conduit_types::SsdConfig::fingerprint`]).
 fn content_hash(bytes: &[u8]) -> u64 {
     conduit_types::bytes::fnv1a(bytes)
 }

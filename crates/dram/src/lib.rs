@@ -10,13 +10,11 @@
 //!
 //! The crate provides:
 //!
-//! * [`DramTiming`] — un-contended latencies and energies of ordinary DRAM
-//!   accesses (row activation, read/write of cached pages, bus transfers),
+//! * [`DramTiming`] — the un-contended latency and energy of moving bytes
+//!   over the internal DRAM bus,
 //! * [`PudModel`] — the compute model: how many bulk-bitwise operation
 //!   primitives (bbops) each vector operation needs, and the resulting
-//!   latency/energy for row-granular sub-operations spread across banks,
-//! * [`BankState`] — open-row bookkeeping used by the event-driven simulator
-//!   for row-hit/row-miss accounting.
+//!   latency/energy for row-granular sub-operations spread across banks.
 //!
 //! ## Example
 //!
@@ -31,10 +29,8 @@
 //! # Ok::<(), conduit_types::ConduitError>(())
 //! ```
 
-mod bank;
 mod pud;
 mod timing;
 
-pub use bank::BankState;
 pub use pud::{PudCost, PudModel, PudShape};
 pub use timing::DramTiming;

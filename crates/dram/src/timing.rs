@@ -1,10 +1,11 @@
-//! Un-contended DRAM access timing and energy.
+//! Un-contended DRAM bus timing and energy.
 
 use conduit_types::{DramConfig, Duration, Energy};
 
-/// Latency/energy model for ordinary (non-compute) accesses to the SSD's
-/// internal DRAM: activating rows, streaming cached pages over the internal
-/// bus, and RowClone-style in-DRAM copies.
+/// Latency/energy model for moving bytes over the SSD's internal DRAM bus:
+/// staging pages between flash, DRAM and the controller. Contention on the
+/// bus is modelled by the event-driven simulator; PuD compute is
+/// [`crate::PudModel`]'s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DramTiming {
     cfg: DramConfig,
@@ -16,51 +17,9 @@ impl DramTiming {
         DramTiming { cfg: cfg.clone() }
     }
 
-    /// The underlying configuration.
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
-    }
-
-    /// Row activation latency (ACT → data available in the row buffer).
-    pub fn row_activate(&self) -> Duration {
-        self.cfg.t_rcd
-    }
-
-    /// Full row cycle (ACT + restore + PRE), the spacing between operations
-    /// on different rows of the same bank.
-    pub fn row_cycle(&self) -> Duration {
-        self.cfg.t_ras + self.cfg.t_rp
-    }
-
-    /// Latency of reading `bytes` that currently sit in DRAM and shipping
-    /// them over the internal DRAM bus (row activation + CAS + transfer).
-    /// `row_hit` skips the activation when the row is already open.
-    pub fn read(&self, bytes: u64, row_hit: bool) -> Duration {
-        let act = if row_hit {
-            Duration::ZERO
-        } else {
-            self.cfg.t_rcd + self.cfg.t_rp
-        };
-        act + self.cfg.t_cl + self.bus_transfer(bytes)
-    }
-
-    /// Latency of writing `bytes` into DRAM over the internal bus.
-    pub fn write(&self, bytes: u64, row_hit: bool) -> Duration {
-        // Writes hide CAS behind the transfer; the precharge/activate cost is
-        // the same as for reads.
-        self.read(bytes, row_hit)
-    }
-
     /// Pure bus-transfer time for `bytes`.
     pub fn bus_transfer(&self, bytes: u64) -> Duration {
         Duration::for_transfer(bytes, self.cfg.bus_bytes_per_sec)
-    }
-
-    /// Latency of a RowClone copy of `bytes` (performed row-by-row entirely
-    /// inside the DRAM array, two back-to-back activations per row).
-    pub fn rowclone_copy(&self, bytes: u64) -> Duration {
-        let rows = bytes.div_ceil(self.cfg.row_bytes);
-        (self.cfg.t_ras * 2 + self.cfg.t_rp) * rows
     }
 
     /// Energy of moving `bytes` over the DRAM bus (including the row
@@ -68,12 +27,6 @@ impl DramTiming {
     pub fn transfer_energy(&self, bytes: u64) -> Energy {
         let rows = bytes.div_ceil(self.cfg.row_bytes);
         self.cfg.e_act_pre * rows + self.cfg.e_bus_per_byte * bytes
-    }
-
-    /// Energy of a RowClone copy of `bytes`.
-    pub fn rowclone_energy(&self, bytes: u64) -> Energy {
-        let rows = bytes.div_ceil(self.cfg.row_bytes);
-        self.cfg.e_act_pre * (rows * 2)
     }
 }
 
@@ -83,22 +36,6 @@ mod tests {
 
     fn timing() -> DramTiming {
         DramTiming::new(&DramConfig::default())
-    }
-
-    #[test]
-    fn row_hit_is_faster_than_miss() {
-        let t = timing();
-        assert!(t.read(4096, true) < t.read(4096, false));
-        assert!(t.write(4096, true) < t.write(4096, false));
-    }
-
-    #[test]
-    fn rowclone_is_faster_than_bus_copy_for_big_buffers() {
-        let t = timing();
-        let bytes = 64 * 1024;
-        // Copying over the bus requires a read and a write.
-        let bus_copy = t.read(bytes, false) + t.write(bytes, false);
-        assert!(t.rowclone_copy(bytes) < bus_copy);
     }
 
     #[test]
@@ -112,13 +49,7 @@ mod tests {
     #[test]
     fn energies_are_positive_and_scale() {
         let t = timing();
+        assert!(t.transfer_energy(4 * 1024) > Energy::ZERO);
         assert!(t.transfer_energy(16 * 1024) > t.transfer_energy(4 * 1024));
-        assert!(t.rowclone_energy(16 * 1024) > Energy::ZERO);
-    }
-
-    #[test]
-    fn row_cycle_exceeds_activation() {
-        let t = timing();
-        assert!(t.row_cycle() > t.row_activate());
     }
 }

@@ -20,11 +20,6 @@ impl FlashTiming {
         FlashTiming { cfg: cfg.clone() }
     }
 
-    /// The underlying configuration.
-    pub fn config(&self) -> &FlashConfig {
-        &self.cfg
-    }
-
     /// SLC-mode page sensing latency (`tR`).
     pub fn read_page(&self) -> Duration {
         self.cfg.t_read
@@ -46,18 +41,6 @@ impl FlashTiming {
         self.cfg.t_dma
     }
 
-    /// Time to move `bytes` over a flash channel (partial-page DMA).
-    pub fn channel_transfer(&self, bytes: u64) -> Duration {
-        Duration::for_transfer(bytes, self.cfg.channel_bytes_per_sec)
-    }
-
-    /// Latency of transferring a page from the flash array to the SSD DRAM:
-    /// sensing + channel DMA. This is the dominant cost PuD-SSD pays for
-    /// flash-resident operands.
-    pub fn page_to_dram(&self) -> Duration {
-        self.cfg.t_read + self.cfg.t_dma
-    }
-
     /// Energy of sensing one page.
     pub fn read_energy(&self) -> Energy {
         self.cfg.e_read
@@ -71,17 +54,6 @@ impl FlashTiming {
     /// Energy of one page DMA over the channel.
     pub fn dma_energy(&self) -> Energy {
         self.cfg.e_dma
-    }
-
-    /// Energy of moving `bytes` over a flash channel, scaled from the
-    /// per-page DMA energy.
-    pub fn transfer_energy(&self, bytes: u64) -> Energy {
-        self.cfg.e_dma * (bytes as f64 / self.cfg.page_bytes as f64)
-    }
-
-    /// Number of pages needed to hold `bytes`.
-    pub fn pages_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.cfg.page_bytes)
     }
 }
 
@@ -100,30 +72,5 @@ mod tests {
         assert_eq!(t.program_page(), Duration::from_us(400.0));
         assert_eq!(t.erase_block(), Duration::from_us(3500.0));
         assert_eq!(t.page_dma(), Duration::from_us(3.3));
-        assert_eq!(t.page_to_dram(), Duration::from_us(25.8));
-    }
-
-    #[test]
-    fn channel_transfer_scales_with_bytes() {
-        let t = timing();
-        let one = t.channel_transfer(4096);
-        let four = t.channel_transfer(4 * 4096);
-        assert!((four.as_ns() - (one * 4).as_ns()).abs() < 0.01);
-    }
-
-    #[test]
-    fn transfer_energy_scales_with_bytes() {
-        let t = timing();
-        let half = t.transfer_energy(2048);
-        assert!((half.as_uj() - 7.656 / 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn pages_for_rounds_up() {
-        let t = timing();
-        assert_eq!(t.pages_for(1), 1);
-        assert_eq!(t.pages_for(4096), 1);
-        assert_eq!(t.pages_for(4097), 2);
-        assert_eq!(t.pages_for(16 * 1024), 4);
     }
 }

@@ -33,7 +33,7 @@ use conduit_types::{
 
 use crate::energy::EnergyMeter;
 use crate::estimates::{self, StripEstimates, LOC_COUNT, RESOURCE_COUNT};
-use crate::state::{check_geometry, DeviceSnapshot, DeviceState, HOST_CACHE_PAGES};
+use crate::state::{check_geometry, DeviceSnapshot, DeviceState};
 use crate::stats::CostBreakdown;
 
 /// The outcome of one scheduled device operation.
@@ -267,9 +267,9 @@ impl SsdDevice {
         if owner != DataLocation::Flash {
             return owner;
         }
-        if self.state.dram_resident.contains(&page) {
+        if self.state.dram_cache.contains(page) {
             DataLocation::Dram
-        } else if self.state.ctrl_resident.contains(&page) {
+        } else if self.state.ctrl_cache.contains(page) {
             DataLocation::CtrlSram
         } else {
             DataLocation::Flash
@@ -300,7 +300,7 @@ impl SsdDevice {
         // Host memory keeps its own copy of previously-fetched pages; as long
         // as no SSD resource has produced a newer version, re-reads are free.
         if dest == DataLocation::Host
-            && self.state.host_resident.contains(&page)
+            && self.state.host_cache.contains(page)
             && self.state.ftl.coherence().owner(page) == DataLocation::Flash
         {
             return Ok(OpCompletion::immediate(earliest));
@@ -373,11 +373,9 @@ impl SsdDevice {
             SyncAction::None => OpCompletion::immediate(earliest),
             SyncAction::FlushToFlash { from } => self.commit_page(page, from, earliest)?,
         };
-        // Any SSD-side write supersedes a copy the host may hold: drop it
-        // from the host set and its eviction queue, as `evict_residency`
-        // does for DRAM and SRAM.
-        if writer != DataLocation::Host && self.state.host_resident.remove(&page) {
-            self.state.host_order.retain(|&queued| queued != page);
+        // Any SSD-side write supersedes a copy the host may hold.
+        if writer != DataLocation::Host {
+            self.state.host_cache.remove(page);
         }
         self.note_residency(page, writer);
         Ok(completion)
@@ -495,9 +493,8 @@ impl SsdDevice {
     ///
     /// # Errors
     ///
-    /// Returns
-    /// [`ConduitError::UnsupportedOperation`](conduit_types::ConduitError::UnsupportedOperation)
-    /// for ops outside the IFP set.
+    /// Returns [`ConduitError::UnsupportedOperation`] for ops outside the IFP
+    /// set.
     pub fn execute_ifp(
         &mut self,
         op: OpType,
@@ -879,72 +876,27 @@ impl SsdDevice {
         }
     }
 
+    /// Caches a copy of `page` at `loc`. A copy `loc` owns dirty is never
+    /// evicted before it is written back.
     fn note_residency(&mut self, page: LogicalPageId, loc: DataLocation) {
-        match loc {
-            DataLocation::Dram => {
-                if self.state.dram_resident.insert(page) {
-                    self.state.dram_order.push_back(page);
-                    while self.state.dram_resident.len() > self.state.dram_capacity_pages {
-                        if let Some(victim) = self.state.dram_order.pop_front() {
-                            // Never silently drop a dirty DRAM-owned page.
-                            if self.state.ftl.coherence().owner(victim) != DataLocation::Dram {
-                                self.state.dram_resident.remove(&victim);
-                            } else {
-                                self.state.dram_order.push_back(victim);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            DataLocation::CtrlSram => {
-                if self.state.ctrl_resident.insert(page) {
-                    self.state.ctrl_order.push_back(page);
-                    while self.state.ctrl_resident.len() > self.state.ctrl_capacity_pages {
-                        if let Some(victim) = self.state.ctrl_order.pop_front() {
-                            if self.state.ftl.coherence().owner(victim) != DataLocation::CtrlSram {
-                                self.state.ctrl_resident.remove(&victim);
-                            } else {
-                                self.state.ctrl_order.push_back(victim);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            DataLocation::Host => {
-                if self.state.host_resident.insert(page) {
-                    self.state.host_order.push_back(page);
-                    while self.state.host_resident.len() > HOST_CACHE_PAGES {
-                        if let Some(victim) = self.state.host_order.pop_front() {
-                            // Dirty host-owned results stay pinned until they
-                            // are written back.
-                            if self.state.ftl.coherence().owner(victim) != DataLocation::Host {
-                                self.state.host_resident.remove(&victim);
-                            } else {
-                                self.state.host_order.push_back(victim);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            DataLocation::Flash => {}
-        }
+        let state = &mut self.state;
+        let cache = match loc {
+            DataLocation::Dram => &mut state.dram_cache,
+            DataLocation::CtrlSram => &mut state.ctrl_cache,
+            DataLocation::Host => &mut state.host_cache,
+            DataLocation::Flash => return,
+        };
+        let coherence = state.ftl.coherence();
+        cache.insert(page, |victim| coherence.owner(victim) == loc);
     }
 
-    /// Drops `page` from the residency set at `from` and from its eviction
-    /// queue. A queue entry left behind would never be popped while the set
-    /// stays under capacity, and the page's next insertion would queue it
-    /// again, so the queue would grow with every commit.
+    /// Drops the copy of `page` that DRAM or controller SRAM held at `from`,
+    /// which was just committed to flash.
     fn evict_residency(&mut self, page: LogicalPageId, from: DataLocation) {
-        let (resident, order) = match from {
-            DataLocation::Dram => (&mut self.state.dram_resident, &mut self.state.dram_order),
-            DataLocation::CtrlSram => (&mut self.state.ctrl_resident, &mut self.state.ctrl_order),
-            _ => return,
-        };
-        if resident.remove(&page) {
-            order.retain(|&queued| queued != page);
+        match from {
+            DataLocation::Dram => self.state.dram_cache.remove(page),
+            DataLocation::CtrlSram => self.state.ctrl_cache.remove(page),
+            DataLocation::Host | DataLocation::Flash => {}
         }
     }
 }
@@ -1178,8 +1130,8 @@ mod tests {
                 checkpoint_bytes.push(dev.state.to_bytes().len());
             }
         }
-        assert!(dev.state.host_resident.is_empty());
-        assert!(dev.state.host_order.is_empty());
+        assert!(dev.state.host_cache.pages().is_empty());
+        assert!(dev.state.host_cache.queue().is_empty());
         let (early, late) = (checkpoint_bytes[0], checkpoint_bytes[1]);
         // 32 more rounds would add 4 × 32 queue entries of 8 bytes each.
         assert!(

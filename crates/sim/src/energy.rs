@@ -12,27 +12,7 @@
 use conduit_types::bytes::{put_f64, Reader};
 use conduit_types::{Energy, EnergySource, Result};
 
-/// The coarse category an energy contribution belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum EnergyCategory {
-    /// Moving bytes: PCIe transfers, flash channel DMA, DRAM bus traffic,
-    /// flash reads/programs performed only to relocate data.
-    DataMovement,
-    /// Actual computation on any execution site.
-    Compute,
-}
-
-impl From<EnergySource> for EnergyCategory {
-    fn from(source: EnergySource) -> Self {
-        if source.is_compute() {
-            EnergyCategory::Compute
-        } else {
-            EnergyCategory::DataMovement
-        }
-    }
-}
-
-/// Accumulates energy by category and by source.
+/// Accumulates energy as computation or data movement, and by source.
 ///
 /// # Examples
 ///
@@ -64,19 +44,12 @@ impl EnergyMeter {
     /// compute / data-movement category). Allocation-free.
     #[inline]
     pub fn charge(&mut self, source: EnergySource, energy: Energy) {
-        match EnergyCategory::from(source) {
-            EnergyCategory::Compute => self.compute += energy,
-            EnergyCategory::DataMovement => self.data_movement += energy,
+        if source.is_compute() {
+            self.compute += energy;
+        } else {
+            self.data_movement += energy;
         }
         self.by_source[source.index()] += energy;
-    }
-
-    /// Total energy recorded under one category.
-    pub fn category(&self, category: EnergyCategory) -> Energy {
-        match category {
-            EnergyCategory::Compute => self.compute,
-            EnergyCategory::DataMovement => self.data_movement,
-        }
     }
 
     /// Total energy recorded.
@@ -176,18 +149,6 @@ mod tests {
         assert_eq!(m.source(EnergySource::Isp), Energy::from_nj(10.0));
         let nonzero: Vec<_> = m.by_source().collect();
         assert_eq!(nonzero, vec![(EnergySource::Isp, Energy::from_nj(10.0))]);
-    }
-
-    #[test]
-    fn category_follows_source_kind() {
-        assert_eq!(
-            EnergyCategory::from(EnergySource::Ifp),
-            EnergyCategory::Compute
-        );
-        assert_eq!(
-            EnergyCategory::from(EnergySource::DramBus),
-            EnergyCategory::DataMovement
-        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod state;
 mod stats;
 
 pub use device::{OpCompletion, SsdDevice, StripWindow};
-pub use energy::{EnergyCategory, EnergyMeter};
+pub use energy::EnergyMeter;
 pub use estimates::{CostEstimate, StripEstimates, LOC_COUNT, RESOURCE_COUNT};
 pub use host::{HostCpuModel, HostGpuModel};
 pub use resources::{ResourcePool, SharedResource};

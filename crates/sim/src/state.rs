@@ -45,11 +45,124 @@ pub const DEVICE_STATE_FORMAT_VERSION: u16 = 3;
 
 /// Number of pages the host keeps resident before it must re-stream data
 /// from the SSD (see the field documentation on [`DeviceState`]).
-pub(crate) const HOST_CACHE_PAGES: usize = 8;
+const HOST_CACHE_PAGES: usize = 8;
+
+/// The clean copies of pages cached at one location (SSD DRAM, controller
+/// SRAM or host memory): a set answers lookups, and a FIFO queue picks the
+/// copy to evict once the set outgrows its capacity.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Residency {
+    /// The pages with a copy here.
+    pages: PageSet<LogicalPageId>,
+    /// Eviction order, oldest first. It holds every page of the set, and may
+    /// hold stale entries for pages no longer in it (see
+    /// [`Residency::encode_into`]); eviction drops those as it meets them.
+    queue: VecDeque<LogicalPageId>,
+    capacity: usize,
+}
+
+impl Residency {
+    /// An empty cache of `capacity` pages.
+    fn new(capacity: usize) -> Self {
+        Residency {
+            pages: PageSet::default(),
+            queue: VecDeque::new(),
+            capacity,
+        }
+    }
+
+    /// Whether a copy of `page` is cached here.
+    pub(crate) fn contains(&self, page: LogicalPageId) -> bool {
+        self.pages.contains(&page)
+    }
+
+    /// Caches a copy of `page`. Over capacity, the oldest copies leave first
+    /// until the set fits or the oldest is `pinned`: that one moves to the
+    /// back of the queue, and the set stays over capacity until a later
+    /// insert.
+    pub(crate) fn insert(&mut self, page: LogicalPageId, pinned: impl Fn(LogicalPageId) -> bool) {
+        if !self.pages.insert(page) {
+            return;
+        }
+        self.queue.push_back(page);
+        while self.pages.len() > self.capacity {
+            let victim = self
+                .queue
+                .pop_front()
+                .expect("every cached page is in the eviction queue");
+            if pinned(victim) {
+                self.queue.push_back(victim);
+                break;
+            }
+            self.pages.remove(&victim);
+        }
+    }
+
+    /// Drops `page` from the set and from the queue. A queue entry left
+    /// behind would never be popped while the set stays under capacity, and
+    /// the page's next insertion would queue it again, so the queue would
+    /// grow with every removal.
+    pub(crate) fn remove(&mut self, page: LogicalPageId) {
+        if self.pages.remove(&page) {
+            self.queue.retain(|&queued| queued != page);
+        }
+    }
+
+    /// Appends the set and the queue, separately: the queue may hold stale
+    /// entries (older checkpoints kept committed pages in the DRAM and SRAM
+    /// queues, and pages an SSD-side write superseded in the host queue) and
+    /// is therefore not a reliable source for rebuilding the set. The set is
+    /// written sorted so the encoding is deterministic; the queue keeps its
+    /// exact order.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut sorted: Vec<LogicalPageId> = self.pages.iter().copied().collect();
+        sorted.sort_unstable();
+        put_u64(out, sorted.len() as u64);
+        for page in sorted {
+            put_u64(out, page.index());
+        }
+        put_u64(out, self.queue.len() as u64);
+        for page in &self.queue {
+            put_u64(out, page.index());
+        }
+    }
+
+    /// Restores an empty cache from [`Residency::encode_into`]'s bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConduitError::CorruptCheckpoint`] for truncated bytes, a
+    /// page listed twice in the set, or a set page the queue does not hold:
+    /// eviction pops the queue while the set is over capacity, so such a
+    /// page could never leave. Queue entries outside the set are legal.
+    fn restore_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
+        let set_len = r.u64()? as usize;
+        for _ in 0..set_len {
+            let page = LogicalPageId::new(r.u64()?);
+            if !self.pages.insert(page) {
+                return Err(ConduitError::corrupt_checkpoint(format!(
+                    "page {page} appears twice in a residency set"
+                )));
+            }
+        }
+        let queue_len = r.u64()? as usize;
+        for _ in 0..queue_len {
+            self.queue.push_back(LogicalPageId::new(r.u64()?));
+        }
+        let queued: PageSet<LogicalPageId> = self.queue.iter().copied().collect();
+        if let Some(page) = self.pages.iter().filter(|p| !queued.contains(p)).min() {
+            return Err(ConduitError::corrupt_checkpoint(format!(
+                "page {page} is in a residency set but not in its eviction queue"
+            )));
+        }
+        Ok(())
+    }
+}
 
 /// The mutable, persistent half of the simulated SSD: FTL (L2P map,
-/// coherence directory, garbage collector, wear counters), flash/DRAM
-/// residency, the contended-resource timelines and the energy meter.
+/// coherence directory, garbage collector, wear counters), the clean copies
+/// cached in DRAM, controller SRAM and host memory, the contended-resource
+/// timelines and the energy meter.
 ///
 /// A fresh state models a pristine device; threading one state through a
 /// stream of runs models a warm, aging device.
@@ -64,21 +177,18 @@ pub struct DeviceState {
     pub(crate) compute_cores: ResourcePool,
     pub(crate) offloader_core: SharedResource,
     pub(crate) pcie: SharedResource,
-    // Residency of clean cached copies.
-    pub(crate) dram_resident: PageSet<LogicalPageId>,
-    pub(crate) dram_order: VecDeque<LogicalPageId>,
-    pub(crate) dram_capacity_pages: usize,
-    pub(crate) ctrl_resident: PageSet<LogicalPageId>,
-    pub(crate) ctrl_order: VecDeque<LogicalPageId>,
-    pub(crate) ctrl_capacity_pages: usize,
+    /// Clean copies cached in SSD DRAM: half the DRAM's capacity in pages.
+    pub(crate) dram_cache: Residency,
+    /// Clean copies cached in controller SRAM: its capacity in pages.
+    pub(crate) ctrl_cache: Residency,
     /// Pages whose current flash contents have already been shipped to host
     /// memory (OSP baselines). The paper sizes every workload so that its
     /// footprint far exceeds what the host can cache ("the memory footprint
     /// of each workload exceeds the SSD capacity by 2×"), so only a small
-    /// window of recently transferred pages stays host-resident; everything
-    /// else must be re-streamed over the host link.
-    pub(crate) host_resident: PageSet<LogicalPageId>,
-    pub(crate) host_order: VecDeque<LogicalPageId>,
+    /// window of [`HOST_CACHE_PAGES`] recently transferred pages stays
+    /// host-resident; everything else must be re-streamed over the host
+    /// link.
+    pub(crate) host_cache: Residency,
     pub(crate) energy: EnergyMeter,
     /// Request-lane statistics: how the device's FIFO lane spent its stream
     /// clock (busy serving requests vs idle between open-loop arrivals).
@@ -148,9 +258,8 @@ impl DeviceState {
         let compute_core_count = conduit_ctrl::CoreAllocation::standard(&cfg.ctrl)?
             .count(conduit_ctrl::CoreRole::Compute)
             .max(1);
-        let dram_capacity_pages =
-            (cfg.dram.capacity_bytes / 2 / cfg.flash.page_bytes).max(16) as usize;
-        let ctrl_capacity_pages = (cfg.ctrl.sram_bytes / cfg.flash.page_bytes).max(4) as usize;
+        let dram_pages = (cfg.dram.capacity_bytes / 2 / cfg.flash.page_bytes).max(16) as usize;
+        let ctrl_pages = (cfg.ctrl.sram_bytes / cfg.flash.page_bytes).max(4) as usize;
         Ok(DeviceState {
             ftl,
             channels: vec![SharedResource::new(); cfg.flash.channels as usize],
@@ -160,14 +269,9 @@ impl DeviceState {
             compute_cores: ResourcePool::new(compute_core_count),
             offloader_core: SharedResource::new(),
             pcie: SharedResource::new(),
-            dram_resident: PageSet::default(),
-            dram_order: VecDeque::new(),
-            dram_capacity_pages,
-            ctrl_resident: PageSet::default(),
-            ctrl_order: VecDeque::new(),
-            ctrl_capacity_pages,
-            host_resident: PageSet::default(),
-            host_order: VecDeque::new(),
+            dram_cache: Residency::new(dram_pages),
+            ctrl_cache: Residency::new(ctrl_pages),
+            host_cache: Residency::new(HOST_CACHE_PAGES),
             energy: EnergyMeter::new(),
             lane: LaneStats::default(),
             lane_window: LaneStats::default(),
@@ -318,27 +422,8 @@ impl DeviceState {
         self.dram_bus.encode_into(&mut out);
         self.offloader_core.encode_into(&mut out);
         self.pcie.encode_into(&mut out);
-        // Residency is a set plus an eviction queue, serialized separately:
-        // the queue may hold stale entries (older checkpoints kept committed
-        // pages in the DRAM and SRAM queues, and pages an SSD-side write
-        // superseded in the host queue) and is therefore not a reliable
-        // source for rebuilding the set. Sets are written sorted so the
-        // encoding is deterministic; queues keep their exact order.
-        for (resident, order) in [
-            (&self.dram_resident, &self.dram_order),
-            (&self.ctrl_resident, &self.ctrl_order),
-            (&self.host_resident, &self.host_order),
-        ] {
-            let mut sorted: Vec<LogicalPageId> = resident.iter().copied().collect();
-            sorted.sort_unstable();
-            put_u64(&mut out, sorted.len() as u64);
-            for page in sorted {
-                put_u64(&mut out, page.index());
-            }
-            put_u64(&mut out, order.len() as u64);
-            for page in order {
-                put_u64(&mut out, page.index());
-            }
+        for cache in [&self.dram_cache, &self.ctrl_cache, &self.host_cache] {
+            cache.encode_into(&mut out);
         }
         self.energy.encode_into(&mut out);
         for lane in [&self.lane, &self.lane_window] {
@@ -392,34 +477,12 @@ impl DeviceState {
         state.dram_bus.restore_from(&mut r)?;
         state.offloader_core.restore_from(&mut r)?;
         state.pcie.restore_from(&mut r)?;
-        for (resident, order) in [
-            (&mut state.dram_resident, &mut state.dram_order),
-            (&mut state.ctrl_resident, &mut state.ctrl_order),
-            (&mut state.host_resident, &mut state.host_order),
+        for cache in [
+            &mut state.dram_cache,
+            &mut state.ctrl_cache,
+            &mut state.host_cache,
         ] {
-            let set_len = r.u64()? as usize;
-            for _ in 0..set_len {
-                let page = LogicalPageId::new(r.u64()?);
-                if !resident.insert(page) {
-                    return Err(ConduitError::corrupt_checkpoint(format!(
-                        "page {page} appears twice in a residency set"
-                    )));
-                }
-            }
-            let order_len = r.u64()? as usize;
-            for _ in 0..order_len {
-                order.push_back(LogicalPageId::new(r.u64()?));
-            }
-            // Eviction pops the queue while the set is over capacity, so a
-            // set page the queue does not hold could never leave and an
-            // over-full set would spin forever. Queue entries outside the set
-            // are legal (see `to_bytes`).
-            let queued: PageSet<LogicalPageId> = order.iter().copied().collect();
-            if let Some(page) = resident.iter().filter(|p| !queued.contains(p)).min() {
-                return Err(ConduitError::corrupt_checkpoint(format!(
-                    "page {page} is in a residency set but not in its eviction queue"
-                )));
-            }
+            cache.restore_from(&mut r)?;
         }
         state.energy = EnergyMeter::decode_from(&mut r)?;
         for lane in [&mut state.lane, &mut state.lane_window] {
@@ -651,6 +714,17 @@ impl DeviceDelta {
 }
 
 #[cfg(test)]
+impl Residency {
+    pub(crate) fn pages(&self) -> &PageSet<LogicalPageId> {
+        &self.pages
+    }
+
+    pub(crate) fn queue(&self) -> &VecDeque<LogicalPageId> {
+        &self.queue
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -692,8 +766,7 @@ mod tests {
             .ftl
             .coherence_mut()
             .record_write(pages[2], conduit_types::DataLocation::Dram);
-        state.dram_resident.insert(pages[0]);
-        state.dram_order.push_back(pages[0]);
+        state.dram_cache.insert(pages[0], |_| false);
         state.dram_bus.reserve(
             conduit_types::SimTime::ZERO,
             conduit_types::Duration::from_us(3.0),
@@ -705,8 +778,7 @@ mod tests {
         let bytes = state.to_bytes();
         let back = DeviceState::from_bytes(&cfg, &bytes).unwrap();
         assert_eq!(back.snapshot(), state.snapshot());
-        assert_eq!(back.dram_resident, state.dram_resident);
-        assert_eq!(back.dram_order, state.dram_order);
+        assert_eq!(back.dram_cache, state.dram_cache);
         assert_eq!(back.to_bytes(), bytes, "encoding must be deterministic");
 
         // Corruption and config mismatches are rejected.
@@ -756,20 +828,17 @@ mod tests {
         // One page more than each set's capacity and an empty eviction
         // queue: the next eviction from that set would never find a victim.
         let cfg = SsdConfig::small_for_tests();
-        let pristine = DeviceState::new(&cfg).unwrap();
-        let capacities = [
-            pristine.dram_capacity_pages,
-            pristine.ctrl_capacity_pages,
-            HOST_CACHE_PAGES,
-        ];
-        for (set, capacity) in capacities.into_iter().enumerate() {
+        for set in 0..3 {
             let mut state = DeviceState::new(&cfg).unwrap();
-            let resident = match set {
-                0 => &mut state.dram_resident,
-                1 => &mut state.ctrl_resident,
-                _ => &mut state.host_resident,
+            let cache = match set {
+                0 => &mut state.dram_cache,
+                1 => &mut state.ctrl_cache,
+                _ => &mut state.host_cache,
             };
-            resident.extend((0..=capacity as u64).map(LogicalPageId::new));
+            let capacity = cache.capacity;
+            cache
+                .pages
+                .extend((0..=capacity as u64).map(LogicalPageId::new));
             assert!(
                 matches!(
                     DeviceState::from_bytes(&cfg, &state.to_bytes()),
@@ -782,10 +851,87 @@ mod tests {
         // Queue entries outside the set, which older checkpoints hold, still
         // decode.
         let mut stale = DeviceState::new(&cfg).unwrap();
-        stale.host_order.extend((0..3).map(LogicalPageId::new));
-        stale.host_resident.insert(LogicalPageId::new(1));
+        stale
+            .host_cache
+            .queue
+            .extend((0..3).map(LogicalPageId::new));
+        stale.host_cache.pages.insert(LogicalPageId::new(1));
         let back = DeviceState::from_bytes(&cfg, &stale.to_bytes()).unwrap();
-        assert_eq!(back.host_order, stale.host_order);
+        assert_eq!(back.host_cache.queue, stale.host_cache.queue);
+    }
+
+    fn page(index: u64) -> LogicalPageId {
+        LogicalPageId::new(index)
+    }
+
+    fn queued(cache: &Residency) -> Vec<u64> {
+        cache.queue.iter().map(|p| p.index()).collect()
+    }
+
+    #[test]
+    fn residency_evicts_the_oldest_copy_first() {
+        let mut cache = Residency::new(2);
+        for index in 0..3 {
+            cache.insert(page(index), |_| false);
+        }
+        assert!(!cache.contains(page(0)));
+        assert!(cache.contains(page(1)) && cache.contains(page(2)));
+        assert_eq!(queued(&cache), [1, 2]);
+    }
+
+    #[test]
+    fn a_pinned_residency_head_stops_eviction_until_a_later_insert() {
+        let mut cache = Residency::new(2);
+        let pinned = |victim: LogicalPageId| victim == page(0);
+        cache.insert(page(0), pinned);
+        cache.insert(page(1), pinned);
+        // The oldest copy is pinned: it moves to the back and nothing
+        // leaves, so the set stays one page over capacity.
+        cache.insert(page(2), pinned);
+        assert_eq!(cache.pages.len(), 3);
+        assert_eq!(queued(&cache), [1, 2, 0]);
+        // The next insert evicts the unpinned copies ahead of it.
+        cache.insert(page(3), pinned);
+        assert_eq!(cache.pages.len(), 2);
+        assert!(cache.contains(page(0)) && cache.contains(page(3)));
+        assert_eq!(queued(&cache), [0, 3]);
+    }
+
+    #[test]
+    fn residency_remove_drops_the_page_from_set_and_queue() {
+        let mut cache = Residency::new(4);
+        cache.insert(page(0), |_| false);
+        cache.insert(page(1), |_| false);
+        cache.remove(page(0));
+        assert!(!cache.contains(page(0)));
+        assert_eq!(queued(&cache), [1]);
+        // Re-inserting queues the page once.
+        cache.insert(page(0), |_| false);
+        assert_eq!(queued(&cache), [1, 0]);
+        // Removing a page that is not cached changes nothing.
+        cache.remove(page(7));
+        assert_eq!(queued(&cache), [1, 0]);
+    }
+
+    #[test]
+    fn restored_stale_residency_entries_are_skipped_and_drained() {
+        // A full host cache whose queue starts with two entries for pages
+        // no longer cached, as older checkpoints hold.
+        let cfg = SsdConfig::small_for_tests();
+        let mut state = DeviceState::new(&cfg).unwrap();
+        let full = HOST_CACHE_PAGES as u64;
+        state.host_cache.queue.extend([page(100), page(101)]);
+        for index in 0..full {
+            state.host_cache.insert(page(index), |_| false);
+        }
+        let mut back = DeviceState::from_bytes(&cfg, &state.to_bytes()).unwrap();
+        assert_eq!(back.host_cache, state.host_cache);
+        // One more page: eviction pops the stale entries without counting
+        // them, then evicts the oldest cached page.
+        back.host_cache.insert(page(full), |_| false);
+        assert!(!back.host_cache.contains(page(0)));
+        assert_eq!(back.host_cache.pages.len(), HOST_CACHE_PAGES);
+        assert_eq!(queued(&back.host_cache), (1..=full).collect::<Vec<_>>());
     }
 
     #[test]

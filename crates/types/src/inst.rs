@@ -475,40 +475,6 @@ impl VectorProgram {
         }
         Ok(())
     }
-
-    /// Counts instructions per latency class: `(low, medium, high)`.
-    pub fn latency_class_mix(&self) -> (usize, usize, usize) {
-        let mut low = 0;
-        let mut med = 0;
-        let mut high = 0;
-        for inst in &self.insts {
-            match inst.latency_class() {
-                LatencyClass::Low => low += 1,
-                LatencyClass::Medium => med += 1,
-                LatencyClass::High => high += 1,
-            }
-        }
-        (low, med, high)
-    }
-
-    /// Average number of instructions that consume each produced value or
-    /// page before it is overwritten — the "Avg. Reuse" column of Table 3.
-    pub fn average_reuse(&self) -> f64 {
-        use std::collections::HashMap;
-        let mut uses: HashMap<Operand, u64> = HashMap::new();
-        for inst in &self.insts {
-            for src in &inst.srcs {
-                if src.needs_data() {
-                    *uses.entry(*src).or_insert(0) += 1;
-                }
-            }
-        }
-        if uses.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = uses.values().sum();
-        total as f64 / uses.len() as f64
-    }
 }
 
 impl<'a> IntoIterator for &'a VectorProgram {
@@ -631,18 +597,6 @@ mod tests {
         );
         assert_eq!(prog.footprint_pages().len(), 3);
         assert_eq!(prog.footprint_bytes(), 3 * crate::addr::PAGE_BYTES);
-    }
-
-    #[test]
-    fn latency_mix_and_reuse() {
-        let mut prog = VectorProgram::new("mix");
-        let a = prog.push_binary(OpType::Xor, Operand::page(0), Operand::page(1));
-        prog.push_binary(OpType::Add, Operand::result(a), Operand::page(0));
-        prog.push_binary(OpType::Mul, Operand::result(a), Operand::page(0));
-        let (low, med, high) = prog.latency_class_mix();
-        assert_eq!((low, med, high), (1, 1, 1));
-        // operands: page0 used 3x, page1 used 1x, result(a) used 2x => avg 2.0
-        assert!((prog.average_reuse() - 2.0).abs() < 1e-9);
     }
 
     #[test]
