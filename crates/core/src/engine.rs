@@ -279,10 +279,29 @@ impl RuntimeEngine {
         options: &RunOptions,
         plan: Option<&StripPlan>,
     ) -> Result<RunReport> {
+        program.validate().map_err(ConduitError::invalid_program)?;
+        self.run_validated(device, program, options, plan)
+    }
+
+    /// [`RuntimeEngine::run_with_plan`] for a `program` its caller has
+    /// already validated: a session validates a registered program once,
+    /// when it registers it, and an inline one in [`RuntimeEngine::prepare`],
+    /// which every session run goes through first.
+    ///
+    /// # Errors
+    ///
+    /// Returns an invalid-program error for an empty program and simulation
+    /// errors for device-level failures.
+    pub(crate) fn run_validated(
+        &self,
+        device: &mut SsdDevice,
+        program: &VectorProgram,
+        options: &RunOptions,
+        plan: Option<&StripPlan>,
+    ) -> Result<RunReport> {
         if program.is_empty() {
             return Err(ConduitError::invalid_program("program has no instructions"));
         }
-        program.validate().map_err(ConduitError::invalid_program)?;
         let mut scratch = self
             .scratch
             .lock()

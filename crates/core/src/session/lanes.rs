@@ -252,7 +252,7 @@ pub(super) fn execute_fresh(
     // An open-loop arrival translates the fresh run's timeline (timestamps
     // shift, service time and energy do not); there is no lane to queue in.
     let options = plan.options.starting_at(SimTime::ZERO + plan.arrival);
-    let report = engine.run_with_plan(
+    let report = engine.run_validated(
         &mut device,
         &plan.program,
         &options,
@@ -340,7 +340,7 @@ fn execute_on_lane(
     let idle_gap = arrival.saturating_since(lane.clock);
     let issue = lane.clock.max(arrival);
     let report = warm.prepare(engine, plan).and_then(|()| {
-        engine.run_with_plan(
+        engine.run_validated(
             &mut warm.device,
             &plan.program,
             &plan.options.starting_at(issue),

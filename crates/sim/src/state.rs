@@ -16,11 +16,9 @@
 //! [`DeviceSnapshot::delta_since`] turns two snapshots into the per-run
 //! [`DeviceDelta`] that run summaries carry.
 
-use std::collections::VecDeque;
-
 use conduit_ftl::Ftl;
 use conduit_types::bytes::{put_u16, put_u64, Reader};
-use conduit_types::hash::PageSet;
+use conduit_types::hash::{PageMap, PageSet};
 use conduit_types::inst::MAX_ELEM_BITS;
 use conduit_types::{
     ConduitError, DeviceHealth, Duration, Energy, FaultConfig, LogicalPageId, Result, SimTime,
@@ -48,98 +46,131 @@ pub const DEVICE_STATE_FORMAT_VERSION: u16 = 3;
 const HOST_CACHE_PAGES: usize = 8;
 
 /// The clean copies of pages cached at one location (SSD DRAM, controller
-/// SRAM or host memory): a set answers lookups, and a FIFO queue picks the
-/// copy to evict once the set outgrows its capacity.
+/// SRAM or host memory), in the order they were cached. Each cached page
+/// links to the copies cached just before and after it, so a lookup, an
+/// insert and a removal each take a few map operations, and the oldest copy
+/// leaves first once the cache outgrows its capacity.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Residency {
-    /// The pages with a copy here.
-    pages: PageSet<LogicalPageId>,
-    /// Eviction order, oldest first. It holds every page of the set, and may
-    /// hold stale entries for pages no longer in it (see
-    /// [`Residency::encode_into`]); eviction drops those as it meets them.
-    queue: VecDeque<LogicalPageId>,
+    /// Every cached page with its neighbours in caching order.
+    links: PageMap<LogicalPageId, Link>,
+    /// The oldest cached page, which eviction considers first.
+    oldest: Option<LogicalPageId>,
+    /// The newest cached page, behind which the next insert goes.
+    newest: Option<LogicalPageId>,
     capacity: usize,
+}
+
+/// A cached page's neighbours in [`Residency`]'s caching order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Link {
+    older: Option<LogicalPageId>,
+    newer: Option<LogicalPageId>,
 }
 
 impl Residency {
     /// An empty cache of `capacity` pages.
     fn new(capacity: usize) -> Self {
         Residency {
-            pages: PageSet::default(),
-            queue: VecDeque::new(),
+            links: PageMap::default(),
+            oldest: None,
+            newest: None,
             capacity,
         }
     }
 
     /// Whether a copy of `page` is cached here.
     pub(crate) fn contains(&self, page: LogicalPageId) -> bool {
-        self.pages.contains(&page)
+        self.links.contains_key(&page)
     }
 
     /// Caches a copy of `page`. Over capacity, the oldest copies leave first
-    /// until the set fits or the oldest is `pinned`: that one moves to the
-    /// back of the queue, and the set stays over capacity until a later
-    /// insert.
+    /// until the cache fits or the oldest is `pinned`: that one moves behind
+    /// the newest, and the cache stays over capacity until a later insert.
     pub(crate) fn insert(&mut self, page: LogicalPageId, pinned: impl Fn(LogicalPageId) -> bool) {
-        if !self.pages.insert(page) {
+        if self.contains(page) {
             return;
         }
-        self.queue.push_back(page);
-        while self.pages.len() > self.capacity {
-            let victim = self
-                .queue
-                .pop_front()
-                .expect("every cached page is in the eviction queue");
+        self.push_newest(page);
+        while self.links.len() > self.capacity {
+            let victim = self.oldest.expect("an over-capacity cache holds a page");
+            self.remove(victim);
             if pinned(victim) {
-                self.queue.push_back(victim);
+                self.push_newest(victim);
                 break;
             }
-            self.pages.remove(&victim);
         }
     }
 
-    /// Drops `page` from the set and from the queue. A queue entry left
-    /// behind would never be popped while the set stays under capacity, and
-    /// the page's next insertion would queue it again, so the queue would
-    /// grow with every removal.
+    /// Drops the copy of `page`, if one is cached here.
     pub(crate) fn remove(&mut self, page: LogicalPageId) {
-        if self.pages.remove(&page) {
-            self.queue.retain(|&queued| queued != page);
+        let Some(Link { older, newer }) = self.links.remove(&page) else {
+            return;
+        };
+        match older {
+            Some(older) => self.link_mut(older).newer = newer,
+            None => self.oldest = newer,
+        }
+        match newer {
+            Some(newer) => self.link_mut(newer).older = older,
+            None => self.newest = older,
         }
     }
 
-    /// Appends the set and the queue, separately: the queue may hold stale
-    /// entries (older checkpoints kept committed pages in the DRAM and SRAM
-    /// queues, and pages an SSD-side write superseded in the host queue) and
-    /// is therefore not a reliable source for rebuilding the set. The set is
-    /// written sorted so the encoding is deterministic; the queue keeps its
-    /// exact order.
+    /// Caches `page`, which is not cached here, as the newest copy.
+    fn push_newest(&mut self, page: LogicalPageId) {
+        let older = self.newest.replace(page);
+        match older {
+            Some(older) => self.link_mut(older).newer = Some(page),
+            None => self.oldest = Some(page),
+        }
+        self.links.insert(page, Link { older, newer: None });
+    }
+
+    fn link_mut(&mut self, page: LogicalPageId) -> &mut Link {
+        self.links
+            .get_mut(&page)
+            .expect("a linked neighbour is cached")
+    }
+
+    /// The cached pages, oldest first.
+    fn in_order(&self) -> impl Iterator<Item = LogicalPageId> + '_ {
+        std::iter::successors(self.oldest, |page| self.links[page].newer)
+    }
+
+    /// Appends the cached pages twice: sorted, so the encoding is
+    /// deterministic, and oldest first, the eviction order.
     fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut sorted: Vec<LogicalPageId> = self.pages.iter().copied().collect();
+        let mut sorted: Vec<LogicalPageId> = self.links.keys().copied().collect();
         sorted.sort_unstable();
         put_u64(out, sorted.len() as u64);
         for page in sorted {
             put_u64(out, page.index());
         }
-        put_u64(out, self.queue.len() as u64);
-        for page in &self.queue {
+        put_u64(out, self.links.len() as u64);
+        for page in self.in_order() {
             put_u64(out, page.index());
         }
     }
 
-    /// Restores an empty cache from [`Residency::encode_into`]'s bytes.
+    /// Restores an empty cache from [`Residency::encode_into`]'s bytes: a
+    /// set of pages, then an eviction queue that orders them.
+    ///
+    /// Queues written before the cache kept exactly its pages may hold
+    /// stale entries: pages no longer cached, and earlier entries of a page
+    /// cached again since. The restore drops them, so only a page's last
+    /// entry, its live one, decides when it leaves.
     ///
     /// # Errors
     ///
     /// Returns [`ConduitError::CorruptCheckpoint`] for truncated bytes, a
-    /// page listed twice in the set, or a set page the queue does not hold:
-    /// eviction pops the queue while the set is over capacity, so such a
-    /// page could never leave. Queue entries outside the set are legal.
+    /// page listed twice in the set, or a set page the queue does not hold.
     fn restore_from(&mut self, r: &mut Reader<'_>) -> Result<()> {
         let set_len = r.u64()? as usize;
+        let mut set = PageSet::default();
         for _ in 0..set_len {
             let page = LogicalPageId::new(r.u64()?);
-            if !self.pages.insert(page) {
+            if !set.insert(page) {
                 return Err(ConduitError::corrupt_checkpoint(format!(
                     "page {page} appears twice in a residency set"
                 )));
@@ -147,10 +178,13 @@ impl Residency {
         }
         let queue_len = r.u64()? as usize;
         for _ in 0..queue_len {
-            self.queue.push_back(LogicalPageId::new(r.u64()?));
+            let page = LogicalPageId::new(r.u64()?);
+            if set.contains(&page) {
+                self.remove(page);
+                self.push_newest(page);
+            }
         }
-        let queued: PageSet<LogicalPageId> = self.queue.iter().copied().collect();
-        if let Some(page) = self.pages.iter().filter(|p| !queued.contains(p)).min() {
+        if let Some(page) = set.into_iter().filter(|&p| !self.contains(p)).min() {
             return Err(ConduitError::corrupt_checkpoint(format!(
                 "page {page} is in a residency set but not in its eviction queue"
             )));
@@ -715,12 +749,14 @@ impl DeviceDelta {
 
 #[cfg(test)]
 impl Residency {
-    pub(crate) fn pages(&self) -> &PageSet<LogicalPageId> {
-        &self.pages
+    /// The cached pages, in no particular order.
+    pub(crate) fn pages(&self) -> Vec<LogicalPageId> {
+        self.links.keys().copied().collect()
     }
 
-    pub(crate) fn queue(&self) -> &VecDeque<LogicalPageId> {
-        &self.queue
+    /// The cached pages in eviction order, oldest first.
+    pub(crate) fn queue(&self) -> Vec<LogicalPageId> {
+        self.in_order().collect()
     }
 }
 
@@ -823,49 +859,64 @@ mod tests {
         }
     }
 
-    #[test]
-    fn residency_set_pages_missing_from_their_queue_are_corrupt() {
-        // One page more than each set's capacity and an empty eviction
-        // queue: the next eviction from that set would never find a victim.
-        let cfg = SsdConfig::small_for_tests();
-        for set in 0..3 {
-            let mut state = DeviceState::new(&cfg).unwrap();
-            let cache = match set {
-                0 => &mut state.dram_cache,
-                1 => &mut state.ctrl_cache,
-                _ => &mut state.host_cache,
-            };
-            let capacity = cache.capacity;
-            cache
-                .pages
-                .extend((0..=capacity as u64).map(LogicalPageId::new));
-            assert!(
-                matches!(
-                    DeviceState::from_bytes(&cfg, &state.to_bytes()),
-                    Err(ConduitError::CorruptCheckpoint { .. })
-                ),
-                "set {set}: {} pages and an empty queue must not decode",
-                capacity + 1
-            );
-        }
-        // Queue entries outside the set, which older checkpoints hold, still
-        // decode.
-        let mut stale = DeviceState::new(&cfg).unwrap();
-        stale
-            .host_cache
-            .queue
-            .extend((0..3).map(LogicalPageId::new));
-        stale.host_cache.pages.insert(LogicalPageId::new(1));
-        let back = DeviceState::from_bytes(&cfg, &stale.to_bytes()).unwrap();
-        assert_eq!(back.host_cache.queue, stale.host_cache.queue);
-    }
-
     fn page(index: u64) -> LogicalPageId {
         LogicalPageId::new(index)
     }
 
     fn queued(cache: &Residency) -> Vec<u64> {
-        cache.queue.iter().map(|p| p.index()).collect()
+        cache.in_order().map(|p| p.index()).collect()
+    }
+
+    /// A set and an eviction queue laid out as [`Residency::encode_into`]
+    /// writes them.
+    fn residency_bytes(set: &[u64], queue: &[u64]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for list in [set, queue] {
+            put_u64(&mut bytes, list.len() as u64);
+            for &index in list {
+                put_u64(&mut bytes, index);
+            }
+        }
+        bytes
+    }
+
+    /// The host cache [`DeviceState::from_bytes`] restores from a fresh
+    /// device's checkpoint whose host cache bytes are replaced by `set` and
+    /// `queue`, as older checkpoints may hold them.
+    fn restored_host_cache(set: &[u64], queue: &[u64]) -> Result<Residency> {
+        let cfg = SsdConfig::small_for_tests();
+        let mut state = DeviceState::new(&cfg).unwrap();
+        // A page no other field of the image encodes marks the host cache.
+        let marker = 0x5eed_cafe_f00d_0001;
+        state.host_cache.insert(page(marker), |_| false);
+        let image = state.to_bytes();
+        let written = residency_bytes(&[marker], &[marker]);
+        let at = image
+            .windows(written.len())
+            .position(|bytes| bytes == written)
+            .expect("the image holds the host cache");
+        let spliced = [
+            &image[..at],
+            &residency_bytes(set, queue),
+            &image[at + written.len()..],
+        ]
+        .concat();
+        Ok(DeviceState::from_bytes(&cfg, &spliced)?.host_cache)
+    }
+
+    #[test]
+    fn residency_set_pages_missing_from_their_queue_are_corrupt() {
+        // One page more than the host cache holds and an empty eviction
+        // queue: the next eviction would never find a victim.
+        let set: Vec<u64> = (0..=HOST_CACHE_PAGES as u64).collect();
+        assert!(matches!(
+            restored_host_cache(&set, &[]),
+            Err(ConduitError::CorruptCheckpoint { .. })
+        ));
+        // Queue entries outside the set, which older checkpoints hold, still
+        // decode, and the restore drops them.
+        let back = restored_host_cache(&[1], &[0, 1, 2]).unwrap();
+        assert_eq!(queued(&back), [1]);
     }
 
     #[test]
@@ -888,11 +939,11 @@ mod tests {
         // The oldest copy is pinned: it moves to the back and nothing
         // leaves, so the set stays one page over capacity.
         cache.insert(page(2), pinned);
-        assert_eq!(cache.pages.len(), 3);
+        assert_eq!(cache.links.len(), 3);
         assert_eq!(queued(&cache), [1, 2, 0]);
         // The next insert evicts the unpinned copies ahead of it.
         cache.insert(page(3), pinned);
-        assert_eq!(cache.pages.len(), 2);
+        assert_eq!(cache.links.len(), 2);
         assert!(cache.contains(page(0)) && cache.contains(page(3)));
         assert_eq!(queued(&cache), [0, 3]);
     }
@@ -900,38 +951,68 @@ mod tests {
     #[test]
     fn residency_remove_drops_the_page_from_set_and_queue() {
         let mut cache = Residency::new(4);
-        cache.insert(page(0), |_| false);
-        cache.insert(page(1), |_| false);
+        for index in 0..3 {
+            cache.insert(page(index), |_| false);
+        }
+        // From the middle, the front and the back of the eviction order.
+        cache.remove(page(1));
+        assert!(!cache.contains(page(1)));
+        assert_eq!(queued(&cache), [0, 2]);
         cache.remove(page(0));
-        assert!(!cache.contains(page(0)));
-        assert_eq!(queued(&cache), [1]);
+        assert_eq!(queued(&cache), [2]);
+        cache.insert(page(0), |_| false);
+        cache.remove(page(0));
+        assert_eq!(queued(&cache), [2]);
         // Re-inserting queues the page once.
         cache.insert(page(0), |_| false);
-        assert_eq!(queued(&cache), [1, 0]);
+        cache.insert(page(0), |_| false);
+        assert_eq!(queued(&cache), [2, 0]);
         // Removing a page that is not cached changes nothing.
         cache.remove(page(7));
-        assert_eq!(queued(&cache), [1, 0]);
+        assert_eq!(queued(&cache), [2, 0]);
+        cache.remove(page(2));
+        cache.remove(page(0));
+        assert!(cache.links.is_empty());
+        assert_eq!(queued(&cache), [0u64; 0]);
     }
 
     #[test]
     fn restored_stale_residency_entries_are_skipped_and_drained() {
         // A full host cache whose queue starts with two entries for pages
         // no longer cached, as older checkpoints hold.
-        let cfg = SsdConfig::small_for_tests();
-        let mut state = DeviceState::new(&cfg).unwrap();
         let full = HOST_CACHE_PAGES as u64;
-        state.host_cache.queue.extend([page(100), page(101)]);
+        let set: Vec<u64> = (0..full).collect();
+        let queue: Vec<u64> = [100, 101].into_iter().chain(0..full).collect();
+        let mut back = restored_host_cache(&set, &queue).unwrap();
+        // The restore drops the stale entries: the cache is the one that
+        // caching the same pages in the same order builds.
+        let mut cached = Residency::new(HOST_CACHE_PAGES);
         for index in 0..full {
-            state.host_cache.insert(page(index), |_| false);
+            cached.insert(page(index), |_| false);
         }
-        let mut back = DeviceState::from_bytes(&cfg, &state.to_bytes()).unwrap();
-        assert_eq!(back.host_cache, state.host_cache);
-        // One more page: eviction pops the stale entries without counting
-        // them, then evicts the oldest cached page.
-        back.host_cache.insert(page(full), |_| false);
-        assert!(!back.host_cache.contains(page(0)));
-        assert_eq!(back.host_cache.pages.len(), HOST_CACHE_PAGES);
-        assert_eq!(queued(&back.host_cache), (1..=full).collect::<Vec<_>>());
+        assert_eq!(back, cached);
+        // One more page evicts the oldest cached page.
+        back.insert(page(full), |_| false);
+        assert!(!back.contains(page(0)));
+        assert_eq!(back.links.len(), HOST_CACHE_PAGES);
+        assert_eq!(queued(&back), (1..=full).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_restored_stale_entry_never_evicts_the_pages_live_copy() {
+        // The queue holds a stale entry for page 0, which is not cached.
+        // Page 0 is cached again later, so its live entry is its newest:
+        // the stale entry must not make it the first to leave.
+        let mut cache = restored_host_cache(&[], &[0]).unwrap();
+        for index in (1..=7).chain([0, 8]) {
+            cache.insert(page(index), |_| false);
+        }
+        assert!(!cache.contains(page(1)));
+        assert!(cache.contains(page(0)) && cache.contains(page(8)));
+        assert_eq!(queued(&cache), [2, 3, 4, 5, 6, 7, 0, 8]);
+        // A page queued twice is live at its last entry.
+        let twice = restored_host_cache(&[0, 1], &[0, 1, 0]).unwrap();
+        assert_eq!(queued(&twice), [1, 0]);
     }
 
     #[test]

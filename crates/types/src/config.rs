@@ -38,6 +38,8 @@ pub struct FlashConfig {
     /// Page size in bytes.
     pub page_bytes: u64,
     /// Per-channel bandwidth between flash dies and the flash controller.
+    /// No model reads it (a page crosses the channel in
+    /// [`FlashConfig::t_dma`]); [`SsdConfig::fingerprint`] covers it.
     pub channel_bytes_per_sec: f64,
     /// SLC-mode page read (sensing) latency, `tR`.
     pub t_read: Duration,
@@ -178,11 +180,6 @@ impl FlashConfig {
     /// Total number of physical pages.
     pub fn total_pages(&self) -> u64 {
         self.capacity_bytes() / self.page_bytes
-    }
-
-    /// Time to move one page across a flash channel.
-    pub fn page_transfer_time(&self) -> Duration {
-        Duration::for_transfer(self.page_bytes, self.channel_bytes_per_sec)
     }
 }
 
@@ -824,13 +821,5 @@ mod tests {
         let mut gpu_launch = host.clone();
         gpu_launch.gpu.kernel_launch = Duration::from_us(16.0);
         assert_ne!(host.fingerprint(), gpu_launch.fingerprint());
-    }
-
-    #[test]
-    fn page_transfer_over_flash_channel() {
-        let f = FlashConfig::default();
-        // 4 KiB over 1.2 GB/s ≈ 3.41 us
-        let t = f.page_transfer_time();
-        assert!((t.as_us() - 3.413).abs() < 0.01);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The simulator's hottest lookups are keyed by page numbers: the L2P map
 //! and its mapping cache, the FTL's reverse (physical → logical) map, the
-//! coherence directory and the device's residency sets. std's default
+//! coherence directory and the device's residency caches. std's default
 //! `SipHash` with a random per-instance seed is built to resist adversarial
 //! keys, which simulated page numbers are not, at a cost paid on every
 //! lookup. [`PageHasher`] hashes each 64-bit word with one *folded multiply*
